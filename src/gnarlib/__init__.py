@@ -69,6 +69,7 @@ from .gnar_core import (
     forecast,
     restriction_matrix,
     simulate,
+    spectral_radius,
     stationarity_margin,
 )
 from .selection import (

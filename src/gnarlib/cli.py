@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import pathlib
 import sys
 import tempfile
 from typing import Optional, Sequence
@@ -51,18 +52,23 @@ def _meta_lines(args: argparse.Namespace) -> list[str]:
     return [f"tool={m['tool']}", f"command={m['command']}", f"seed={m['seed']}"]
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call ``write(tmp_path)`` on a temp file beside ``path``, then rename."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path: str, text: str) -> None:
+    _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(text))
 
 
 def _write_json(path: str, obj: dict, args: argparse.Namespace) -> None:
@@ -79,6 +85,15 @@ def _write_csv(path: str, header: Sequence[str], rows, args: argparse.Namespace)
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _write_forecast(path: str, panel: pn.TimeSeriesPanel, preds: np.ndarray,
+                    args: argparse.Namespace) -> None:
+    """Predictions against the panel's last ``preds.shape[1]`` columns."""
+    h = preds.shape[1]
+    rows = [[d.isoformat(), lbl, panel.values[i, j - h], preds[i, j]]
+            for j, d in enumerate(panel.dates[-h:]) for i, lbl in enumerate(panel.labels)]
+    _write_csv(path, ["date", "node", "actual", "predicted"], rows, args)
+
+
 def _cell(v) -> str:
     if v is None:
         return ""
@@ -88,22 +103,26 @@ def _cell(v) -> str:
 
 
 def _write_panel(path: str, panel: pn.TimeSeriesPanel, args: argparse.Namespace) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    os.close(fd)
-    try:
-        pn.write_wide_csv(panel, tmp, meta_lines=_meta_lines(args))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, lambda tmp: pn.write_wide_csv(panel, tmp, meta_lines=_meta_lines(args)))
 
 
 def _out_path(args: argparse.Namespace, name: str) -> str:
     out_dir = getattr(args, "out_dir", None) or "."
     return os.path.join(out_dir, name)
+
+
+def _stationarity(alpha, beta, weights: gc.WeightSet, n: int) -> dict:
+    """Stationarity fields for an output file; warns only when the exact
+    spectral radius is >= 1 (the margin is a sufficient condition only)."""
+    margin = gc.stationarity_margin(alpha, beta)
+    radius = gc.spectral_radius(alpha, beta, weights, n)
+    if radius >= 1:
+        print(f"warning: spectral radius {radius:.3f} >= 1: the model is not "
+              f"stationary (stationarity margin {margin:.3f})", file=sys.stderr)
+    elif margin <= 0:
+        print(f"note: stationarity margin {margin:.3f} <= 0 fails the sufficient "
+              f"condition only; spectral radius {radius:.3f} < 1", file=sys.stderr)
+    return {"stationarity_margin": margin, "spectral_radius": radius}
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -182,6 +201,14 @@ def _aligned_panel(args: argparse.Namespace, g: gg.Graph) -> pn.TimeSeriesPanel:
     order = [panel.labels.index(lbl) for lbl in g.labels]
     return pn.TimeSeriesPanel(labels=g.labels, dates=panel.dates,
                               values=panel.values[order])
+
+
+def _training_part(panel: pn.TimeSeriesPanel, h: int) -> pn.TimeSeriesPanel:
+    """The panel without its last ``h`` (held-out) columns."""
+    if h < 1 or h >= panel.n_times:
+        raise InvalidInputError(f"--holdout {h} outside 1..{panel.n_times - 1}")
+    return pn.TimeSeriesPanel(labels=panel.labels, dates=panel.dates[:-h],
+                              values=panel.values[:, :-h])
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +293,25 @@ def cmd_data(args: argparse.Namespace) -> int:
     if sub == "ingest":
         _require(args, "csv")
         panel = pn.ingest_long_csv(args.csv)
-        _write_panel(args.out, panel, args)
     elif sub == "weekly":
         _require(args, "panel")
         panel = pn.weekly_from_cumulative(pn.read_wide_csv(args.panel),
                                           tolerance=args.tolerance)
-        _write_panel(args.out, panel, args)
     elif sub == "smooth":
         _require(args, "panel", "window", "start", "end")
-        interval = (datetime.date.fromisoformat(args.start),
-                    datetime.date.fromisoformat(args.end))
+        try:
+            interval = (datetime.date.fromisoformat(args.start),
+                        datetime.date.fromisoformat(args.end))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"--start/--end must be ISO dates ({exc})") from exc
         panel = pn.rolling_average(pn.read_wide_csv(args.panel), args.window, interval)
-        _write_panel(args.out, panel, args)
     elif sub == "diff":
         _require(args, "panel")
         panel = pn.difference(pn.read_wide_csv(args.panel), args.lag)
-        _write_panel(args.out, panel, args)
     elif sub == "phases":
         _require(args, "panel", "spec")
         spec = pn.read_phase_spec_json(args.spec)
         panel = pn.split_phases(pn.read_wide_csv(args.panel), spec)
-        _write_panel(args.out, panel, args)
     elif sub == "boxcox":
         _require(args, "panel")
         panel = pn.read_wide_csv(args.panel)
@@ -298,6 +323,8 @@ def cmd_data(args: argparse.Namespace) -> int:
         print(f"lambda_hat={prof.lambda_hat:g} shift={prof.shift:g}")
     else:
         raise InvalidInputError(f"unknown data subcommand {sub!r}")
+    if sub != "boxcox":
+        _write_panel(args.out, panel, args)
     print(f"wrote {args.out}")
     return 0
 
@@ -312,13 +339,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     panel = _aligned_panel(args, g)
     spec = _spec_from_args(args, g)
     fit = gc.fit(panel, g, spec, method=args.method)
-    margin = gc.stationarity_margin(fit.alpha, fit.beta)
     obj = fit.to_json()
-    obj["stationarity_margin"] = margin
+    obj.update(_stationarity(fit.alpha, fit.beta, fit.weight_set, panel.n_nodes))
     _write_json(args.out, obj, args)
-    if margin <= 0:
-        print(f"warning: stationarity margin {margin:.3f} <= 0 "
-              "(sufficient condition fails)", file=sys.stderr)
     if args.residuals_out:
         resid_panel = pn.TimeSeriesPanel(labels=panel.labels, dates=panel.dates,
                                          values=fit.residuals)
@@ -339,15 +362,12 @@ def cmd_select(args: argparse.Namespace) -> int:
                               global_alpha=not args.vertex_alpha)
     header = ["rank", "model", "scheme", "global_alpha", "status",
               "bic", "aic", "loglik", "M", "n_obs", "reason"]
-    rows = []
-    for rank, c in enumerate(report.ranked(), start=1):
-        rows.append([rank, c.order.name(), c.scheme_kind, c.global_alpha,
-                     c.status, c.bic, c.aic, c.loglik, c.M, c.n_obs, ""])
-    for c in report.candidates:
-        if c.status != "ok":
-            rows.append(["", c.order.name(), c.scheme_kind, c.global_alpha,
-                         c.status, "", "", "", "", "",
-                         c.reason.replace(",", ";")])
+    rows = [[rank, c.order.name(), c.scheme_kind, c.global_alpha, c.status,
+             c.bic, c.aic, c.loglik, c.M, c.n_obs, ""]
+            for rank, c in enumerate(report.ranked(), start=1)]
+    rows += [["", c.order.name(), c.scheme_kind, c.global_alpha, c.status,
+              "", "", "", "", "", c.reason.replace(",", ";")]
+             for c in report.candidates if c.status != "ok"]
     _write_csv(args.out + ".csv", header, rows, args)
     _write_json(args.out + ".json", report.to_json(), args)
     print(f"{'rank':>4}  {'model':<22} {'bic':>12} {'aic':>12} {'M':>3} {'n_obs':>6}")
@@ -364,29 +384,17 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     panel = _aligned_panel(args, g)
     spec = _spec_from_args(args, g)
     h = args.holdout
-    if h < 1 or h >= panel.n_times:
-        raise InvalidInputError(f"--holdout {h} outside 1..{panel.n_times - 1}")
-    train = pn.TimeSeriesPanel(labels=panel.labels, dates=panel.dates[:-h],
-                               values=panel.values[:, :-h])
+    train = _training_part(panel, h)
     fit = gc.fit(train, g, spec, method="ols")
     if args.mode == "rolling":
         preds = gc.forecast(fit, panel, h, mode="rolling_one_step")
     else:
         preds = gc.forecast(fit, train, h, mode="recursive")
-    eval_dates = panel.dates[-h:]
-    actual = panel.values[:, -h:]
-
-    rows = []
-    for j, d in enumerate(eval_dates):
-        for i, lbl in enumerate(panel.labels):
-            rows.append([d.isoformat(), lbl, actual[i, j], preds[i, j]])
-    _write_csv(_out_path(args, "forecast.csv"),
-               ["date", "node", "actual", "predicted"], rows, args)
-
-    result = dg.mase(actual, preds, panel.values, labels=panel.labels)
+    _write_forecast(_out_path(args, "forecast.csv"), panel, preds, args)
+    result = dg.mase(panel.values[:, -h:], preds, panel.values, labels=panel.labels)
     rows = []
     for i, lbl in enumerate(panel.labels):
-        for j, d in enumerate(eval_dates):
+        for j, d in enumerate(panel.dates[-h:]):
             rows.append([lbl, d.isoformat(), result.entries[i, j]])
     _write_csv(_out_path(args, "mase.csv"),
                ["node", "date", "scaled_error"], rows, args)
@@ -420,14 +428,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sigma = math.sqrt(args.sigma2) if args.sigma2 is not None else args.sigma
     if sigma is None:
         raise InvalidInputError("provide --sigma2 or --sigma")
-    margin = gc.stationarity_margin(alpha, beta)
-    if margin <= 0:
-        print(f"warning: stationarity margin {margin:.3f} <= 0 "
-              "(sufficient condition fails)", file=sys.stderr)
-
     panel = gc.simulate(spec, alpha, beta, g, T=args.T, sigma=sigma,
                         init_mean=args.init_mean, burn_in=args.burn_in,
                         seed=args.seed)
+    weights = gc.compute_weights(
+        g, gg.stage_neighbourhoods(g, max(order.max_stage, 1)), scheme)
     _write_panel(_out_path(args, "panel.csv"), panel, args)
     sidecar = {
         "order": {"p": order.p, "s": list(order.s)},
@@ -438,29 +443,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "burn_in": args.burn_in,
         "T": args.T,
         "scheme": spec.scheme.kind,
-        "stationarity_margin": margin,
         "labels": list(g.labels),
+        **_stationarity(alpha, beta, weights, g.n),
     }
     _write_json(_out_path(args, "params.json"), sidecar, args)
     written = ["panel.csv", "params.json"]
 
     if args.refit:
         fit = gc.fit(panel, g, spec, method="ols")
-        names, true_vals, est = [], [], []
-        for j in range(order.p):
-            names.append(f"alpha{j + 1}")
-            true_vals.append(float(alpha[j]))
-            est.append(float(fit.alpha[j]))
-            for r in range(order.s[j]):
-                names.append(f"beta{j + 1}.{r + 1}")
-                true_vals.append(float(beta[j][r]))
-                est.append(float(fit.beta[j][r]))
-        se_map = dict(zip(fit.column_names, fit.gamma_se))
+        truth = dict(zip(fit.column_names, np.concatenate([alpha, *beta])))
+        est = dict(zip(fit.column_names, zip(fit.gamma, fit.gamma_se)))
         rows = []
-        for nm, tv, ev in zip(names, true_vals, est):
-            lo = ev - 1.96 * se_map[nm]
-            hi = ev + 1.96 * se_map[nm]
-            rows.append([nm, tv, ev, lo, hi, "yes" if lo <= tv <= hi else "no"])
+        for j in range(1, order.p + 1):   # lag by lag: alpha_j, then its betas
+            for nm in [f"alpha{j}"] + [f"beta{j}.{r}" for r in range(1, order.s[j - 1] + 1)]:
+                tv, (ev, se) = float(truth[nm]), est[nm]
+                lo, hi = ev - 1.96 * se, ev + 1.96 * se
+                rows.append([nm, tv, float(ev), lo, hi, "yes" if lo <= tv <= hi else "no"])
         _write_csv(_out_path(args, "refit_table.csv"),
                    ["coefficient", "true", "estimate", "ci_lower", "ci_upper",
                     "covered"],
@@ -501,26 +499,21 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         }, args)
         print(f"N_m = {res.n_m:.4f} over {int(res.tested.sum())} dates; "
               f"wrote {args.out}.csv/.json")
-    elif sub == "ks":
+    elif sub in ("ks", "ljungbox"):
         _require(args, "panel")
         panel = pn.read_wide_csv(args.panel)
-        results = dg.ks_normality(panel)
+        results = (dg.ks_normality(panel) if sub == "ks"
+                   else dg.ljung_box_panel(panel, max_lag=args.max_lag))
         _write_json(args.out, {"tests": {
             lbl: {"statistic": r.statistic, "p_value": r.p_value,
                   "parameters": r.parameters}
             for lbl, r in results.items()}}, args)
-        n_rej = sum(1 for r in results.values()
-                    if not math.isnan(r.p_value) and r.p_value <= 0.025)
-        print(f"{n_rej}/{len(results)} nodes rejected at p <= 0.025; wrote {args.out}")
-    elif sub == "ljungbox":
-        _require(args, "panel")
-        panel = pn.read_wide_csv(args.panel)
-        results = dg.ljung_box_panel(panel, max_lag=args.max_lag)
-        _write_json(args.out, {"tests": {
-            lbl: {"statistic": r.statistic, "p_value": r.p_value,
-                  "parameters": r.parameters}
-            for lbl, r in results.items()}}, args)
-        print(f"wrote {args.out}")
+        if sub == "ks":
+            n_rej = sum(1 for r in results.values()
+                        if not math.isnan(r.p_value) and r.p_value <= 0.025)
+            print(f"{n_rej}/{len(results)} nodes rejected at p <= 0.025; wrote {args.out}")
+        else:
+            print(f"wrote {args.out}")
     else:
         raise InvalidInputError(f"unknown diagnose subcommand {sub!r}")
     return 0
@@ -530,12 +523,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     _require(args, "panel", "pmax")
     panel = pn.read_wide_csv(args.panel)
     h = args.holdout
-    train = panel
-    if h:
-        if h < 1 or h >= panel.n_times:
-            raise InvalidInputError(f"--holdout {h} outside 1..{panel.n_times - 1}")
-        train = pn.TimeSeriesPanel(labels=panel.labels, dates=panel.dates[:-h],
-                                   values=panel.values[:, :-h])
+    train = _training_part(panel, h) if h else panel
     results = sel.fit_ar_baseline(train, args.pmax)
     _write_json(_out_path(args, "ar.json"),
                 {"nodes": {lbl: r.to_json() for lbl, r in results.items()}},
@@ -547,13 +535,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             r = results[lbl]
             if r.status == "ok":
                 preds[i] = sel.ar_rolling_forecast(r, panel.values[i], h)
-        eval_dates = panel.dates[-h:]
-        rows = []
-        for j, d in enumerate(eval_dates):
-            for i, lbl in enumerate(panel.labels):
-                rows.append([d.isoformat(), lbl, panel.values[i, -h + j], preds[i, j]])
-        _write_csv(_out_path(args, "ar_forecast.csv"),
-                   ["date", "node", "actual", "predicted"], rows, args)
+        _write_forecast(_out_path(args, "ar_forecast.csv"), panel, preds, args)
         res = dg.mase(panel.values[:, -h:], preds, panel.values, labels=panel.labels)
         _write_json(_out_path(args, "ar_mase.json"), {
             "per_node_mean": dict(zip(res.labels,
@@ -637,44 +619,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_data)
 
     fit_p = sub.add_parser("fit", parents=[common], help="fit one model")
-    fit_p.add_argument("--panel")
-    fit_p.add_argument("--graph")
-    fit_p.add_argument("--scheme", default="spl",
-                       choices=["spl", "uniform", "idw", "pb"])
-    fit_p.add_argument("--points", help="needed for idw/pb schemes")
-    fit_p.add_argument("--p", type=int)
-    fit_p.add_argument("--s", help="comma-separated stages, e.g. 2,1,0")
-    fit_p.add_argument("--vertex-alpha", action="store_true",
-                       help="node-specific own-lag coefficients")
+    sel_p = sub.add_parser("select", parents=[common], help="BIC/AIC grid search")
+    fc = sub.add_parser("forecast", parents=[common],
+                        help="hold out weeks, fit, predict, score")
+    for model_p in (fit_p, sel_p, fc):
+        model_p.add_argument("--panel")
+        model_p.add_argument("--graph")
+        model_p.add_argument("--scheme", default="spl",
+                             choices=["spl", "uniform", "idw", "pb"])
+        model_p.add_argument("--points", help="needed for idw/pb schemes")
+        model_p.add_argument("--vertex-alpha", action="store_true",
+                             help="node-specific own-lag coefficients")
+    for model_p in (fit_p, fc):
+        model_p.add_argument("--p", type=int)
+        model_p.add_argument("--s", help="comma-separated stages, e.g. 2,1,0")
     fit_p.add_argument("--method", default="ols", choices=["ols", "egls"])
     fit_p.add_argument("--residuals-out", help="also write the residual panel")
     fit_p.add_argument("--out")
     fit_p.set_defaults(func=cmd_fit)
-
-    sel_p = sub.add_parser("select", parents=[common], help="BIC/AIC grid search")
-    sel_p.add_argument("--panel")
-    sel_p.add_argument("--graph")
-    sel_p.add_argument("--scheme", default="spl",
-                       choices=["spl", "uniform", "idw", "pb"])
-    sel_p.add_argument("--points")
     sel_p.add_argument("--pmax", type=int,
                        help="lag cap; defaults to Schwert's rule on the panel length")
     sel_p.add_argument("--smax", type=int, default=5)
     sel_p.add_argument("--criterion", default="bic", choices=["bic", "aic"])
-    sel_p.add_argument("--vertex-alpha", action="store_true")
     sel_p.add_argument("--out", help="base path; writes <out>.csv and <out>.json")
     sel_p.set_defaults(func=cmd_select)
-
-    fc = sub.add_parser("forecast", parents=[common],
-                        help="hold out weeks, fit, predict, score")
-    fc.add_argument("--panel")
-    fc.add_argument("--graph")
-    fc.add_argument("--scheme", default="spl",
-                    choices=["spl", "uniform", "idw", "pb"])
-    fc.add_argument("--points")
-    fc.add_argument("--p", type=int)
-    fc.add_argument("--s")
-    fc.add_argument("--vertex-alpha", action="store_true")
     fc.add_argument("--holdout", type=int, default=5)
     fc.add_argument("--mode", default="rolling", choices=["rolling", "recursive"])
     fc.add_argument("--out-dir", default=".")
@@ -738,22 +706,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parsed_dests(argv: list[str]) -> set[str]:
+    """Options argparse parsed from argv in any accepted spelling (abbreviated,
+    ``--opt=value``): re-parses with every default suppressed."""
+    parsers = [build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return set(vars(parsers[0].parse_args(argv)))
+
+
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     """Fill options from the config file unless given on the command line."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"{args.config}: not valid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise InvalidInputError("--config must contain a flat JSON object")
+    on_cli = _parsed_dests(argv)
     for key, value in config.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise InvalidInputError(
                 f"config key {key!r} is not an option of this subcommand")
-        flag = "--" + key.replace("_", "-")
-        on_cli = any(a == flag or a.startswith(flag + "=") for a in argv)
-        if not on_cli:
+        if dest not in on_cli:
             setattr(args, dest, value)
 
 

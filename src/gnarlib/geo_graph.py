@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
+from .panel import _skip_comments
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -602,12 +603,6 @@ def read_edgelist_csv(stream) -> list[tuple[str, str]]:
     return [(row["from"], row["to"]) for row in reader]
 
 
-def _skip_comments(stream) -> Iterable[str]:
-    for line in stream:
-        if not line.lstrip().startswith("#"):
-            yield line
-
-
 def write_graph_json(g: Graph, path, meta: Optional[dict] = None) -> None:
     """Write a graph as JSON; optional metadata goes under key ``meta``."""
     obj = g.to_json()
@@ -620,4 +615,8 @@ def write_graph_json(g: Graph, path, meta: Optional[dict] = None) -> None:
 
 def read_graph_json(path) -> Graph:
     with open(path) as fh:
-        return Graph.from_json(json.load(fh))
+        try:
+            return Graph.from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"{path}: not a graph JSON with 'labels' and 'edges' lists ({exc})") from exc

@@ -10,11 +10,14 @@ coefficient per lag and stage):
                             w[i, q] * X[q, t - j] ) + eps[i, t]
 
 Estimation is restricted least squares on a stacked design with one row per
-(node, time) pair; the restriction matrix maps the M free parameters into
-the full VAR coefficient vector, and an estimated-GLS variant whitens rows
-time-block by time-block with a residual covariance estimate.  The module
-also provides seeded simulation from the model, one-step/recursive
-forecasting, and a sufficient-condition stationarity margin.
+(node, time) pair, cut by lag slicing and one row mask from regressor planes
+(the panel and its stage sums W_r X) that a model search shares across all
+candidates.  Each fit is one pivoted QR: rank check, coefficients and
+standard errors.  The restriction matrix maps the M free parameters into
+the VAR blocks B_j; estimated GLS whitens rows with a residual covariance
+estimate, one Cholesky factor per set of present nodes.  The module also
+simulates, forecasts, and measures stationarity (sufficient margin and the
+exact companion spectral radius).
 
 Estimation assumes i.i.d. Gaussian errors with a single profiled variance;
 information criteria are reported under that convention (BIC =
@@ -24,6 +27,7 @@ M*log(n_obs) - 2*loglik).
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -190,7 +194,7 @@ class GnarFit:
     weight_set: Optional[WeightSet] = None
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "order": {"p": self.spec.order.p, "s": list(self.spec.order.s)},
             "global_alpha": self.spec.global_alpha,
             "scheme": self.spec.scheme.kind,
@@ -208,7 +212,6 @@ class GnarFit:
             "n_obs": self.n_obs,
             "M": self.M,
         }
-        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -301,41 +304,81 @@ def restriction_matrix(spec: GnarSpec, weights: WeightSet, n: int,
 
     Unstacking R gamma into p column-major N x N blocks yields, for block j,
     diag entries equal to the alpha coordinates of gamma and entry (l, m)
-    equal to beta[j, r] * w[l, m] whenever m lies in stage r of l.
+    equal to beta[j, r] * w[l, m] whenever m lies in stage r of l.  Column
+    c is the vectorised VAR blocks of the unit coefficient vector e_c.
     """
-    order = spec.order
     labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
-    stages_proxy = _stages_from_weights(weights)
-    _validate_stages(order, stages_proxy, labels)
-    M = spec.n_params(n)
-    R = np.zeros((order.p * n * n, M))
+    _validate_stages(spec.order, StageNeighbourhoods(r_max=weights.r_max, stages=tuple(
+        tuple(frozenset(d) for d in per_node) for per_node in weights.weights)), labels)
     names = coefficient_names(spec, labels)
-    w_mats = {r: weights.matrix(r, n) for r in range(1, order.max_stage + 1)}
-
-    for j in range(order.p):
-        block = j * n * n
-        if spec.global_alpha:
-            for l in range(n):
-                R[block + l * n + l, j] = 1.0  # column-major: (l, l) -> l*n + l
-        else:
-            for l in range(n):
-                R[block + l * n + l, j * n + l] = 1.0
-    col = order.p if spec.global_alpha else order.p * n
-    for j, sj in enumerate(order.s):
-        block = j * n * n
-        for r in range(1, sj + 1):
-            w = w_mats[r]
-            for m in range(n):  # vec is column-major: column m occupies m*n..m*n+n-1
-                R[block + m * n: block + (m + 1) * n, col] = w[:, m]
-            col += 1
+    w_stack = _weight_stack(weights, spec.order.max_stage, n)
+    R = np.empty((spec.order.p * n * n, len(names)))
+    for c, unit in enumerate(np.eye(len(names))):
+        alpha, beta = _unstack_gamma(unit, spec, n)
+        R[:, c] = _var_blocks(_alpha_matrix(alpha, n, spec.order.p), beta,
+                              w_stack).transpose(0, 2, 1).ravel()
     return RestrictionMatrix(matrix=R, column_names=names)
 
 
-def _stages_from_weights(weights: WeightSet) -> StageNeighbourhoods:
-    stages = tuple(
-        tuple(frozenset(d.keys()) for d in per_node)
-        for per_node in weights.weights)
-    return StageNeighbourhoods(r_max=weights.r_max, stages=stages)
+def _weight_stack(weights: WeightSet, r_max: int, n: int) -> np.ndarray:
+    """Dense stage-weight matrices W_1..W_r_max as an (r_max, N, N) stack."""
+    return np.array([weights.matrix(r, n) for r in range(1, r_max + 1)]).reshape(-1, n, n)
+
+
+def _var_blocks(alpha_np: np.ndarray, beta: Sequence[np.ndarray],
+                w_stack: np.ndarray) -> np.ndarray:
+    """VAR blocks B_j = diag(alpha_j) + sum_r beta[j, r] W_r, shape (p, N, N)."""
+    return np.array([np.diag(alpha_np[:, j])
+                     + np.tensordot(np.asarray(bj, dtype=float), w_stack[:len(bj)], axes=1)
+                     for j, bj in enumerate(beta)])
+
+
+def _stage_planes(values: np.ndarray, weights: WeightSet, r_max: int) -> np.ndarray:
+    """Regressor planes shared by every order with stages up to ``r_max``:
+    a (r_max + 1, T, N) stack of the panel (plane 0) and the stage-r sums
+    W_r X, where a missing stage member poisons only the sums touching it."""
+    n, T = values.shape
+    planes = np.empty((r_max + 1, T, n))
+    planes[0] = values.T
+    for r in range(1, r_max + 1):
+        planes[r] = _poisoned_sums(weights.matrix(r, n), values).T
+    return planes
+
+
+def _poisoned_sums(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sums ``w @ values``, NaN exactly where a member with weight is missing."""
+    missing = np.isnan(values)
+    sums = w @ np.where(missing, 0.0, values)
+    sums[((w != 0).astype(float) @ missing.astype(float)) > 0] = np.nan
+    return sums
+
+
+def _design_from_planes(planes: np.ndarray, spec: GnarSpec
+                        ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """One order's stacked design: every column is a lag slice of a plane, and
+    one mask keeps the rows whose response and regressors are all observed."""
+    p, s = spec.order.p, spec.order.s
+    _, T, n = planes.shape
+    if T <= p:
+        raise InsufficientDataError(f"panel length {T} <= lag order {p}")
+    cols = [(0, j) for j in range(1, p + 1)] + [
+        (r, j) for j in range(1, p + 1) for r in range(1, s[j - 1] + 1)]
+    lagged = np.stack([planes[r, p - j:T - j] for r, j in cols])  # (K, T - p, N)
+    response = planes[0, p:]
+    keep = ~np.isnan(response) & ~np.isnan(lagged).any(axis=0)
+    t_off, nodes = np.nonzero(keep)
+    if nodes.size == 0:
+        raise InsufficientDataError("no usable stacked rows (too much missing data)")
+    regressors = lagged[:, keep].T
+    if spec.global_alpha:
+        design = regressors
+    else:
+        design = np.zeros((nodes.size, spec.n_params(n)))
+        design[:, p * n:] = regressors[:, p:]
+        own = np.arange(p) * n + nodes[:, None]
+        design[np.arange(nodes.size)[:, None], own] = regressors[:, :p]
+    row_index = list(zip(nodes.tolist(), (t_off + p).tolist()))
+    return design, response[keep], row_index
 
 
 def build_design(panel: TimeSeriesPanel, spec: GnarSpec, weights: WeightSet,
@@ -348,81 +391,31 @@ def build_design(panel: TimeSeriesPanel, spec: GnarSpec, weights: WeightSet,
     anywhere in a node's stage poisons exactly the rows whose neighbourhood
     sums touch it.  Columns are the alpha block (lag-major, node-major
     within a lag for node-specific alphas) followed by beta columns in
-    (lag, stage) order.  Returns (design, response, row_index) where
-    row_index lists (node, column) pairs into the panel.
+    (lag, stage) order.  The design is cut from regressor planes (the panel
+    and its stage sums W_r X) by lag slicing and one row mask;
+    ``select_model`` builds the planes once and cuts every candidate from
+    them.  Returns (design, response, row_index) where row_index lists
+    (node, column) pairs into the panel, t-major and node-minor.
     """
-    order = spec.order
-    _validate_stages(order, stages, panel.labels)
-    n, T = panel.n_nodes, panel.n_times
-    p = order.p
-    if T <= p:
-        raise InsufficientDataError(f"panel length {T} <= lag order {p}")
-    X = panel.values
-
-    # Neighbourhood sums per (lag, stage): matrix product with NaN masking so
-    # a missing stage member poisons only rows that actually use it.
-    w_mats = {r: weights.matrix(r, n) for r in range(1, order.max_stage + 1)}
-    nbr: dict[int, np.ndarray] = {}
-    X_filled = np.where(np.isnan(X), 0.0, X)
-    nan_mask = np.isnan(X).astype(float)
-    for r in w_mats:
-        sums = w_mats[r] @ X_filled
-        poisoned = ((w_mats[r] != 0).astype(float) @ nan_mask) > 0
-        sums[poisoned] = np.nan
-        nbr[r] = sums
-
-    M = spec.n_params(n)
-    rows_design: list[np.ndarray] = []
-    rows_y: list[float] = []
-    row_index: list[tuple[int, int]] = []
-    n_alpha = p if spec.global_alpha else p * n
-    beta_cols: list[tuple[int, int]] = [
-        (j, r) for j in range(1, p + 1) for r in range(1, order.s[j - 1] + 1)]
-
-    for t in range(p, T):
-        for i in range(n):
-            y = X[i, t]
-            if math.isnan(y):
-                continue
-            row = np.zeros(M)
-            ok = True
-            for j in range(1, p + 1):
-                v = X[i, t - j]
-                if math.isnan(v):
-                    ok = False
-                    break
-                if spec.global_alpha:
-                    row[j - 1] = v
-                else:
-                    row[(j - 1) * n + i] = v
-            if not ok:
-                continue
-            for c, (j, r) in enumerate(beta_cols):
-                z = nbr[r][i, t - j]
-                if math.isnan(z):
-                    ok = False
-                    break
-                row[n_alpha + c] = z
-            if not ok:
-                continue
-            rows_design.append(row)
-            rows_y.append(y)
-            row_index.append((i, t))
-
-    if not rows_design:
-        raise InsufficientDataError("no usable stacked rows (too much missing data)")
-    return np.asarray(rows_design), np.asarray(rows_y), row_index
+    _validate_stages(spec.order, stages, panel.labels)
+    planes = _stage_planes(panel.values, weights, spec.order.max_stage)
+    return _design_from_planes(planes, spec)
 
 
 # ---------------------------------------------------------------------------
 # Estimation
 # ---------------------------------------------------------------------------
 
-def _check_rank(design: np.ndarray, names: Sequence[str]) -> None:
+def _qr_solve(design: np.ndarray, response: np.ndarray,
+              names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares through one pivoted QR, D P = Q R, with Q applied to the
+    response and never formed.  diag(R) gives the rank check (naming the
+    dependent columns), a triangular solve gives gamma, and the row norms
+    of R^-1 give diag((D'D)^-1) without forming D'D."""
     from scipy import linalg
 
     m = design.shape[1]
-    _, r_fac, piv = linalg.qr(design, mode="economic", pivoting=True)
+    qty, r_fac, piv = linalg.qr_multiply(design, response, mode="right", pivoting=True)
     diag = np.abs(np.diag(r_fac))
     tol = max(design.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int(np.sum(diag > tol))
@@ -430,6 +423,9 @@ def _check_rank(design: np.ndarray, names: Sequence[str]) -> None:
         dep = sorted(names[int(c)] for c in piv[rank:])
         raise SingularDesignError(
             f"design is rank deficient ({rank}/{m}); dependent columns: {dep}")
+    sol = linalg.solve_triangular(r_fac, np.column_stack([qty, np.eye(m)]))
+    unpivot = np.argsort(piv)
+    return sol[unpivot, 0], np.sum(sol[unpivot, 1:] ** 2, axis=1)
 
 
 def _gaussian_criteria(rss: float, n_obs: int, M: int) -> tuple[float, float, float, float]:
@@ -460,8 +456,8 @@ def _unstack_gamma(gamma: np.ndarray, spec: GnarSpec, n: int
 
 def _residual_panel(shape: tuple[int, int], row_index, resid: np.ndarray) -> np.ndarray:
     out = np.full(shape, np.nan)
-    for (i, t), e in zip(row_index, resid):
-        out[i, t] = e
+    flat = np.fromiter(itertools.chain.from_iterable(row_index), dtype=np.intp)
+    out[flat[0::2], flat[1::2]] = resid
     return out
 
 
@@ -474,7 +470,8 @@ def fit_ols(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
 
     With errors i.i.d. across nodes and time, generalised least squares on
     the restricted parametrisation reduces to ordinary least squares on the
-    stacked design.  The design must have full column rank.
+    stacked design.  The design must have full column rank.  One pivoted
+    QR of the design gives the rank check, gamma and the standard errors.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float).ravel()
@@ -486,16 +483,23 @@ def fit_ols(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
             f"design has {M} columns but spec implies {spec.n_params(n)}")
     if n_obs < M:
         raise InsufficientDataError(f"{n_obs} rows < {M} parameters")
+    return _estimate(design, response, design, response, spec, n, T, row_index,
+                     labels, weight_set)
+
+
+def _estimate(design: np.ndarray, response: np.ndarray, solve_design: np.ndarray,
+              solve_response: np.ndarray, spec: GnarSpec, n: int, T: int,
+              row_index, labels, weight_set: Optional[WeightSet],
+              sigma_full: Optional[np.ndarray] = None) -> GnarFit:
+    """Solve the (whitened) system; report residuals and criteria on the
+    original scale, and scale the errors by sigma2 unless ``sigma_full``."""
     labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
     names = coefficient_names(spec, labels)
-    _check_rank(design, names)
-
-    gamma, _, _, _ = np.linalg.lstsq(design, response, rcond=None)
+    gamma, cov_diag = _qr_solve(solve_design, solve_response, names)
     resid = response - design @ gamma
-    rss = float(resid @ resid)
-    sigma2, loglik, bic, aic = _gaussian_criteria(rss, n_obs, M)
-    xtx_inv = np.linalg.inv(design.T @ design)
-    gamma_se = np.sqrt(np.maximum(np.diag(xtx_inv) * sigma2, 0.0))
+    n_obs, M = design.shape
+    sigma2, loglik, bic, aic = _gaussian_criteria(float(resid @ resid), n_obs, M)
+    gamma_se = np.sqrt(cov_diag * (sigma2 if sigma_full is None else 1.0))
     alpha, beta = _unstack_gamma(gamma, spec, n)
     residuals = (_residual_panel((n, T), row_index, resid)
                  if row_index is not None else None)
@@ -503,7 +507,7 @@ def fit_ols(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
         spec=spec, labels=labels, gamma=gamma, gamma_se=gamma_se,
         column_names=names, alpha=alpha, beta=beta, sigma2=sigma2,
         residuals=residuals, n_obs=n_obs, M=M, loglik=loglik, bic=bic,
-        aic=aic, weight_set=weight_set,
+        aic=aic, sigma_full=sigma_full, weight_set=weight_set,
     )
 
 
@@ -512,25 +516,22 @@ def estimate_sigma(panel: TimeSeriesPanel, p: int) -> np.ndarray:
 
     Uses only time points whose response and full lag window are observed
     at every node.  Requires at least N*p such columns, otherwise the
-    unconstrained coefficient matrix is not estimable; in that case fall
-    back to a diagonal covariance built from per-node residual variances of
-    the restricted fit.
+    unconstrained coefficient matrix is not estimable and this raises
+    FeasibilityError (no diagonal fallback is applied).
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
     X = panel.values
     n, T = X.shape
-    obs = ~np.isnan(X)
-    usable = [t for t in range(p, T)
-              if obs[:, t].all() and all(obs[:, t - j].all() for j in range(1, p + 1))]
+    complete = (~np.isnan(X)).all(axis=0)
+    usable = [t for t in range(p, T) if complete[t - p:t + 1].all()]
     if len(usable) < n * p:
         raise FeasibilityError(
             f"{len(usable)} complete columns < N*p = {n * p}; the full covariance "
             "is not estimable -- use a diagonal fallback from per-node residual "
             "variances of the restricted fit")
-    Xt = np.column_stack([X[:, t] for t in usable])          # N x T'
-    Z = np.vstack([np.column_stack([X[:, t - j] for t in usable])
-                   for j in range(1, p + 1)])                # pN x T'
+    Xt = X[:, usable]                                                    # N x T'
+    Z = np.vstack([X[:, np.subtract(usable, j)] for j in range(1, p + 1)])  # pN x T'
     B_hat = np.linalg.lstsq(Z.T, Xt.T, rcond=None)[0].T       # N x pN
     resid = Xt - B_hat @ Z
     return (resid @ resid.T) / len(usable)
@@ -544,11 +545,13 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
     """Estimated generalised least squares with covariance ``sigma``.
 
     Rows are grouped by time point and whitened with the Cholesky factor of
-    the covariance restricted to that time's present nodes, then solved by
-    least squares; with sigma proportional to the identity this coincides
-    with :func:`fit_ols`.  Residuals and criteria are reported on the
-    original (unwhitened) scale under the pooled-variance convention, so
-    criteria stay comparable with OLS fits.
+    the covariance restricted to that time's present nodes, batched so that
+    there is one factorisation per distinct set of present nodes; the
+    whitened system goes through the same single pivoted QR as
+    :func:`fit_ols`, which it equals when sigma is a multiple of the
+    identity.  Residuals and criteria are reported on the original
+    (unwhitened) scale under the pooled-variance convention, so criteria
+    stay comparable with OLS fits.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float).ravel()
@@ -557,46 +560,34 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
         raise InvalidInputError(f"sigma shape {sigma.shape} does not match n={n}")
     if row_index is None or len(row_index) != design.shape[0]:
         raise InvalidInputError("fit_egls needs a row_index aligned with the design")
-    labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
-    names = coefficient_names(spec, labels)
-    _check_rank(design, names)
 
     from scipy.linalg import solve_triangular
 
-    by_time: dict[int, list[int]] = {}
-    for pos, (_, t) in enumerate(row_index):
-        by_time.setdefault(t, []).append(pos)
+    nodes, times = np.asarray(row_index, dtype=np.intp).reshape(-1, 2).T
+    order = np.lexsort((nodes, times))
+    bounds = np.flatnonzero(np.diff(times[order])) + 1
+    by_present: dict[tuple[int, ...], list[np.ndarray]] = {}
+    for block in np.split(order, bounds):
+        by_present.setdefault(tuple(nodes[block].tolist()), []).append(block)
 
-    wd_rows, wy_rows = [], []
-    for t, positions in sorted(by_time.items()):
-        nodes = [row_index[pos][0] for pos in positions]
-        sub = sigma[np.ix_(nodes, nodes)]
+    M = design.shape[1]
+    white_design, white_response = np.empty((len(response), M)), np.empty(len(response))
+    start = 0
+    for present, blocks in by_present.items():
         try:
-            L = np.linalg.cholesky(sub)
+            L = np.linalg.cholesky(sigma[np.ix_(present, present)])
         except np.linalg.LinAlgError as exc:
             raise InvalidInputError(
                 "sigma is not positive definite; regularise it (e.g. keep only "
                 "the diagonal) before EGLS") from exc
-        wd_rows.append(solve_triangular(L, design[positions], lower=True))
-        wy_rows.append(solve_triangular(L, response[positions], lower=True))
-    Dw = np.vstack(wd_rows)
-    yw = np.concatenate(wy_rows)
-    gamma, _, _, _ = np.linalg.lstsq(Dw, yw, rcond=None)
-
-    resid = response - design @ gamma
-    rss = float(resid @ resid)
-    n_obs, M = design.shape
-    sigma2, loglik, bic, aic = _gaussian_criteria(rss, n_obs, M)
-    cov = np.linalg.inv(Dw.T @ Dw)
-    gamma_se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    alpha, beta = _unstack_gamma(gamma, spec, n)
-    return GnarFit(
-        spec=spec, labels=labels, gamma=gamma, gamma_se=gamma_se,
-        column_names=names, alpha=alpha, beta=beta, sigma2=sigma2,
-        residuals=_residual_panel((n, T), row_index, resid), n_obs=n_obs,
-        M=M, loglik=loglik, bic=bic, aic=aic, sigma_full=sigma,
-        weight_set=weight_set,
-    )
+        L_inv = solve_triangular(L, np.eye(len(present)), lower=True)
+        rows = np.stack(blocks)                       # (time points, present nodes)
+        stop = start + rows.size
+        np.matmul(L_inv, design[rows], out=white_design[start:stop].reshape(rows.shape + (M,)))
+        white_response[start:stop] = (L_inv @ response[rows].T).T.ravel()
+        start = stop
+    return _estimate(design, response, white_design, white_response, spec, n, T,
+                     row_index, labels, weight_set, sigma_full=sigma)
 
 
 def fit(panel: TimeSeriesPanel, g: Graph, spec: GnarSpec,
@@ -610,8 +601,7 @@ def fit(panel: TimeSeriesPanel, g: Graph, spec: GnarSpec,
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError(
             "panel and graph label order differ; align them before fitting")
-    r_max = max(spec.order.max_stage, 1)
-    stages = stage_neighbourhoods(g, r_max)
+    stages = stage_neighbourhoods(g, max(spec.order.max_stage, 1))
     weights = compute_weights(g, stages, spec.scheme)
     design, response, rows = build_design(panel, spec, weights, stages)
     if method == "ols":
@@ -648,18 +638,9 @@ def _one_step(history: np.ndarray, alpha_np: np.ndarray,
     n, p = history.shape
     pred = np.zeros(n)
     for j in range(1, p + 1):
-        v = history[:, j - 1]
-        pred += alpha_np[:, j - 1] * v
-        bj = beta[j - 1]
-        if len(bj) == 0:
-            continue
-        filled = np.where(np.isnan(v), 0.0, v)
-        poisoned = np.isnan(v)
-        for r in range(1, len(bj) + 1):
-            w = w_mats[r]
-            z = w @ filled
-            z[((w != 0) @ poisoned.astype(float)) > 0] = np.nan
-            pred += bj[r - 1] * z
+        pred += alpha_np[:, j - 1] * history[:, j - 1]
+        for r, b in enumerate(beta[j - 1], start=1):
+            pred += b * _poisoned_sums(w_mats[r], history[:, j - 1])
     return pred
 
 
@@ -689,8 +670,7 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
         raise InvalidInputError("beta shapes do not match the order's stage counts")
     alpha_np = _alpha_matrix(alpha, n, p)
 
-    r_max = max(order.max_stage, 1)
-    stages = stage_neighbourhoods(g, r_max)
+    stages = stage_neighbourhoods(g, max(order.max_stage, 1))
     _validate_stages(order, stages, g.labels)
     weights = compute_weights(g, stages, spec.scheme)
     w_mats = {r: weights.matrix(r, n) for r in range(1, order.max_stage + 1)}
@@ -741,37 +721,34 @@ def forecast(fit: GnarFit, panel: TimeSeriesPanel, horizon: int,
     n = panel.n_nodes
     alpha_np = _alpha_matrix(fit.alpha, n, p)
     w_mats = {r: fit.weight_set.matrix(r, n) for r in range(1, order.max_stage + 1)}
-    X = panel.values
-
     if mode == "rolling_one_step":
         if panel.n_times < p + horizon:
             raise InvalidInputError(
                 f"panel has {panel.n_times} columns; need >= p + horizon = {p + horizon}")
-        preds = np.empty((n, horizon))
-        for h in range(horizon):
-            t = panel.n_times - horizon + h
-            window = X[:, [t - j for j in range(1, p + 1)]]
-            preds[:, h] = _one_step(window, alpha_np, fit.beta, w_mats)
-        return preds
-    if mode == "recursive":
+        X, start = panel.values, panel.n_times - horizon
+    elif mode == "recursive":
         if panel.n_times < p:
             raise InvalidInputError(f"panel shorter than lag order {p}")
-        extended = np.concatenate([X, np.empty((n, horizon))], axis=1)
-        for h in range(horizon):
-            t = panel.n_times + h
-            window = extended[:, [t - j for j in range(1, p + 1)]]
-            extended[:, t] = _one_step(window, alpha_np, fit.beta, w_mats)
-        return extended[:, panel.n_times:]
-    raise InvalidInputError(
-        f"unknown mode {mode!r}; expected 'rolling_one_step' or 'recursive'")
+        X = np.concatenate([panel.values, np.empty((n, horizon))], axis=1)
+        start = panel.n_times
+    else:
+        raise InvalidInputError(
+            f"unknown mode {mode!r}; expected 'rolling_one_step' or 'recursive'")
+    preds = np.empty((n, horizon))
+    for h, t in enumerate(range(start, start + horizon)):
+        window = X[:, [t - j for j in range(1, p + 1)]]
+        preds[:, h] = _one_step(window, alpha_np, fit.beta, w_mats)
+        if mode == "recursive":
+            X[:, t] = preds[:, h]   # feed the prediction forward
+    return preds
 
 
 def stationarity_margin(alpha: np.ndarray, beta: Sequence[np.ndarray]) -> float:
     """1 minus the summed coefficient magnitudes; positive is sufficient
     (not necessary) for stationarity.
 
-    Computes 1 - sum_j (max_i |alpha[i, j]| + sum_r |beta[j, r]|).  Callers
-    should surface a nonpositive margin as a warning, never a hard error.
+    Computes 1 - sum_j (max_i |alpha[i, j]| + sum_r |beta[j, r]|).  A
+    nonpositive margin proves nothing; :func:`spectral_radius` decides.
     """
     a = np.atleast_2d(np.asarray(alpha, dtype=float))
     total = 0.0
@@ -780,3 +757,15 @@ def stationarity_margin(alpha: np.ndarray, beta: Sequence[np.ndarray]) -> float:
         if j < len(beta):
             total += float(np.sum(np.abs(beta[j])))
     return 1.0 - total
+
+
+def spectral_radius(alpha: np.ndarray, beta: Sequence[np.ndarray],
+                    weights: WeightSet, n: int) -> float:
+    """Largest eigenvalue modulus of the VAR companion matrix built from the
+    blocks B_j; the recursion is stationary exactly when it is below 1."""
+    p = len(beta)
+    blocks = _var_blocks(_alpha_matrix(alpha, n, p), beta,
+                         _weight_stack(weights, max(len(b) for b in beta), n))
+    companion = np.eye(n * p, k=-n)
+    companion[:n] = np.hstack(blocks)
+    return float(np.max(np.abs(np.linalg.eigvals(companion))))

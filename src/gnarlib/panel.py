@@ -15,6 +15,7 @@ propagate (no operation invents a number where an input was missing).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import json
@@ -100,7 +101,7 @@ class PhaseSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "PhaseSpec":
         intervals = tuple(
-            (datetime.date.fromisoformat(s), datetime.date.fromisoformat(e))
+            (_iso_date(s), _iso_date(e))
             for s, e in obj["intervals"])
         return cls(name=obj["name"], intervals=intervals)
 
@@ -142,12 +143,14 @@ def ingest_long_csv(stream) -> TimeSeriesPanel:
     reader = csv.DictReader(_skip_comments(stream))
     if reader.fieldnames is None or not {"date", "node", "value"}.issubset(reader.fieldnames):
         raise InvalidInputError("long CSV must have header date,node,value")
+    where = getattr(stream, "name", "long CSV")
     cells: dict[tuple[datetime.date, str], float] = {}
-    for row in reader:
-        d = datetime.date.fromisoformat(row["date"])
+    for k, row in enumerate(reader, start=1):
         node = row["node"]
         raw = row["value"]
-        value = math.nan if raw in (None, "") else float(raw)
+        with _row_errors(where, k):
+            d = _iso_date(row["date"])
+            value = math.nan if raw in (None, "") else float(raw)
         key = (d, node)
         if key in cells:
             old = cells[key]
@@ -362,19 +365,40 @@ def read_wide_csv(stream) -> TimeSeriesPanel:
     if not header or header[0] != "date" or len(header) < 2:
         raise InvalidInputError("wide CSV must have header date,<node>,...")
     labels = tuple(header[1:])
+    where = getattr(stream, "name", "wide CSV")
     dates, rows = [], []
-    for row in reader:
+    for k, row in enumerate(reader, start=1):
         if not row:
             continue
-        dates.append(datetime.date.fromisoformat(row[0]))
-        rows.append([math.nan if cell == "" else float(cell) for cell in row[1:]])
+        with _row_errors(where, k):
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
+            dates.append(_iso_date(row[0]))
+            rows.append([math.nan if cell == "" else float(cell) for cell in row[1:]])
     values = np.asarray(rows, dtype=float).T if rows else np.empty((len(labels), 0))
     return TimeSeriesPanel(labels=labels, dates=tuple(dates), values=values)
 
 
 def read_phase_spec_json(path) -> PhaseSpec:
-    with open(path) as fh:
+    with open(path) as fh, _row_errors(path, None):
         return PhaseSpec.from_json(json.load(fh))
+
+
+def _iso_date(text) -> datetime.date:
+    try:
+        return datetime.date.fromisoformat(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"bad ISO date {text!r}") from None
+
+
+@contextlib.contextmanager
+def _row_errors(where, row: Optional[int]):
+    """Re-raise a malformed field as an error naming the file and data row."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        at = f"{where}: data row {row}" if row is not None else str(where)
+        raise InvalidInputError(f"{at}: malformed field ({exc})") from exc
 
 
 def _skip_comments(stream) -> Iterable[str]:

@@ -35,7 +35,9 @@ from .gnar_core import (
     GnarOrder,
     GnarSpec,
     WeightScheme,
-    build_design,
+    _design_from_planes,
+    _stage_planes,
+    _validate_stages,
     compute_weights,
     fit_ols,
 )
@@ -58,6 +60,11 @@ BETA_CATALOGUE: tuple[tuple[int, ...], ...] = (
     (2, 2, 1, 1, 1), (3, 2, 2, 1, 1), (4, 2, 2, 1, 1), (5, 2, 2, 1, 1),
     (2, 2, 2, 1, 1), (2, 2, 2, 2, 1), (2, 2, 2, 2, 2),
 )
+
+
+# Selection skips a candidate with these errors, recorded under this status.
+_SKIP_STATUS = {ModelInadmissibleError: "inadmissible", SingularDesignError: "singular",
+               InsufficientDataError: "insufficient"}
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +191,8 @@ def select_model(panel: TimeSeriesPanel, g: Graph, scheme: WeightScheme,
     and too-short panels are recorded as skipped with their reason; the
     search only fails when nothing at all could be fitted.  Candidates with
     longer lags use fewer stacked rows and are compared on their own n_obs.
+    The regressor planes (the panel and its stage sums) are computed once
+    per call; each candidate's design is a lag slice and row mask of them.
     """
     if criterion not in ("bic", "aic"):
         raise InvalidInputError("criterion must be 'bic' or 'aic'")
@@ -195,25 +204,20 @@ def select_model(panel: TimeSeriesPanel, g: Graph, scheme: WeightScheme,
     r_needed = max(max(c.max_stage for c in grid), 1)
     stages = stage_neighbourhoods(g, r_needed)
     weights = compute_weights(g, stages, scheme)
+    planes = _stage_planes(panel.values, weights, r_needed)
 
     results: list[CandidateResult] = []
     for order in grid:
         spec = GnarSpec(order=order, global_alpha=global_alpha, scheme=scheme)
         try:
-            design, response, rows = build_design(panel, spec, weights, stages)
+            _validate_stages(order, stages, panel.labels)
+            design, response, rows = _design_from_planes(planes, spec)
             fit = fit_ols(design, response, spec, panel.n_nodes, panel.n_times,
                           row_index=rows, labels=panel.labels, weight_set=weights)
-        except ModelInadmissibleError as exc:
+        except tuple(_SKIP_STATUS) as exc:
+            status = next(v for k, v in _SKIP_STATUS.items() if isinstance(exc, k))
             results.append(CandidateResult(order, scheme.kind, global_alpha,
-                                           "inadmissible", str(exc)))
-            continue
-        except SingularDesignError as exc:
-            results.append(CandidateResult(order, scheme.kind, global_alpha,
-                                           "singular", str(exc)))
-            continue
-        except InsufficientDataError as exc:
-            results.append(CandidateResult(order, scheme.kind, global_alpha,
-                                           "insufficient", str(exc)))
+                                           status, str(exc)))
             continue
         results.append(CandidateResult(
             order, scheme.kind, global_alpha, "ok", "",

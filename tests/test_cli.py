@@ -352,3 +352,92 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "network" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# stationarity reporting
+# ---------------------------------------------------------------------------
+
+def test_simulate_readme_example_prints_no_warning(tmp_path, queen_json, capsys):
+    # margin 1 - (0.4 + 0.35 + 0.3) = -0.05 fails the sufficient condition,
+    # but the companion spectral radius is about 0.55: the model is stationary
+    out_dir = tmp_path / "sim"
+    assert run(["simulate", "--graph", queen_json, "--p", "2", "--s", "1,0",
+                "--alpha", "0.4,-0.3", "--beta", "0.35;", "--T", "100",
+                "--sigma", "0.25", "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    err = capsys.readouterr().err
+    assert not [line for line in err.splitlines() if line.startswith("warning")]
+    params = json.loads((out_dir / "params.json").read_text())
+    assert params["stationarity_margin"] == pytest.approx(-0.05)
+    assert params["spectral_radius"] == pytest.approx(0.5477, abs=1e-3)
+
+
+def test_simulate_nonstationary_model_warns(tmp_path, queen_json, capsys):
+    out_dir = tmp_path / "sim"
+    assert run(["simulate", "--graph", queen_json, "--p", "1", "--s", "1",
+                "--alpha", "0.8", "--beta", "0.3", "--T", "20", "--sigma", "0.1",
+                "--out-dir", str(out_dir)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning")]
+    assert len(warnings) == 1 and "spectral radius 1.100 >= 1" in warnings[0]
+    assert json.loads((out_dir / "params.json").read_text())["spectral_radius"] == \
+        pytest.approx(1.1)
+
+
+def test_fit_json_reports_spectral_radius(tmp_path, queen_json, sim_panel):
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--panel", sim_panel, "--graph", queen_json, "--p", "1",
+                "--s", "1", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert 0.0 < obj["spectral_radius"] < 1.0
+    assert obj["stationarity_margin"] == pytest.approx(
+        1 - abs(obj["alpha"][0]) - abs(obj["beta"][0][0]))
+
+
+# ---------------------------------------------------------------------------
+# config precedence under every flag spelling argparse accepts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag", [["--pm", "3"], ["--pmax=3"], ["--pm=3"]])
+def test_config_loses_to_abbreviated_or_inline_flag(tmp_path, queen_json, sim_panel,
+                                                    flag):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"pmax": 1}))
+    base = tmp_path / "report"
+    assert run(["select", "--panel", sim_panel, "--graph", queen_json, "--smax", "1",
+                *flag, "--config", str(cfg), "--out", str(base)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert max(c["order"]["p"] for c in report["candidates"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# malformed input ends in one error line and exit 1
+# ---------------------------------------------------------------------------
+
+def _single_error(capsys, *needles):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(needle in err[0] for needle in needles), err[0]
+
+
+def test_graph_json_without_edges_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "g.json"
+    bad.write_text(json.dumps({"labels": ["a", "b"]}))
+    assert run(["network", "summarize", "--graph", str(bad),
+                "--out", str(tmp_path / "s.csv")]) == 1
+    _single_error(capsys, str(bad), "edges")
+
+
+def test_ragged_wide_csv_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "ragged.csv"
+    bad.write_text("date,a,b\n2020-01-06,1,2\n2020-01-13,3\n")
+    assert run(["diagnose", "ks", "--panel", str(bad),
+                "--out", str(tmp_path / "ks.json")]) == 1
+    _single_error(capsys, str(bad), "data row 2")
+
+
+def test_bad_iso_date_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "dates.csv"
+    bad.write_text("# a comment line\ndate,a,b\n2020-01-06,1,2\n2020-13-45,3,4\n")
+    assert run(["data", "diff", "--panel", str(bad), "--out", str(tmp_path / "d.csv")]) == 1
+    _single_error(capsys, str(bad), "data row 2", "2020-13-45")
