@@ -97,8 +97,8 @@ def _write_forecast(path: str, panel: pn.TimeSeriesPanel, preds: np.ndarray,
 def _cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
-        return "" if math.isnan(v) else repr(v)
+    if isinstance(v, (float, np.floating)):
+        return "" if math.isnan(v) else repr(float(v))
     return str(v)
 
 

@@ -4,8 +4,11 @@ Builds simple undirected networks over geographic point sets (KNN, distance
 threshold, Delaunay triangulation and its Gabriel / sphere-of-influence /
 relative-neighbourhood subgraphs, economic-hub augmentation, complete graph,
 arbitrary edge lists) and provides the graph-theoretic quantities the
-autoregressive model consumes: r-th stage neighbourhoods, shortest path
-lengths, and summary statistics with a Bernoulli random graph baseline.
+autoregressive model consumes.  All of them come from one hop-distance
+matrix, computed by frontier expansion over the dense adjacency matrix:
+shortest path lengths, r-th stage neighbourhoods (the mask hops == r),
+and summary statistics (clustering by triangle counts on the same
+adjacency matrix) with a Bernoulli random graph baseline.
 
 Distances between points are great-circle distances on a sphere (default
 radius 6371 km).  The Delaunay family operates on an equirectangular local
@@ -16,7 +19,6 @@ for the edge filters.
 
 from __future__ import annotations
 
-import collections
 import csv
 import json
 import math
@@ -26,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
-from .panel import _skip_comments
+from .panel import _row_errors, _skip_comments
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -98,20 +100,8 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[set[int]]:
-        """Neighbour index sets, one per node."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return _adjacency_matrix(self).sum(axis=1).astype(int)
 
     def has_edge(self, a: str, b: str) -> bool:
         i, j = self.labels.index(a), self.labels.index(b)
@@ -145,20 +135,27 @@ def _graph(labels: Sequence[str], edges: Iterable[tuple[int, int]]) -> Graph:
 class StageNeighbourhoods:
     """Per-node neighbourhood shells N^(1)(i), ..., N^(r_max)(i).
 
-    ``stages[i][r - 1]`` is the frozen set of nodes at shortest-path
-    distance exactly r from node i.  Shells for a fixed node are pairwise
-    disjoint and never contain the node itself; shells beyond a node's
-    eccentricity are empty.
+    ``hops`` is the N x N hop-distance matrix, computed up to ``r_max``
+    (pairs further apart, or unreachable, hold inf).  Stage r of node i,
+    the set of nodes at shortest-path distance exactly r, is the row
+    ``hops[i] == r``: shells for a fixed node are pairwise disjoint and
+    never contain the node itself, and shells beyond a node's eccentricity
+    are empty.  ``stages[i][r - 1]`` lists them as frozen sets.
     """
 
     r_max: int
-    stages: tuple[tuple[frozenset[int], ...], ...]
+    hops: np.ndarray
 
     def stage(self, node: int, r: int) -> frozenset[int]:
         """Nodes at SPL exactly ``r`` (1-based) from ``node``."""
         if not 1 <= r <= self.r_max:
             raise InvalidInputError(f"stage {r} outside computed range 1..{self.r_max}")
-        return self.stages[node][r - 1]
+        return frozenset(np.flatnonzero(self.hops[node] == r).tolist())
+
+    @property
+    def stages(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        return tuple(tuple(self.stage(i, r) for r in range(1, self.r_max + 1))
+                     for i in range(len(self.hops)))
 
 
 @dataclass(frozen=True)
@@ -439,54 +436,43 @@ def build_complete(labels: Sequence[str]) -> Graph:
 # Shortest paths and neighbourhood stages
 # ---------------------------------------------------------------------------
 
-def _bfs_layers(adj: list[set[int]], source: int, r_max: int) -> list[set[int]]:
-    """BFS shells around ``source`` up to depth r_max."""
-    seen = {source}
-    frontier = {source}
-    layers = []
-    for _ in range(r_max):
-        nxt = set()
-        for u in frontier:
-            nxt |= adj[u]
-        nxt -= seen
-        layers.append(nxt)
-        seen |= nxt
-        frontier = nxt
-        if not frontier:
-            layers.extend(set() for _ in range(r_max - len(layers)))
-            break
-    return layers
+def _adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix."""
+    adj = np.zeros((g.n, g.n))
+    i, j = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    adj[i, j] = adj[j, i] = 1.0
+    return adj
+
+
+def _hop_matrix(adj: np.ndarray, r_max: Optional[int] = None) -> np.ndarray:
+    """Hop distances by frontier expansion from every source at once, for at
+    most ``r_max`` steps when given; pairs not reached hold inf.  The product
+    counts at most N paths per pair: exact in float32, and twice as fast."""
+    n = len(adj)
+    adj = adj.astype(np.float32)
+    hops = np.full((n, n), np.inf)
+    np.fill_diagonal(hops, 0.0)
+    reached = np.eye(n, dtype=bool)
+    frontier = np.eye(n, dtype=bool)
+    r = 0
+    while frontier.any() and (r_max is None or r < r_max):
+        r += 1
+        frontier = (frontier @ adj > 0) & ~reached
+        hops[frontier] = r
+        reached |= frontier
+    return hops
 
 
 def stage_neighbourhoods(g: Graph, r_max: int) -> StageNeighbourhoods:
     """Neighbourhood shells per node: N^(r)(i) = nodes at SPL exactly r."""
     if r_max < 1:
         raise InvalidInputError("r_max must be >= 1")
-    adj = g.adjacency()
-    stages = tuple(
-        tuple(frozenset(layer) for layer in _bfs_layers(adj, i, r_max))
-        for i in range(g.n)
-    )
-    return StageNeighbourhoods(r_max=r_max, stages=stages)
+    return StageNeighbourhoods(r_max=r_max, hops=_hop_matrix(_adjacency_matrix(g), r_max))
 
 
 def shortest_path_lengths(g: Graph) -> np.ndarray:
     """All-pairs shortest path lengths in hops; np.inf for unreachable."""
-    n = g.n
-    adj = g.adjacency()
-    spl = np.full((n, n), np.inf)
-    for s in range(n):
-        spl[s, s] = 0.0
-        dist = {s: 0}
-        queue = collections.deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    spl[s, v] = dist[v]
-                    queue.append(v)
-    return spl
+    return _hop_matrix(_adjacency_matrix(g))
 
 
 # ---------------------------------------------------------------------------
@@ -503,27 +489,23 @@ def _avg_spl_and_disconnected(spl: np.ndarray) -> tuple[float, float]:
     return avg, 1.0 - n_conn / n_pairs
 
 
-def _avg_local_clustering(g: Graph) -> float:
-    """Mean local clustering; nodes of degree < 2 contribute 0."""
-    adj = g.adjacency()
-    total = 0.0
-    for i in range(g.n):
-        nb = sorted(adj[i])
-        k = len(nb)
-        if k < 2:
-            continue
-        links = sum(1 for a in range(k) for b in range(a + 1, k)
-                    if nb[b] in adj[nb[a]])
-        total += 2.0 * links / (k * (k - 1))
-    return total / g.n
+def _avg_local_clustering(adj: np.ndarray) -> float:
+    """Mean local clustering; nodes of degree < 2 contribute 0.  Row i of
+    (A A) * A sums to twice the number of links among i's neighbours."""
+    k = adj.sum(axis=1)
+    links2 = ((adj @ adj) * adj).sum(axis=1)
+    local = np.divide(links2, k * (k - 1), out=np.zeros_like(k), where=k >= 2)
+    return sum(local.tolist()) / len(adj)
 
 
-def _sample_gnm(n: int, m: int, rng: np.random.Generator) -> Graph:
-    """Uniform G(n, m): m distinct edges chosen without replacement."""
-    total = n * (n - 1) // 2
-    picks = rng.choice(total, size=m, replace=False)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return _graph([f"v{i}" for i in range(n)], (pairs[int(p)] for p in picks))
+def _sample_gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Adjacency matrix of a uniform G(n, m): m distinct edges chosen without
+    replacement from the pairs i < j in row-major order."""
+    picks = rng.choice(n * (n - 1) // 2, size=m, replace=False)
+    i, j = (ix[picks] for ix in np.triu_indices(n, 1))
+    adj = np.zeros((n, n))
+    adj[i, j] = adj[j, i] = 1.0
+    return adj
 
 
 def network_summary(g: Graph, brg_samples: int = 100, seed: int = 0) -> NetworkSummary:
@@ -537,14 +519,15 @@ def network_summary(g: Graph, brg_samples: int = 100, seed: int = 0) -> NetworkS
     if brg_samples < 1:
         raise InvalidInputError("brg_samples must be >= 1")
     avg_degree = 2.0 * g.n_edges / g.n
-    avg_spl, disc = _avg_spl_and_disconnected(shortest_path_lengths(g))
-    clust = _avg_local_clustering(g)
+    adj = _adjacency_matrix(g)
+    avg_spl, disc = _avg_spl_and_disconnected(_hop_matrix(adj))
+    clust = _avg_local_clustering(adj)
 
     rng = np.random.default_rng(seed)
     spls, clusts, discs = [], [], []
     for _ in range(brg_samples):
         sample = _sample_gnm(g.n, g.n_edges, rng)
-        s, dfrac = _avg_spl_and_disconnected(shortest_path_lengths(sample))
+        s, dfrac = _avg_spl_and_disconnected(_hop_matrix(sample))
         spls.append(s)
         discs.append(dfrac)
         clusts.append(_avg_local_clustering(sample))
@@ -578,15 +561,17 @@ def read_points_csv(stream) -> list[GeoPoint]:
     required = {"node", "lat", "lon"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise InvalidInputError("points CSV must have header node,lat,lon[,population]")
+    where = getattr(stream, "name", "points CSV")
     points = []
-    for row in reader:
+    for k, row in enumerate(reader, start=1):
         pop = row.get("population")
-        points.append(GeoPoint(
-            node_id=row["node"],
-            lat_deg=float(row["lat"]),
-            lon_deg=float(row["lon"]),
-            population=float(pop) if pop not in (None, "") else None,
-        ))
+        with _row_errors(where, k):
+            points.append(GeoPoint(
+                node_id=row["node"],
+                lat_deg=float(row["lat"]),
+                lon_deg=float(row["lon"]),
+                population=float(pop) if pop not in (None, "") else None,
+            ))
     points.sort(key=lambda p: p.node_id)
     _check_points(points)
     return points
@@ -600,7 +585,14 @@ def read_edgelist_csv(stream) -> list[tuple[str, str]]:
     reader = csv.DictReader(_skip_comments(stream))
     if reader.fieldnames is None or not {"from", "to"}.issubset(reader.fieldnames):
         raise InvalidInputError("edge-list CSV must have header from,to")
-    return [(row["from"], row["to"]) for row in reader]
+    where = getattr(stream, "name", "edge-list CSV")
+    edges = []
+    for k, row in enumerate(reader, start=1):
+        with _row_errors(where, k):
+            if row["from"] is None or row["to"] is None:
+                raise ValueError("row has fewer fields than the header from,to")
+            edges.append((row["from"], row["to"]))
+    return edges
 
 
 def write_graph_json(g: Graph, path, meta: Optional[dict] = None) -> None:

@@ -9,15 +9,20 @@ coefficient per lag and stage):
                       + sum_r beta[j, r] * sum_{q in stage r of i}
                             w[i, q] * X[q, t - j] ) + eps[i, t]
 
+The network is one operator: the stack of row-normalised stage-weight
+matrices W_r and, given coefficients, the VAR blocks
+B_j = diag(alpha_j) + sum_r beta[j, r] W_r.
+
 Estimation is restricted least squares on a stacked design with one row per
 (node, time) pair, cut by lag slicing and one row mask from regressor planes
 (the panel and its stage sums W_r X) that a model search shares across all
 candidates.  Each fit is one pivoted QR: rank check, coefficients and
 standard errors.  The restriction matrix maps the M free parameters into
-the VAR blocks B_j; estimated GLS whitens rows with a residual covariance
-estimate, one Cholesky factor per set of present nodes.  The module also
-simulates, forecasts, and measures stationarity (sufficient margin and the
-exact companion spectral radius).
+the VAR blocks; estimated GLS whitens rows with a residual covariance
+estimate, one Cholesky factor per set of present nodes.  Simulation and
+both forecast modes apply [B_p ... B_1] to the stacked lag window, one
+matrix-vector product per step, and the same blocks give the exact
+companion spectral radius beside the sufficient stationarity margin.
 
 Estimation assumes i.i.d. Gaussian errors with a single profiled variance;
 information criteria are reported under that convention (BIC =
@@ -27,7 +32,6 @@ M*log(n_obs) - 2*loglik).
 from __future__ import annotations
 
 import datetime
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -118,25 +122,33 @@ class WeightScheme:
 
 @dataclass(frozen=True)
 class WeightSet:
-    """Normalised neighbour weights per node and stage.
+    """Normalised neighbour weights as an (r_max, N, N) stack.
 
-    ``weights[i][r - 1]`` maps neighbour index q -> w[i, q] over the r-th
-    stage of node i; each nonempty stage's weights sum to 1.
+    ``stack[r - 1]`` is W_r (also ``matrix(r, n)``): row i holds w[i, q]
+    over the r-th stage of node i, zeros elsewhere, and sums to 1 when the
+    stage is nonempty.  ``stage_weights(i, r)`` and ``weights[i][r - 1]``
+    give that row as a dict q -> w[i, q].
     """
 
-    r_max: int
-    weights: tuple[tuple[dict[int, float], ...], ...]
+    stack: np.ndarray
+
+    @property
+    def r_max(self) -> int:
+        return self.stack.shape[0]
+
+    @property
+    def weights(self) -> tuple[tuple[dict[int, float], ...], ...]:
+        return tuple(tuple(self.stage_weights(i, r) for r in range(1, self.r_max + 1))
+                     for i in range(self.stack.shape[1]))
 
     def stage_weights(self, node: int, r: int) -> dict[int, float]:
-        return self.weights[node][r - 1]
+        row = self.stack[r - 1, node]
+        members = np.flatnonzero(row)
+        return dict(zip(members.tolist(), row[members].tolist()))
 
     def matrix(self, r: int, n: int) -> np.ndarray:
         """Dense stage-r weight matrix W with W[l, m] = w[l, m]."""
-        w = np.zeros((n, n))
-        for l in range(n):
-            for m, v in self.weights[l][r - 1].items():
-                w[l, m] = v
-        return w
+        return self.stack[r - 1]
 
 
 @dataclass(frozen=True)
@@ -222,6 +234,8 @@ def compute_weights(g: Graph, stages: StageNeighbourhoods,
                     scheme: WeightScheme) -> WeightSet:
     """Normalised within-stage weights for every node and stage.
 
+    Stage r's members are the mask ``hops == r``; each member gets 1
+    (spl, uniform), 1/d (idw) or pop/d (pb), and every row is normalised.
     For 'spl' all stage-r members are at SPL exactly r, so the normalised
     inverse-SPL weights equal the uniform 1/|stage| weights; both kinds go
     through the same computation and produce identical output.
@@ -240,49 +254,40 @@ def compute_weights(g: Graph, stages: StageNeighbourhoods,
         if np.any(~np.isfinite(pop)) or np.any(pop <= 0):
             raise InvalidInputError("populations must be finite and positive")
 
-    out: list[tuple[dict[int, float], ...]] = []
-    for i in range(n):
-        per_stage: list[dict[int, float]] = []
-        for r in range(1, stages.r_max + 1):
-            members = sorted(stages.stage(i, r))
-            if not members:
-                per_stage.append({})
-                continue
-            if scheme.kind in ("spl", "uniform"):
-                # every member of stage r sits at SPL r: inverse SPL is flat
-                w = 1.0 / len(members)
-                per_stage.append({q: w for q in members})
-            else:
-                raw = []
-                for q in members:
-                    dq = d[i, q]
-                    if not dq > 0:
-                        raise InvalidInputError(
-                            f"nonpositive distance between nodes {g.labels[i]!r} "
-                            f"and {g.labels[q]!r}")
-                    raw.append(1.0 / dq if scheme.kind == "idw" else pop[q] / dq)
-                total = sum(raw)
-                per_stage.append({q: v / total for q, v in zip(members, raw)})
-        out.append(tuple(per_stage))
-    return WeightSet(r_max=stages.r_max, weights=tuple(out))
+    members = stages.hops == np.arange(1, stages.r_max + 1)[:, None, None]
+    if scheme.kind in ("spl", "uniform"):
+        # every member of stage r sits at SPL r: inverse SPL is flat
+        raw = members.astype(float)
+    else:
+        bad = members & ~(d > 0)
+        if bad.any():
+            i, _, q = np.argwhere(bad.transpose(1, 0, 2))[0]
+            raise InvalidInputError(
+                f"nonpositive distance between nodes {g.labels[i]!r} "
+                f"and {g.labels[q]!r}")
+        with np.errstate(divide="ignore"):
+            per_pair = (1.0 if scheme.kind == "idw" else pop) / d
+        raw = np.where(members, per_pair, 0.0)
+    total = raw.sum(axis=2, keepdims=True)
+    return WeightSet(stack=np.divide(raw, total, out=raw, where=total > 0))
 
 
 # ---------------------------------------------------------------------------
 # Restriction matrix and design
 # ---------------------------------------------------------------------------
 
-def _validate_stages(order: GnarOrder, stages: StageNeighbourhoods,
+def _validate_stages(order: GnarOrder, weights: WeightSet,
                      labels: Sequence[str]) -> None:
     """Every stage a lag uses must be nonempty for every node."""
-    if order.max_stage > stages.r_max:
+    if order.max_stage > weights.r_max:
         raise InvalidInputError(
-            f"order uses stage {order.max_stage} but only {stages.r_max} computed")
+            f"order uses stage {order.max_stage} but only {weights.r_max} computed")
+    nonempty = weights.stack.any(axis=2)
     for j, sj in enumerate(order.s, start=1):
         for r in range(1, sj + 1):
-            for i in range(len(labels)):
-                if not stages.stage(i, r):
-                    raise ModelInadmissibleError(
-                        f"stage {r} (lag {j}) is empty for node {labels[i]!r}")
+            if not nonempty[r - 1].all():
+                raise ModelInadmissibleError(f"stage {r} (lag {j}) is empty for node "
+                                             f"{labels[int(np.argmin(nonempty[r - 1]))]!r}")
 
 
 def coefficient_names(spec: GnarSpec, labels: Sequence[str]) -> tuple[str, ...]:
@@ -308,21 +313,14 @@ def restriction_matrix(spec: GnarSpec, weights: WeightSet, n: int,
     c is the vectorised VAR blocks of the unit coefficient vector e_c.
     """
     labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
-    _validate_stages(spec.order, StageNeighbourhoods(r_max=weights.r_max, stages=tuple(
-        tuple(frozenset(d) for d in per_node) for per_node in weights.weights)), labels)
+    _validate_stages(spec.order, weights, labels)
     names = coefficient_names(spec, labels)
-    w_stack = _weight_stack(weights, spec.order.max_stage, n)
     R = np.empty((spec.order.p * n * n, len(names)))
     for c, unit in enumerate(np.eye(len(names))):
         alpha, beta = _unstack_gamma(unit, spec, n)
         R[:, c] = _var_blocks(_alpha_matrix(alpha, n, spec.order.p), beta,
-                              w_stack).transpose(0, 2, 1).ravel()
+                              weights.stack).transpose(0, 2, 1).ravel()
     return RestrictionMatrix(matrix=R, column_names=names)
-
-
-def _weight_stack(weights: WeightSet, r_max: int, n: int) -> np.ndarray:
-    """Dense stage-weight matrices W_1..W_r_max as an (r_max, N, N) stack."""
-    return np.array([weights.matrix(r, n) for r in range(1, r_max + 1)]).reshape(-1, n, n)
 
 
 def _var_blocks(alpha_np: np.ndarray, beta: Sequence[np.ndarray],
@@ -341,22 +339,26 @@ def _stage_planes(values: np.ndarray, weights: WeightSet, r_max: int) -> np.ndar
     planes = np.empty((r_max + 1, T, n))
     planes[0] = values.T
     for r in range(1, r_max + 1):
-        planes[r] = _poisoned_sums(weights.matrix(r, n), values).T
+        w = weights.stack[r - 1]
+        planes[r] = _poisoned_sums(w, (w != 0).astype(float), values).T
     return planes
 
 
-def _poisoned_sums(w: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sums ``w @ values``, NaN exactly where a member with weight is missing."""
+def _poisoned_sums(w: np.ndarray, support: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sums ``w @ values``, NaN exactly where a missing value meets the 0/1
+    pattern ``support``, which covers every entry of ``w`` that may be nonzero."""
     missing = np.isnan(values)
     sums = w @ np.where(missing, 0.0, values)
-    sums[((w != 0).astype(float) @ missing.astype(float)) > 0] = np.nan
+    if missing.any():
+        sums[(support @ missing.astype(float)) > 0] = np.nan
     return sums
 
 
 def _design_from_planes(planes: np.ndarray, spec: GnarSpec
-                        ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One order's stacked design: every column is a lag slice of a plane, and
-    one mask keeps the rows whose response and regressors are all observed."""
+    one mask keeps the rows whose response and regressors are all observed.
+    The row index is an (n_rows, 2) array of (node, column) pairs."""
     p, s = spec.order.p, spec.order.s
     _, T, n = planes.shape
     if T <= p:
@@ -377,8 +379,7 @@ def _design_from_planes(planes: np.ndarray, spec: GnarSpec
         design[:, p * n:] = regressors[:, p:]
         own = np.arange(p) * n + nodes[:, None]
         design[np.arange(nodes.size)[:, None], own] = regressors[:, :p]
-    row_index = list(zip(nodes.tolist(), (t_off + p).tolist()))
-    return design, response[keep], row_index
+    return design, response[keep], np.column_stack([nodes, t_off + p])
 
 
 def build_design(panel: TimeSeriesPanel, spec: GnarSpec, weights: WeightSet,
@@ -394,12 +395,14 @@ def build_design(panel: TimeSeriesPanel, spec: GnarSpec, weights: WeightSet,
     (lag, stage) order.  The design is cut from regressor planes (the panel
     and its stage sums W_r X) by lag slicing and one row mask;
     ``select_model`` builds the planes once and cuts every candidate from
-    them.  Returns (design, response, row_index) where row_index lists
-    (node, column) pairs into the panel, t-major and node-minor.
+    them.  ``weights`` must come from ``stages``; empty stages are detected
+    on the weights.  Returns (design, response, row_index) where row_index
+    lists (node, column) pairs into the panel, t-major and node-minor.
     """
-    _validate_stages(spec.order, stages, panel.labels)
+    _validate_stages(spec.order, weights, panel.labels)
     planes = _stage_planes(panel.values, weights, spec.order.max_stage)
-    return _design_from_planes(planes, spec)
+    design, response, rows = _design_from_planes(planes, spec)
+    return design, response, list(zip(*rows.T.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +459,8 @@ def _unstack_gamma(gamma: np.ndarray, spec: GnarSpec, n: int
 
 def _residual_panel(shape: tuple[int, int], row_index, resid: np.ndarray) -> np.ndarray:
     out = np.full(shape, np.nan)
-    flat = np.fromiter(itertools.chain.from_iterable(row_index), dtype=np.intp)
-    out[flat[0::2], flat[1::2]] = resid
+    nodes, times = np.asarray(row_index, dtype=np.intp).reshape(-1, 2).T
+    out[nodes, times] = resid
     return out
 
 
@@ -472,6 +475,7 @@ def fit_ols(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
     the restricted parametrisation reduces to ordinary least squares on the
     stacked design.  The design must have full column rank.  One pivoted
     QR of the design gives the rank check, gamma and the standard errors.
+    ``row_index`` (node, column) pairs may be a list or an (n_rows, 2) array.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float).ravel()
@@ -594,16 +598,19 @@ def fit(panel: TimeSeriesPanel, g: Graph, spec: GnarSpec,
         method: str = "ols") -> GnarFit:
     """Convenience wrapper: stages -> weights -> design -> estimate.
 
-    ``method`` is 'ols' or 'egls'; EGLS estimates the full residual
+    The design path is :func:`build_design`'s, with the row index kept as an
+    array.  ``method`` is 'ols' or 'egls'; EGLS estimates the full residual
     covariance first and is only feasible when the panel is long enough
     (see :func:`estimate_sigma`).
     """
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError(
             "panel and graph label order differ; align them before fitting")
-    stages = stage_neighbourhoods(g, max(spec.order.max_stage, 1))
-    weights = compute_weights(g, stages, spec.scheme)
-    design, response, rows = build_design(panel, spec, weights, stages)
+    weights = compute_weights(g, stage_neighbourhoods(g, max(spec.order.max_stage, 1)),
+                              spec.scheme)
+    _validate_stages(spec.order, weights, panel.labels)
+    design, response, rows = _design_from_planes(
+        _stage_planes(panel.values, weights, spec.order.max_stage), spec)
     if method == "ols":
         return fit_ols(design, response, spec, panel.n_nodes, panel.n_times,
                        row_index=rows, labels=panel.labels, weight_set=weights)
@@ -628,20 +635,15 @@ def _alpha_matrix(alpha: np.ndarray, n: int, p: int) -> np.ndarray:
     raise InvalidInputError(f"alpha shape {a.shape} fits neither (p,) nor (N, p)")
 
 
-def _one_step(history: np.ndarray, alpha_np: np.ndarray,
-              beta: Sequence[np.ndarray], w_mats: dict[int, np.ndarray]) -> np.ndarray:
-    """Model prediction for the next time point.
-
-    ``history`` is N x p with column j-1 holding the values at lag j.
-    Missing lagged values propagate to the prediction.
-    """
-    n, p = history.shape
-    pred = np.zeros(n)
-    for j in range(1, p + 1):
-        pred += alpha_np[:, j - 1] * history[:, j - 1]
-        for r, b in enumerate(beta[j - 1], start=1):
-            pred += b * _poisoned_sums(w_mats[r], history[:, j - 1])
-    return pred
+def _lag_operator(alpha: np.ndarray, beta: Sequence[np.ndarray], weights: WeightSet,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The VAR blocks as one N x pN operator [B_p ... B_1] on the lag window
+    [X_{t-p}; ...; X_{t-1}], and its support: own lags and weighted stage
+    members, so missing values poison predictions whatever the coefficients."""
+    p = len(beta)
+    blocks = _var_blocks(_alpha_matrix(alpha, n, p), beta, weights.stack)
+    support = [np.eye(n) + (weights.stack[:len(bj)] != 0).sum(axis=0) for bj in beta]
+    return np.hstack(blocks[::-1]), np.hstack(support[::-1])
 
 
 def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
@@ -668,29 +670,27 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
     beta = [np.asarray(b, dtype=float) for b in beta]
     if len(beta) != p or any(len(b) != sj for b, sj in zip(beta, order.s)):
         raise InvalidInputError("beta shapes do not match the order's stage counts")
-    alpha_np = _alpha_matrix(alpha, n, p)
 
-    stages = stage_neighbourhoods(g, max(order.max_stage, 1))
-    _validate_stages(order, stages, g.labels)
-    weights = compute_weights(g, stages, spec.scheme)
-    w_mats = {r: weights.matrix(r, n) for r in range(1, order.max_stage + 1)}
+    weights = compute_weights(g, stage_neighbourhoods(g, max(order.max_stage, 1)),
+                              spec.scheme)
+    _validate_stages(order, weights, g.labels)
+    lag_op, support = _lag_operator(alpha, beta, weights, n)
 
     rng = np.random.default_rng(seed)
     total = T + burn_in
-    X = np.empty((n, total))
+    Xt = np.empty((total, n))   # time-major, so a lag window is one slice
     if init_values is not None:
         init = np.asarray(init_values, dtype=float)
         if init.shape != (n, p):
             raise InvalidInputError(f"init_values shape {init.shape} != ({n}, {p})")
-        X[:, :p] = init
+        Xt[:p] = init.T
     else:
-        X[:, :p] = rng.normal(init_mean, sigma, size=(n, p))
+        Xt[:p] = rng.normal(init_mean, sigma, size=(n, p)).T
     for t in range(p, total):
-        window = X[:, [t - j for j in range(1, p + 1)]]
-        mean = _one_step(window, alpha_np, beta, w_mats)
-        X[:, t] = mean + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)
+        mean = _poisoned_sums(lag_op, support, Xt[t - p:t].ravel())
+        Xt[t] = mean + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)
 
-    X = X[:, burn_in:]
+    X = np.ascontiguousarray(Xt[burn_in:].T)
     if start_date is None:
         start_date = datetime.date(2000, 1, 3)
     dates = tuple(start_date + datetime.timedelta(days=7 * k) for k in range(T))
@@ -716,30 +716,27 @@ def forecast(fit: GnarFit, panel: TimeSeriesPanel, horizon: int,
     if fit.weight_set is None:
         raise InvalidInputError("fit carries no weights; refit via fit()/fit_ols "
                                 "with weight_set to enable forecasting")
-    order = fit.spec.order
-    p = order.p
+    p = fit.spec.order.p
     n = panel.n_nodes
-    alpha_np = _alpha_matrix(fit.alpha, n, p)
-    w_mats = {r: fit.weight_set.matrix(r, n) for r in range(1, order.max_stage + 1)}
+    lag_op, support = _lag_operator(fit.alpha, fit.beta, fit.weight_set, n)
     if mode == "rolling_one_step":
         if panel.n_times < p + horizon:
             raise InvalidInputError(
                 f"panel has {panel.n_times} columns; need >= p + horizon = {p + horizon}")
-        X, start = panel.values, panel.n_times - horizon
+        Xt, start = panel.values.T, panel.n_times - horizon
     elif mode == "recursive":
         if panel.n_times < p:
             raise InvalidInputError(f"panel shorter than lag order {p}")
-        X = np.concatenate([panel.values, np.empty((n, horizon))], axis=1)
+        Xt = np.concatenate([panel.values.T, np.empty((horizon, n))])
         start = panel.n_times
     else:
         raise InvalidInputError(
             f"unknown mode {mode!r}; expected 'rolling_one_step' or 'recursive'")
     preds = np.empty((n, horizon))
     for h, t in enumerate(range(start, start + horizon)):
-        window = X[:, [t - j for j in range(1, p + 1)]]
-        preds[:, h] = _one_step(window, alpha_np, fit.beta, w_mats)
+        preds[:, h] = _poisoned_sums(lag_op, support, Xt[t - p:t].ravel())
         if mode == "recursive":
-            X[:, t] = preds[:, h]   # feed the prediction forward
+            Xt[t] = preds[:, h]   # feed the prediction forward
     return preds
 
 
@@ -764,8 +761,7 @@ def spectral_radius(alpha: np.ndarray, beta: Sequence[np.ndarray],
     """Largest eigenvalue modulus of the VAR companion matrix built from the
     blocks B_j; the recursion is stationary exactly when it is below 1."""
     p = len(beta)
-    blocks = _var_blocks(_alpha_matrix(alpha, n, p), beta,
-                         _weight_stack(weights, max(len(b) for b in beta), n))
+    blocks = _var_blocks(_alpha_matrix(alpha, n, p), beta, weights.stack)
     companion = np.eye(n * p, k=-n)
     companion[:n] = np.hstack(blocks)
     return float(np.max(np.abs(np.linalg.eigvals(companion))))

@@ -210,7 +210,7 @@ def select_model(panel: TimeSeriesPanel, g: Graph, scheme: WeightScheme,
     for order in grid:
         spec = GnarSpec(order=order, global_alpha=global_alpha, scheme=scheme)
         try:
-            _validate_stages(order, stages, panel.labels)
+            _validate_stages(order, weights, panel.labels)
             design, response, rows = _design_from_planes(planes, spec)
             fit = fit_ols(design, response, spec, panel.n_nodes, panel.n_times,
                           row_index=rows, labels=panel.labels, weight_set=weights)

@@ -28,6 +28,28 @@ def bfs_spl(n: int, edges: set[tuple[int, int]]) -> np.ndarray:
     return d
 
 
+def hops_bruteforce(n: int, edges, r_max: int | None = None) -> np.ndarray:
+    """Hop distances by a queue BFS from every source over neighbour lists,
+    cut at depth ``r_max`` when given; inf where not reached."""
+    nbrs = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    d = np.full((n, n), np.inf)
+    for s in range(n):
+        d[s, s] = 0.0
+        queue = [s]
+        while queue:
+            u = queue.pop(0)
+            if r_max is not None and d[s, u] >= r_max:
+                continue
+            for v in nbrs[u]:
+                if math.isinf(d[s, v]):
+                    d[s, v] = d[s, u] + 1
+                    queue.append(v)
+    return d
+
+
 def delaunay_edges_bruteforce(xy: np.ndarray) -> set[tuple[int, int]]:
     """Delaunay edges via the empty-circumcircle test over all triangles.
 
@@ -159,3 +181,32 @@ def simulate_gnar_bruteforce(alpha_np: np.ndarray, beta, stage_sets,
                     v += beta[j - 1][r - 1] * z
             X[i, t] = v + innovations[i, t]
     return X
+
+
+def gnar_one_step_bruteforce(X: np.ndarray, t: int, alpha_np: np.ndarray, beta,
+                             stage_sets, stage_weights) -> np.ndarray:
+    """Model prediction of column t from columns t-1..t-p, loops only.
+
+    A node's prediction is NaN when its own value, or the value of any
+    stage member with nonzero weight, is missing at a lag and stage the
+    model uses, whatever the coefficient values.
+    """
+    n, p = alpha_np.shape
+    out = np.empty(n)
+    for i in range(n):
+        v = 0.0
+        for j in range(1, p + 1):
+            v += alpha_np[i, j - 1] * X[i, t - j]
+            for r in range(1, len(beta[j - 1]) + 1):
+                z = 0.0
+                for q in sorted(stage_sets[i][r - 1]):
+                    w = stage_weights[i][r - 1][q]
+                    if w == 0:
+                        continue
+                    if math.isnan(X[q, t - j]):
+                        z = math.nan
+                        break
+                    z += w * X[q, t - j]
+                v += beta[j - 1][r - 1] * z
+        out[i] = v
+    return out

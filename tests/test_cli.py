@@ -441,3 +441,59 @@ def test_bad_iso_date_is_an_error(tmp_path, capsys):
     bad.write_text("# a comment line\ndate,a,b\n2020-01-06,1,2\n2020-13-45,3,4\n")
     assert run(["data", "diff", "--panel", str(bad), "--out", str(tmp_path / "d.csv")]) == 1
     _single_error(capsys, str(bad), "data row 2", "2020-13-45")
+
+
+def test_points_csv_bad_latitude_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "points.csv"
+    bad.write_text("node,lat,lon\na,52.0,-8.0\nb,north,-7.0\nc,53.0,-6.0\n")
+    assert run(["network", "build", "--kind", "knn", "--k", "1", "--points", str(bad),
+                "--out", str(tmp_path / "g.json")]) == 1
+    _single_error(capsys, str(bad), "data row 2", "north")
+
+
+def test_points_csv_bad_population_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "points.csv"
+    bad.write_text("node,lat,lon,population\na,52.0,-8.0,100\nb,52.5,-7.0,lots\n"
+                   "c,53.0,-6.0,5\n")
+    assert run(["network", "build", "--kind", "knn", "--k", "1", "--points", str(bad),
+                "--out", str(tmp_path / "g.json")]) == 1
+    _single_error(capsys, str(bad), "data row 2", "lots")
+
+
+def test_edgelist_row_without_to_field_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "edges.csv"
+    bad.write_text("from,to\na,b\nc\n")
+    assert run(["network", "build", "--kind", "edgelist", "--edges", str(bad),
+                "--out", str(tmp_path / "g.json")]) == 1
+    _single_error(capsys, str(bad), "data row 2")
+
+
+# ---------------------------------------------------------------------------
+# CSV outputs hold plain numbers
+# ---------------------------------------------------------------------------
+
+def _numeric_cells(path, text_columns):
+    lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+    header = lines[0].split(",")
+    cells = [cell for line in lines[1:]
+             for name, cell in zip(header, line.split(",")) if name not in text_columns]
+    return [float(cell) for cell in cells if cell != ""]
+
+
+def test_csv_outputs_hold_plain_numbers(tmp_path, queen_json, sim_panel):
+    text_columns = {"date", "node", "coefficient", "covered", "outside"}
+    fc = tmp_path / "fc"
+    assert run(["forecast", "--panel", sim_panel, "--graph", queen_json, "--p", "1",
+                "--s", "1", "--holdout", "5", "--mode", "rolling",
+                "--out-dir", str(fc)]) == 0
+    assert run(["diagnose", "moran", "--panel", sim_panel, "--graph", queen_json,
+                "--R", "20", "--seed", "3", "--out", str(tmp_path / "moran")]) == 0
+    sim = tmp_path / "refit"
+    assert run(["simulate", "--graph", queen_json, "--p", "1", "--s", "1",
+                "--alpha", "0.3", "--beta", "0.4", "--T", "80", "--sigma", "0.5",
+                "--seed", "2", "--refit", "--out-dir", str(sim)]) == 0
+    counts = {path.name: len(_numeric_cells(path, text_columns))
+              for path in (fc / "forecast.csv", fc / "mase.csv",
+                           tmp_path / "moran.csv", sim / "refit_table.csv")}
+    assert counts == {"forecast.csv": 2 * 26 * 5, "mase.csv": 26 * 5,
+                      "moran.csv": 4 * 80, "refit_table.csv": 4 * 2}
