@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -269,15 +269,7 @@ def ks_normality_single(residuals: np.ndarray) -> TestResult:
 def ks_normality(residuals: Union[TimeSeriesPanel, Mapping[str, np.ndarray]]
                  ) -> dict[str, TestResult]:
     """Per-node KS normality tests; unusable nodes get a NaN entry."""
-    series = _per_node_series(residuals)
-    out: dict[str, TestResult] = {}
-    for label, x in series.items():
-        try:
-            out[label] = ks_normality_single(x)
-        except (InvalidInputError, UndefinedStatisticError) as exc:
-            out[label] = TestResult(statistic=math.nan, p_value=math.nan,
-                                    parameters={"error": str(exc)})
-    return out
+    return _per_node(ks_normality_single, residuals)
 
 
 def ljung_box(series: np.ndarray, max_lag: Optional[int] = None) -> TestResult:
@@ -314,18 +306,22 @@ def ljung_box(series: np.ndarray, max_lag: Optional[int] = None) -> TestResult:
 def ljung_box_panel(residuals: Union[TimeSeriesPanel, Mapping[str, np.ndarray]],
                     max_lag: Optional[int] = None) -> dict[str, TestResult]:
     """Ljung-Box per node; unusable nodes get a NaN entry."""
-    series = _per_node_series(residuals)
+    return _per_node(lambda x: ljung_box(x, max_lag=max_lag), residuals)
+
+
+def _per_node(test: Callable[[np.ndarray], TestResult], residuals
+              ) -> dict[str, TestResult]:
+    """``test`` on each node's series; a node the test rejects gets a NaN
+    entry whose parameters carry the error message."""
+    if isinstance(residuals, TimeSeriesPanel):
+        series = {lbl: residuals.values[i] for i, lbl in enumerate(residuals.labels)}
+    else:
+        series = {str(k): np.asarray(v, dtype=float) for k, v in residuals.items()}
     out: dict[str, TestResult] = {}
     for label, x in series.items():
         try:
-            out[label] = ljung_box(x, max_lag=max_lag)
+            out[label] = test(x)
         except (InvalidInputError, UndefinedStatisticError) as exc:
             out[label] = TestResult(statistic=math.nan, p_value=math.nan,
                                     parameters={"error": str(exc)})
     return out
-
-
-def _per_node_series(residuals) -> dict[str, np.ndarray]:
-    if isinstance(residuals, TimeSeriesPanel):
-        return {lbl: residuals.values[i] for i, lbl in enumerate(residuals.labels)}
-    return {str(k): np.asarray(v, dtype=float) for k, v in residuals.items()}

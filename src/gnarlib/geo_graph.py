@@ -4,11 +4,16 @@ Builds simple undirected networks over geographic point sets (KNN, distance
 threshold, Delaunay triangulation and its Gabriel / sphere-of-influence /
 relative-neighbourhood subgraphs, economic-hub augmentation, complete graph,
 arbitrary edge lists) and provides the graph-theoretic quantities the
-autoregressive model consumes.  All of them come from one hop-distance
+autoregressive model consumes.  All of those come from one hop-distance
 matrix, computed by frontier expansion over the dense adjacency matrix:
 shortest path lengths, r-th stage neighbourhoods (the mask hops == r),
 and summary statistics (clustering by triangle counts on the same
 adjacency matrix) with a Bernoulli random graph baseline.
+
+Each construction from coordinates is a keep-mask.  KNN and the distance
+threshold mask the one great-circle distance matrix.  The Delaunay family
+triangulates once into an (E, 2) array of edge indices and keeps a boolean
+mask of it, computed from one projected squared-distance matrix.
 
 Distances between points are great-circle distances on a sphere (default
 radius 6371 km).  The Delaunay family operates on an equirectangular local
@@ -23,7 +28,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +92,9 @@ class Graph:
         if len(set(self.labels)) != n:
             raise InvalidInputError("node labels must be unique")
         for i, j in self.edges:
+            if not ((type(i) is int or isinstance(i, np.integer))
+                    and (type(j) is int or isinstance(j, np.integer))):
+                raise InvalidInputError(f"edge ({i!r}, {j!r}) has a non-integer index")
             if i == j:
                 raise InvalidInputError(f"self-loop on node {self.labels[i]!r}")
             if not (0 <= i < j < n):
@@ -127,8 +135,10 @@ def _norm_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _graph(labels: Sequence[str], edges: Iterable[tuple[int, int]]) -> Graph:
-    return Graph(labels=tuple(labels), edges=frozenset(edges))
+def _graph(labels: Sequence[str], edges) -> Graph:
+    """Graph from an (E, 2) array of index pairs (i, j) with i < j."""
+    i, j = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T.tolist()
+    return Graph(labels=tuple(labels), edges=frozenset(zip(i, j)))
 
 
 @dataclass(frozen=True)
@@ -230,13 +240,14 @@ def build_knn(points: Sequence[GeoPoint], k: int) -> Graph:
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k={k} outside 1..{n - 1}")
     d = distance_matrix(points)
-    edges = set()
-    for i in range(n):
-        order = sorted((j for j in range(n) if j != i),
-                       key=lambda j: (d[i, j], points[j].node_id))
-        for j in order[:k]:
-            edges.add(_norm_edge(i, j))
-    return _graph([p.node_id for p in points], edges)
+    np.fill_diagonal(d, np.inf)
+    ids = [p.node_id for p in points]
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    order = np.lexsort((np.broadcast_to(rank, d.shape), d))  # each row by (d, rank)
+    near = np.zeros((n, n), dtype=bool)
+    near[np.arange(n)[:, None], order[:, :k]] = True
+    return _graph(ids, np.argwhere(np.triu(near | near.T, 1)))
 
 
 def build_dnn(points: Sequence[GeoPoint], d_max: float) -> Graph:
@@ -250,10 +261,8 @@ def build_dnn(points: Sequence[GeoPoint], d_max: float) -> Graph:
     if not d_max > 0:
         raise InvalidInputError("d_max must be positive")
     d = distance_matrix(points)
-    n = len(points)
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n)
-             if 0.0 < d[i, j] <= d_max}
-    return _graph([p.node_id for p in points], edges)
+    return _graph([p.node_id for p in points],
+                  np.argwhere(np.triu((d > 0.0) & (d <= d_max), 1)))
 
 
 def _project(points: Sequence[GeoPoint]) -> np.ndarray:
@@ -267,30 +276,43 @@ def _project(points: Sequence[GeoPoint]) -> np.ndarray:
     return np.array([[p.lon_deg * scale, p.lat_deg] for p in points])
 
 
-def _delaunay_edges(xy: np.ndarray) -> set[tuple[int, int]]:
+def _delaunay_subgraph(points: Sequence[GeoPoint], name: str,
+                       keep: Optional[Callable] = None) -> Graph:
+    """The Delaunay edges (i, j), i < j, on the local projection, filtered by
+    ``keep(d2, i, j)``: a boolean mask over the edge index arrays, given the
+    projected squared-distance matrix ``d2``.  ``d2`` has an exact zero
+    diagonal and is exactly symmetric, so a rule comparing edge (i, j) with
+    every point z never drops it for z = i or z = j.  A point that coincides
+    with another one would be left out of the triangulation: an error."""
+    _check_points(points)
+    if len(points) < 3:
+        raise InvalidInputError(f"{name} needs at least 3 points")
     from scipy.spatial import Delaunay, QhullError
 
+    labels = [p.node_id for p in points]
+    xy = _project(points)
     try:
         tri = Delaunay(xy)
     except QhullError as exc:
         raise DegenerateGeometryError(
             f"no triangulation exists for this point set: {exc}") from exc
-    edges: set[tuple[int, int]] = set()
-    for simplex in tri.simplices:
-        a, b, c = (int(v) for v in simplex)
-        edges.add(_norm_edge(a, b))
-        edges.add(_norm_edge(a, c))
-        edges.add(_norm_edge(b, c))
-    return edges
+    if len(tri.coplanar):
+        dropped, _, vertex = tri.coplanar[0]
+        raise DegenerateGeometryError(
+            f"{name}: node {labels[dropped]!r} coincides with node "
+            f"{labels[vertex]!r} and would be dropped from the triangulation")
+    s = tri.simplices
+    edges = np.unique(np.sort(np.vstack([s[:, [0, 1]], s[:, [0, 2]], s[:, [1, 2]]]),
+                              axis=1), axis=0)
+    if keep is not None:
+        d2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
+        edges = edges[keep(d2, *edges.T)]
+    return _graph(labels, edges)
 
 
 def build_delaunay(points: Sequence[GeoPoint]) -> Graph:
     """Delaunay triangulation edges on the local projection."""
-    _check_points(points)
-    if len(points) < 3:
-        raise InvalidInputError("Delaunay triangulation needs at least 3 points")
-    edges = _delaunay_edges(_project(points))
-    return _graph([p.node_id for p in points], edges)
+    return _delaunay_subgraph(points, "Delaunay triangulation")
 
 
 def derive_gabriel(points: Sequence[GeoPoint]) -> Graph:
@@ -300,24 +322,9 @@ def derive_gabriel(points: Sequence[GeoPoint]) -> Graph:
     other point z, i.e. no z lies strictly inside the disc with diameter xy.
     Boundary points (z exactly on the circle) do not remove the edge.
     """
-    _check_points(points)
-    if len(points) < 3:
-        raise InvalidInputError("Gabriel graph needs at least 3 points")
-    xy = _project(points)
-    n = len(points)
-    kept = set()
-    for i, j in _delaunay_edges(xy):
-        dij2 = float(np.sum((xy[i] - xy[j]) ** 2))
-        ok = True
-        for z in range(n):
-            if z == i or z == j:
-                continue
-            if dij2 > float(np.sum((xy[i] - xy[z]) ** 2) + np.sum((xy[j] - xy[z]) ** 2)):
-                ok = False
-                break
-        if ok:
-            kept.add((i, j))
-    return _graph([p.node_id for p in points], kept)
+    return _delaunay_subgraph(
+        points, "Gabriel graph",
+        lambda d2, i, j: ~(d2[i, j][:, None] > d2[i] + d2[j]).any(axis=1))
 
 
 def derive_soi(points: Sequence[GeoPoint]) -> Graph:
@@ -328,17 +335,12 @@ def derive_soi(points: Sequence[GeoPoint]) -> Graph:
     least twice, i.e. d(x, y) < d_x + d_y strictly (tangency is a single
     intersection and does not count).
     """
-    _check_points(points)
-    if len(points) < 3:
-        raise InvalidInputError("sphere-of-influence graph needs at least 3 points")
-    xy = _project(points)
-    n = len(points)
-    d = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(d, np.inf)
-    nn_radius = d.min(axis=1)
-    kept = {(i, j) for i, j in _delaunay_edges(xy)
-            if d[i, j] < nn_radius[i] + nn_radius[j]}
-    return _graph([p.node_id for p in points], kept)
+    def keep(d2, i, j):
+        d = np.sqrt(d2)
+        radius = np.where(np.eye(len(d), dtype=bool), np.inf, d).min(axis=1)
+        return d[i, j] < radius[i] + radius[j]
+
+    return _delaunay_subgraph(points, "sphere-of-influence graph", keep)
 
 
 def derive_relative(points: Sequence[GeoPoint]) -> Graph:
@@ -347,24 +349,11 @@ def derive_relative(points: Sequence[GeoPoint]) -> Graph:
     Keeps edge (x, y) iff d(x, y) <= max(d(x, z), d(y, z)) for every other
     point z; contained in the Gabriel graph by the condition itself.
     """
-    _check_points(points)
-    if len(points) < 3:
-        raise InvalidInputError("relative neighbourhood graph needs at least 3 points")
-    xy = _project(points)
-    n = len(points)
-    d = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
-    kept = set()
-    for i, j in _delaunay_edges(xy):
-        ok = True
-        for z in range(n):
-            if z == i or z == j:
-                continue
-            if d[i, j] > max(d[i, z], d[j, z]):
-                ok = False
-                break
-        if ok:
-            kept.add((i, j))
-    return _graph([p.node_id for p in points], kept)
+    def keep(d2, i, j):
+        d = np.sqrt(d2)
+        return ~(d[i, j][:, None] > np.maximum(d[i], d[j])).any(axis=1)
+
+    return _delaunay_subgraph(points, "relative neighbourhood graph", keep)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +380,7 @@ def build_from_edgelist(labels: Sequence[str],
         if a == b:
             raise InvalidInputError(f"self-loop on node {a!r}")
         out.add(_norm_edge(index[a], index[b]))
-    return _graph(labels, out)
+    return _graph(labels, list(out))
 
 
 def build_economic_hub(base: Graph, points: Sequence[GeoPoint],
@@ -428,8 +417,7 @@ def build_complete(labels: Sequence[str]) -> Graph:
     labels = tuple(labels)
     if len(labels) < 2:
         raise InvalidInputError("complete graph needs at least 2 nodes")
-    n = len(labels)
-    return _graph(labels, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return _graph(labels, np.column_stack(np.triu_indices(len(labels), 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -666,6 +666,8 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
         raise InvalidInputError("sigma must be >= 0")
     if T <= p:
         raise InvalidInputError(f"T={T} must exceed the lag order p={p}")
+    if burn_in < 0:
+        raise InvalidInputError(f"burn_in must be >= 0, got {burn_in}")
     n = g.n
     beta = [np.asarray(b, dtype=float) for b in beta]
     if len(beta) != p or any(len(b) != sj for b, sj in zip(beta, order.s)):

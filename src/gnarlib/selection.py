@@ -36,6 +36,7 @@ from .gnar_core import (
     GnarSpec,
     WeightScheme,
     _design_from_planes,
+    _gaussian_criteria,
     _stage_planes,
     _validate_stages,
     compute_weights,
@@ -261,25 +262,14 @@ class ArNodeResult:
         }
 
 
-def _ar_design(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    rows, ys, ts = [], [], []
-    for t in range(p, x.size):
-        window = x[t - p:t][::-1]  # lags 1..p
-        if math.isnan(x[t]) or np.isnan(window).any():
-            continue
-        rows.append(window)
-        ys.append(x[t])
-        ts.append(t)
-    return np.asarray(rows), np.asarray(ys), ts
-
-
 def fit_ar_baseline(panel: TimeSeriesPanel, p_max: int) -> dict[str, ArNodeResult]:
     """Per-node AR(p) fits with BIC order choice, 1 <= p <= p_max.
 
     Each node is fitted on its own series only, with no intercept and the
-    same Gaussian-likelihood BIC convention as the network model.  Nodes
-    with a constant series or too few observations are flagged degenerate
-    and the rest proceed.
+    same Gaussian-likelihood BIC convention as the network model: the
+    design is the GNAR(p, [0, ..., 0]) design of the node's one-row plane.
+    Nodes with a constant series or too few observations are flagged
+    degenerate and the rest proceed.
     """
     if p_max < 1:
         raise InvalidInputError("p_max must be >= 1")
@@ -290,23 +280,22 @@ def fit_ar_baseline(panel: TimeSeriesPanel, p_max: int) -> dict[str, ArNodeResul
         if observed.size <= p_max + 1 or np.nanstd(x) == 0.0:
             out[label] = ArNodeResult(label=label, status="degenerate")
             continue
-        best: Optional[tuple[float, int, np.ndarray, float, int, list[int], np.ndarray]] = None
+        best: Optional[tuple[float, int, np.ndarray, float, int, np.ndarray, np.ndarray]] = None
         for p in range(1, p_max + 1):
-            design, y, ts = _ar_design(x, p)
-            if design.size == 0 or design.shape[0] <= p:
+            spec = GnarSpec(order=GnarOrder(p=p, s=(0,) * p))
+            try:
+                design, y, rows = _design_from_planes(x[None, :, None], spec)
+            except InsufficientDataError:
+                continue
+            if design.shape[0] <= p:
                 continue
             coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
             if rank < p:
                 continue
             resid = y - design @ coef
-            n_obs = y.size
-            sigma2 = float(resid @ resid) / n_obs
-            if sigma2 <= 0:
-                sigma2 = np.finfo(float).tiny
-            loglik = -0.5 * n_obs * (math.log(2.0 * math.pi * sigma2) + 1.0)
-            bic = p * math.log(n_obs) - 2.0 * loglik
+            sigma2, _, bic, _ = _gaussian_criteria(float(resid @ resid), y.size, p)
             if best is None or bic < best[0]:
-                best = (bic, p, coef, sigma2, n_obs, ts, design)
+                best = (bic, p, coef, sigma2, y.size, rows[:, 1], design)
         if best is None:
             out[label] = ArNodeResult(label=label, status="degenerate")
             continue

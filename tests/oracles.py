@@ -91,6 +91,55 @@ def _circumcenter(p, q, r):
     return np.array([ux, uy])
 
 
+def knn_bruteforce(d: np.ndarray, ids, k: int) -> set[tuple[int, int]]:
+    """Union-symmetrized k-nearest-neighbour edges: each node sorts the
+    others by (distance, node id) and links to the first k."""
+    n = len(ids)
+    edges = set()
+    for i in range(n):
+        order = sorted((j for j in range(n) if j != i), key=lambda j: (d[i, j], ids[j]))
+        for j in order[:k]:
+            edges.add((min(i, j), max(i, j)))
+    return edges
+
+
+def dnn_bruteforce(d: np.ndarray, d_max: float) -> set[tuple[int, int]]:
+    """Pairs at distance in (0, d_max]."""
+    n = len(d)
+    return {(i, j) for i in range(n) for j in range(i + 1, n) if 0.0 < d[i, j] <= d_max}
+
+
+def gabriel_bruteforce(xy: np.ndarray, edges) -> set[tuple[int, int]]:
+    """Edges (i, j) with no other point z strictly inside the disc of
+    diameter ij: d(i, j)^2 <= d(i, z)^2 + d(j, z)^2 for every z."""
+    kept = set()
+    for i, j in edges:
+        dij2 = float(np.sum((xy[i] - xy[j]) ** 2))
+        if all(dij2 <= float(np.sum((xy[i] - xy[z]) ** 2) + np.sum((xy[j] - xy[z]) ** 2))
+               for z in range(len(xy)) if z not in (i, j)):
+            kept.add((i, j))
+    return kept
+
+
+def soi_bruteforce(xy: np.ndarray, edges) -> set[tuple[int, int]]:
+    """Edges whose nearest-neighbour circles cross twice:
+    d(i, j) < r_i + r_j strictly, r the distance to the nearest other point."""
+    n = len(xy)
+    d = [[math.sqrt(float(np.sum((xy[a] - xy[b]) ** 2))) for b in range(n)]
+         for a in range(n)]
+    radius = [min(d[a][b] for b in range(n) if b != a) for a in range(n)]
+    return {(i, j) for i, j in edges if d[i][j] < radius[i] + radius[j]}
+
+
+def relative_bruteforce(xy: np.ndarray, edges) -> set[tuple[int, int]]:
+    """Edges (i, j) with d(i, j) <= max(d(i, z), d(j, z)) for every other z."""
+    n = len(xy)
+    d = [[math.sqrt(float(np.sum((xy[a] - xy[b]) ** 2))) for b in range(n)]
+         for a in range(n)]
+    return {(i, j) for i, j in edges
+            if all(d[i][j] <= max(d[i][z], d[j][z]) for z in range(n) if z not in (i, j))}
+
+
 def gnar_design_bruteforce(values: np.ndarray, p: int, s: tuple[int, ...],
                            stage_sets, stage_weights, global_alpha: bool = True):
     """Stacked design straight from the model equation, loops only.

@@ -468,6 +468,49 @@ def test_edgelist_row_without_to_field_is_an_error(tmp_path, capsys):
     _single_error(capsys, str(bad), "data row 2")
 
 
+def test_gabriel_with_duplicate_points_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "points.csv"
+    bad.write_text("node,lat,lon\na,53.0,-8.0\nb,52.0,-7.0\nc,53.0,-8.0\nd,52.5,-9.0\n")
+    assert run(["network", "build", "--kind", "gabriel", "--points", str(bad),
+                "--out", str(tmp_path / "g.json")]) == 1
+    _single_error(capsys, "'a'", "'c'", "coincides")
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_simulate_negative_burn_in_is_an_error(tmp_path, queen_json, capsys):
+    assert run(["simulate", "--graph", queen_json, "--p", "1", "--s", "1",
+                "--alpha", "0.3", "--beta", "0.4", "--T", "10", "--sigma", "0.5",
+                "--burn-in", "-3", "--out-dir", str(tmp_path / "sim")]) == 1
+    _single_error(capsys, "burn_in")
+
+
+def test_graph_json_with_fractional_edge_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "g.json"
+    bad.write_text(json.dumps({"labels": ["a", "b", "c"], "edges": [[0, 1.5]]}))
+    assert run(["network", "summarize", "--graph", str(bad),
+                "--out", str(tmp_path / "s.csv")]) == 1
+    _single_error(capsys, str(bad), "1.5")
+
+
+def test_import_loads_no_scipy():
+    # scipy loads lazily, inside the functions that need it, so a command
+    # that never reaches them does not pay for the import
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gnarlib
+
+    src = str(Path(gnarlib.__file__).resolve().parents[1])
+    code = ("import sys, gnarlib, gnarlib.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # CSV outputs hold plain numbers
 # ---------------------------------------------------------------------------

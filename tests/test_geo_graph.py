@@ -172,6 +172,18 @@ def test_delaunay_collinear_raises():
         build_delaunay(pts)
 
 
+@pytest.mark.parametrize("build", [build_delaunay, derive_gabriel, derive_soi,
+                                   derive_relative])
+def test_duplicate_point_is_an_error(build):
+    # qhull would leave one of two coincident points out of the triangulation,
+    # isolating it in every graph of the family
+    pts = [GeoPoint("a", 53.0, -8.0), GeoPoint("b", 52.0, -7.0),
+           GeoPoint("c", 53.0, -8.0), GeoPoint("d", 52.5, -9.0)]
+    with pytest.raises(DegenerateGeometryError) as exc:
+        build(pts)
+    assert "'a'" in str(exc.value) and "'c'" in str(exc.value)
+
+
 def test_gabriel_acute_triangle_keeps_all():
     pts = [GeoPoint("a", 0.0, 0.0), GeoPoint("b", 0.0, 1.0), GeoPoint("c", 0.9, 0.5)]
     g = derive_gabriel(pts)
@@ -245,6 +257,13 @@ def test_constructions_are_deterministic(irish_towns):
 # ---------------------------------------------------------------------------
 # Edge lists, hubs, complete
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (0.0, 1), (True, 2)])
+def test_graph_rejects_non_integer_edge_index(edge):
+    with pytest.raises(InvalidInputError, match="non-integer") as exc:
+        Graph(labels=("a", "b", "c"), edges=frozenset({edge}))
+    assert repr(edge[0]) in str(exc.value)
+
 
 def test_edgelist_single_edge():
     g = build_from_edgelist(["a", "b"], [("a", "b")])

@@ -548,6 +548,14 @@ def test_simulate_burn_in_discards_columns():
     assert panel.n_times == 20
 
 
+def test_simulate_rejects_negative_burn_in():
+    g = ring_graph(3)
+    spec = spec_for(1, [1])
+    with pytest.raises(InvalidInputError, match="burn_in"):
+        simulate(spec, np.array([0.2]), [np.array([0.3])], g, T=10,
+                 sigma=0.5, burn_in=-3)
+
+
 def test_simulate_rejects_empty_stage():
     g = build_complete(["a", "b", "c"])
     spec = spec_for(1, [2])
