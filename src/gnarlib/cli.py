@@ -316,6 +316,8 @@ def cmd_data(args: argparse.Namespace) -> int:
         _require(args, "panel")
         panel = pn.read_wide_csv(args.panel)
         series = panel.row(args.node) if args.node else panel.values.ravel()
+        if args.grid_steps < 1:
+            raise InvalidInputError(f"--grid-steps must be >= 1, got {args.grid_steps}")
         grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
         prof = pn.boxcox_profile(series[~np.isnan(series)], grid)
         rows = [[lmb, ll] for lmb, ll in zip(prof.lambda_grid, prof.loglik)]

@@ -175,10 +175,11 @@ def morans_i(values: np.ndarray, weights: np.ndarray) -> float:
 
 
 def rank_transform(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..N with average ranks for ties."""
-    from scipy.stats import rankdata
-
-    return rankdata(np.asarray(values, dtype=float))
+    """Ranks 1..N with average ranks for ties (all NaN if any value is)."""
+    x = np.asarray(values, dtype=float).ravel()
+    xs = np.sort(x)  # ties span searchsorted left..right: mean rank is their midpoint
+    ranks = (np.searchsorted(xs, x, "left") + 1 + np.searchsorted(xs, x, "right")) / 2
+    return np.full(x.size, np.nan) if np.isnan(x).any() else ranks
 
 
 def moran_permutation_test(panel: TimeSeriesPanel, g: Graph, R: int = 100,
@@ -221,10 +222,12 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: Graph, R: int = 100,
         if rank_based:
             x = rank_transform(x)
         obs = morans_i(x, w)
+        w0 = float(w.sum())  # morans_i without its checks; diag(w) is zero
         perms = np.empty(R)
         for r in range(R):
-            rng = np.random.default_rng([seed, t, r])
-            perms[r] = morans_i(x[rng.permutation(x.size)], w)
+            xc = x[np.random.default_rng([seed, t, r]).permutation(x.size)]
+            xc = xc - xc.mean()
+            perms[r] = float(xc @ (w @ xc)) / (w0 * (float(xc @ xc) / x.size))
         lo, med, hi = np.quantile(perms, [0.025, 0.5, 0.975])
         observed[t] = obs
         lower[t], median[t], upper[t] = lo, med, hi
@@ -251,7 +254,7 @@ def ks_normality_single(residuals: np.ndarray) -> TestResult:
     Location and scale are estimated from the same residuals, which makes
     the asymptotic p-value conservative; treat borderline values with care.
     """
-    from scipy import stats
+    from scipy import special
 
     x = np.asarray(residuals, dtype=float)
     x = x[~np.isnan(x)]
@@ -261,8 +264,11 @@ def ks_normality_single(residuals: np.ndarray) -> TestResult:
     sd = float(x.std(ddof=1))
     if sd == 0.0:
         raise UndefinedStatisticError("zero-variance residuals")
-    res = stats.kstest(x, "norm", args=(mu, sd), method="asymp")
-    return TestResult(statistic=float(res.statistic), p_value=float(res.pvalue),
+    cdf = special.ndtr((np.sort(x) - mu) / sd)
+    steps = np.arange(x.size + 1) / x.size
+    d = float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))  # D+, D-
+    p = float(np.clip(special.kolmogorov(d * math.sqrt(x.size)), 0.0, 1.0))
+    return TestResult(statistic=d, p_value=p,
                       parameters={"n": int(x.size), "mean": mu, "sd": sd})
 
 
@@ -278,7 +284,7 @@ def ljung_box(series: np.ndarray, max_lag: Optional[int] = None) -> TestResult:
     Q = n (n + 2) sum_{k=1}^{h} acf_k^2 / (n - k), compared against a
     chi-square with h degrees of freedom.  Default h = min(10, n // 5).
     """
-    from scipy import stats
+    from scipy import special
 
     x = np.asarray(series, dtype=float)
     x = x[~np.isnan(x)]
@@ -298,7 +304,7 @@ def ljung_box(series: np.ndarray, max_lag: Optional[int] = None) -> TestResult:
         acf_k = float(xc[k:] @ xc[:-k]) / denom
         q += acf_k * acf_k / (n - k)
     q *= n * (n + 2.0)
-    p = float(stats.chi2.sf(q, df=max_lag))
+    p = float(special.chdtrc(max_lag, q))
     return TestResult(statistic=q, p_value=p,
                       parameters={"n": n, "max_lag": max_lag})
 
@@ -306,6 +312,8 @@ def ljung_box(series: np.ndarray, max_lag: Optional[int] = None) -> TestResult:
 def ljung_box_panel(residuals: Union[TimeSeriesPanel, Mapping[str, np.ndarray]],
                     max_lag: Optional[int] = None) -> dict[str, TestResult]:
     """Ljung-Box per node; unusable nodes get a NaN entry."""
+    if max_lag is not None and max_lag < 1:
+        raise InvalidInputError("max_lag must be >= 1")
     return _per_node(lambda x: ljung_box(x, max_lag=max_lag), residuals)
 
 
@@ -314,9 +322,8 @@ def _per_node(test: Callable[[np.ndarray], TestResult], residuals
     """``test`` on each node's series; a node the test rejects gets a NaN
     entry whose parameters carry the error message."""
     if isinstance(residuals, TimeSeriesPanel):
-        series = {lbl: residuals.values[i] for i, lbl in enumerate(residuals.labels)}
-    else:
-        series = {str(k): np.asarray(v, dtype=float) for k, v in residuals.items()}
+        residuals = dict(zip(residuals.labels, residuals.values))
+    series = {str(k): np.asarray(v, dtype=float) for k, v in residuals.items()}
     out: dict[str, TestResult] = {}
     for label, x in series.items():
         try:

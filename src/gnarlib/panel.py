@@ -74,6 +74,8 @@ class TimeSeriesPanel:
         return len(self.dates)
 
     def row(self, label: str) -> np.ndarray:
+        if label not in self.labels:
+            raise InvalidInputError(f"no node {label!r} in the panel")
         return self.values[self.labels.index(label)]
 
     def observed_mask(self) -> np.ndarray:
@@ -311,24 +313,38 @@ def boxcox_profile(series: Sequence[float],
     (1 - min) whenever min <= 0; the shift is reported on the result.
     ``lambda_hat`` is the grid argmax.
     """
-    from scipy import stats
-
     x = np.asarray([v for v in series if not math.isnan(v)], dtype=float)
     if x.size < 3:
         raise InvalidInputError("need at least 3 observed values to profile")
     if lambda_grid is None:
         lambda_grid = np.linspace(-2.0, 3.0, 101)
     grid = tuple(float(v) for v in lambda_grid)
-    shift = 0.0
-    if x.min() <= 0:
-        shift = 1.0 - float(x.min())
-        x = x + shift
+    if not grid or not all(math.isfinite(v) for v in grid):
+        raise InvalidInputError("lambda_grid must be non-empty and finite")
+    shift = 1.0 - float(x.min()) if x.min() <= 0 else 0.0
+    x = x + shift
     if x.min() <= 0:
         raise InvalidInputError("values not strictly positive after shift")
-    loglik = tuple(float(stats.boxcox_llf(lmb, x)) for lmb in grid)
+    logx = np.log(x)
+    loglik = tuple(_boxcox_llf(lmb, logx) for lmb in grid)
     lambda_hat = grid[int(np.argmax(loglik))]
     return BoxCoxProfile(lambda_grid=grid, loglik=loglik,
                          lambda_hat=lambda_hat, shift=shift)
+
+
+def _boxcox_llf(lmb: float, logx: np.ndarray) -> float:
+    """Box-Cox log-likelihood from log(x), step for step as scipy.stats.boxcox_llf."""
+    from scipy.special import logsumexp
+
+    log_n = math.log(logx.size)
+    if lmb == 0:
+        logvar = np.log(np.var(logx))
+    else:
+        y = lmb * logx
+        pair = np.stack((y, np.full_like(y, logsumexp(y, axis=0) - log_n)))
+        logdev = logsumexp(pair, axis=0, b=[[1.0], [-1.0]], return_sign=True)[0]
+        logvar = logsumexp(2 * logdev, axis=0) - log_n - 2 * math.log(abs(lmb))
+    return float((lmb - 1) * np.sum(logx) - logx.size / 2 * logvar)
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,27 @@ def test_graph_json_with_fractional_edge_is_an_error(tmp_path, capsys):
     _single_error(capsys, str(bad), "1.5")
 
 
+def test_boxcox_unknown_node_is_an_error(tmp_path, sim_panel, capsys):
+    assert run(["data", "boxcox", "--panel", sim_panel, "--node", "Atlantis",
+                "--out", str(tmp_path / "b.csv")]) == 1
+    _single_error(capsys, "'Atlantis'")
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_boxcox_empty_grid_is_an_error(tmp_path, sim_panel, capsys, steps):
+    assert run(["data", "boxcox", "--panel", sim_panel, "--grid-steps", steps,
+                "--out", str(tmp_path / "b.csv")]) == 1
+    _single_error(capsys, "--grid-steps")
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_ljungbox_zero_max_lag_is_an_error(tmp_path, sim_panel, capsys):
+    assert run(["diagnose", "ljungbox", "--panel", sim_panel, "--max-lag", "0",
+                "--out", str(tmp_path / "lb.json")]) == 1
+    _single_error(capsys, "max_lag")
+    assert not (tmp_path / "lb.json").exists()
+
+
 def test_import_loads_no_scipy():
     # scipy loads lazily, inside the functions that need it, so a command
     # that never reaches them does not pay for the import
@@ -509,6 +530,33 @@ def test_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_residual_commands_load_no_scipy_stats(tmp_path, queen_json, sim_panel):
+    # KS, Ljung-Box, Box-Cox and ranks run on scipy.special kernels, so the
+    # commands that use them never import scipy.stats
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gnarlib
+
+    src = str(Path(gnarlib.__file__).resolve().parents[1])
+    code = ("import sys; from gnarlib.cli import main; rc = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats'))); sys.exit(rc)")
+    commands = [
+        ["diagnose", "ks", "--panel", sim_panel, "--out", str(tmp_path / "ks.json")],
+        ["diagnose", "ljungbox", "--panel", sim_panel, "--out", str(tmp_path / "lb.json")],
+        ["data", "boxcox", "--panel", sim_panel, "--out", str(tmp_path / "bc.csv")],
+        ["diagnose", "moran", "--panel", sim_panel, "--graph", queen_json, "--rank",
+         "--R", "20", "--out", str(tmp_path / "moran")],
+    ]
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]", (argv, proc.stdout)
 
 
 # ---------------------------------------------------------------------------

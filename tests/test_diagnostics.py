@@ -13,6 +13,7 @@ from gnarlib.diagnostics import (
     ks_normality,
     ks_normality_single,
     ljung_box,
+    ljung_box_panel,
     mase,
     moran_permutation_test,
     moran_weights,
@@ -327,3 +328,10 @@ def test_ljung_box_default_lag_and_preconditions():
         ljung_box(np.arange(8.0), max_lag=10)
     with pytest.raises(UndefinedStatisticError):
         ljung_box(np.ones(50), max_lag=5)
+
+
+@pytest.mark.parametrize("max_lag", [0, -2])
+def test_ljung_box_panel_rejects_bad_max_lag_once(max_lag):
+    panel = make_panel(np.random.default_rng(2).normal(size=(3, 40)))
+    with pytest.raises(InvalidInputError, match="max_lag"):
+        ljung_box_panel(panel, max_lag=max_lag)

@@ -286,6 +286,19 @@ def test_boxcox_argmax_invariant():
     assert prof.loglik[prof.lambda_grid.index(prof.lambda_hat)] == max(prof.loglik)
 
 
+@pytest.mark.parametrize("grid", [[], [0.5, math.nan], [-math.inf, 1.0]])
+def test_boxcox_rejects_empty_or_nonfinite_grid(grid):
+    with pytest.raises(InvalidInputError, match="lambda_grid"):
+        boxcox_profile([1.0, 2.0, 3.0, 4.0], grid)
+
+
+def test_panel_row_unknown_label_is_invalid_input():
+    panel = make_panel([[1.0, 2.0], [3.0, 4.0]], labels=["a", "b"])
+    assert panel.row("b").tolist() == [3.0, 4.0]
+    with pytest.raises(InvalidInputError, match="'zz'"):
+        panel.row("zz")
+
+
 # ---------------------------------------------------------------------------
 # panel invariants and I/O
 # ---------------------------------------------------------------------------
