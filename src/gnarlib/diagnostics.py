@@ -7,11 +7,14 @@ statistic with exponential-in-SPL weights and its per-date permutation test
 number), a Kolmogorov-Smirnov normality check per node, and the Ljung-Box
 whiteness test.
 
-The permutation test draws a fresh permutation per date and replicate, with
-the generator seeded from (seed, date index, replicate) so results do not
-depend on evaluation order.  Note the band comparison is descriptive: the
-per-date tests are dependent over time, so no familywise p-value is
-attached.
+The permutation test draws one permutation per (seed, date index,
+replicate), that of ``np.random.default_rng([seed, t, r])``, so results do
+not depend on evaluation order.  All generator states of a call are replayed
+together from numpy's seeding and numpy's shuffle draws from each; a check
+against ``default_rng`` once per call falls back to one generator per
+replicate should numpy's seeding change.  Note the band comparison is
+descriptive: the per-date tests are dependent over time, so no familywise
+p-value is attached.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedStatisticError
+from .errors import InvalidInputError, UndefinedStatisticError, _check_seed
 from .geo_graph import Graph, shortest_path_lengths
 from .panel import TimeSeriesPanel
 
@@ -193,12 +196,15 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: Graph, R: int = 100,
     ``n_m`` is the fraction of tested dates whose observed value falls
     outside its band.  Missing nodes are excluded from both the statistic
     and the permutation support of their date.
+
+    Replicate r of date index t permutes the date's present nodes by
+    ``default_rng([seed, t, r]).permutation``, drawn as the module notes say.
     """
     if R < 20:
         raise InvalidInputError("R must be >= 20 for meaningful quantiles")
+    _check_seed(seed)
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError("panel and graph label order differ")
-    w_full = moran_weights(g)
     T = panel.n_times
     observed = np.full(T, np.nan)
     lower = np.full(T, np.nan)
@@ -208,40 +214,119 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: Graph, R: int = 100,
     tested = np.zeros(T, dtype=bool)
     reasons: list[str] = []
 
-    for t in range(T):
+    for t in range(T):                      # pass 1: which dates are tested
         col = panel.values[:, t]
-        present = ~np.isnan(col)
-        x = col[present]
+        x = col[~np.isnan(col)]
         if x.size < 2:
             reasons.append(f"{panel.dates[t].isoformat()}: fewer than 2 observed nodes")
-            continue
-        if float(np.ptp(x)) == 0.0:
+        elif float(np.ptp(x)) == 0.0:
             reasons.append(f"{panel.dates[t].isoformat()}: constant cross-section")
-            continue
-        w = w_full[np.ix_(present, present)]
-        if rank_based:
-            x = rank_transform(x)
-        obs = morans_i(x, w)
-        w0 = float(w.sum())  # morans_i without its checks; diag(w) is zero
-        perms = np.empty(R)
-        for r in range(R):
-            xc = x[np.random.default_rng([seed, t, r]).permutation(x.size)]
-            xc = xc - xc.mean()
-            perms[r] = float(xc @ (w @ xc)) / (w0 * (float(xc @ xc) / x.size))
-        lo, med, hi = np.quantile(perms, [0.025, 0.5, 0.975])
-        observed[t] = obs
-        lower[t], median[t], upper[t] = lo, med, hi
-        tested[t] = True
-        outside[t] = bool(obs < lo or obs > hi)
-
+        else:
+            tested[t] = True
     if not tested.any():
         raise InvalidInputError("no testable dates in the panel")
+
+    w_full = moran_weights(g)
+    ts = np.flatnonzero(tested)
+    seeds = _stream_seeds(seed, ts, R)
+    gen = np.random.Generator(np.random.PCG64())
+    emulate = True
+    for k, t in enumerate(ts):              # pass 2: one date at a time
+        present = ~np.isnan(panel.values[:, t])
+        x = panel.values[present, t]
+        if rank_based:
+            x = rank_transform(x)
+        w = w_full[np.ix_(present, present)]
+        observed[t] = morans_i(x, w)
+        if emulate:
+            P = _shuffled(gen, seeds[:, k], x.size)
+            # once per call: numpy must still seed the way _stream_seeds replays it
+            emulate = k > 0 or np.array_equal(
+                P[0], np.random.default_rng([seed, t, 0]).permutation(x.size))
+        if not emulate:
+            P = np.stack([np.random.default_rng([seed, t, r]).permutation(x.size)
+                          for r in range(R)])
+        # numpy sends each stacked item to the gemv and dot of the 1-D @,
+        # so each replicate equals its own loop evaluation bit for bit
+        Xc = x[P]
+        Xc -= Xc.mean(axis=1, keepdims=True)
+        num = (Xc[:, None, :] @ (w @ Xc[:, :, None])).ravel()
+        den = (Xc[:, None, :] @ Xc[:, :, None]).ravel()
+        perms = num / (float(w.sum()) * (den / x.size))   # diag(w) is zero
+        lower[t], median[t], upper[t] = np.quantile(perms, [0.025, 0.5, 0.975])
+        outside[t] = bool(observed[t] < lower[t] or observed[t] > upper[t])
+        del w   # free this block before the next cut, so that one reuses it
+
     n_m = float(outside[tested].mean())
     return MoranResult(
         dates=tuple(panel.dates), observed=observed, lower=lower,
         median=median, upper=upper, outside=outside, tested=tested,
         skipped_reasons=tuple(reasons), n_m=n_m, R=R, seed=seed,
         rank_based=rank_based)
+
+
+_PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1   # pcg64.h
+
+
+def _shuffled(gen: np.random.Generator, seeds: np.ndarray, n: int) -> np.ndarray:
+    """R x n: row r is numpy's shuffle of ``arange(n)`` by ``gen`` in the PCG64
+    state seeded from ``seeds[:, r]`` (``seeds`` is 4 x R, from _stream_seeds)."""
+    bitgen = gen.bit_generator
+    P = np.tile(np.arange(n), (seeds.shape[1], 1))
+    for row, s_hi, s_lo, q_hi, q_lo in zip(P, *seeds.tolist()):
+        # pcg64_set_seed: srandom(initstate = s_hi:s_lo, initseq = q_hi:q_lo)
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.shuffle(row)
+    return P
+
+
+def _stream_seeds(seed: int, ts: Sequence[int], R: int) -> np.ndarray:
+    """``SeedSequence([seed, t, r]).generate_state(4, np.uint64)`` for each t
+    in ``ts`` and r < R, as a 4 x len(ts) x R array: numpy's hash, mix and
+    output steps replayed on uint32 lanes, one per (t, r).  The multipliers
+    advance the same way whatever the data.  The seed splits into 32-bit
+    words, low first, as numpy splits it; t and r take one word each.
+    """
+    _check_seed(seed)
+    u32 = np.uint32
+
+    def hasher(h, mult):
+        def hashmix(v):
+            nonlocal h
+            v = v ^ u32(h)
+            h = h * mult & 0xFFFFFFFF
+            v = v * u32(h)
+            return v ^ (v >> u32(16))
+        return hashmix
+
+    def mix(x, y):
+        v = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
+        return v ^ (v >> u32(16))
+
+    # 1 x 1 arrays, not scalars: uint32 arrays wrap silently on overflow
+    seed = int(seed)
+    entropy = [np.full((1, 1), (seed >> s) & 0xFFFFFFFF, dtype=u32)
+               for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [np.asarray(ts, dtype=u32)[:, None], np.arange(R, dtype=u32)[None, :]]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros((1, 1), dtype=u32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashout = hasher(0x8B51F9DD, 0x58F38DED)
+    out = np.empty((4, len(ts), R), dtype=np.uint64)
+    for k in range(4):      # generate_state joins the words in pairs, low word first
+        out[k] = hashout(pool[2 * k % 4])
+        out[k] |= hashout(pool[(2 * k + 1) % 4]).astype(np.uint64) << np.uint64(32)
+    return out
 
 
 # ---------------------------------------------------------------------------

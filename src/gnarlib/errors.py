@@ -1,8 +1,10 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the seed check.
 
 All errors raised on bad user input derive from ``GnarError`` so callers
 can catch one base class; the CLI maps them to nonzero exit codes.
 """
+
+import numbers
 
 
 class GnarError(Exception):
@@ -43,3 +45,9 @@ class UndefinedStatisticError(GnarError, ValueError):
 
 class SelectionFailedError(GnarError, ValueError):
     """No candidate in a model search could be fitted."""
+
+
+def _check_seed(seed) -> None:
+    """Reject a seed that ``np.random.default_rng`` cannot take as entropy."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")

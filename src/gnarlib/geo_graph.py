@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError, _check_seed
 from .panel import _row_errors, _skip_comments
 
 EARTH_RADIUS_KM = 6371.0
@@ -506,6 +506,7 @@ def network_summary(g: Graph, brg_samples: int = 100, seed: int = 0) -> NetworkS
     """
     if brg_samples < 1:
         raise InvalidInputError("brg_samples must be >= 1")
+    _check_seed(seed)
     avg_degree = 2.0 * g.n_edges / g.n
     adj = _adjacency_matrix(g)
     avg_spl, disc = _avg_spl_and_disconnected(_hop_matrix(adj))

@@ -44,6 +44,7 @@ from .errors import (
     InvalidInputError,
     ModelInadmissibleError,
     SingularDesignError,
+    _check_seed,
 )
 from .geo_graph import Graph, StageNeighbourhoods, stage_neighbourhoods
 from .panel import TimeSeriesPanel
@@ -668,6 +669,7 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
         raise InvalidInputError(f"T={T} must exceed the lag order p={p}")
     if burn_in < 0:
         raise InvalidInputError(f"burn_in must be >= 0, got {burn_in}")
+    _check_seed(seed)
     n = g.n
     beta = [np.asarray(b, dtype=float) for b in beta]
     if len(beta) != p or any(len(b) != sj for b, sj in zip(beta, order.s)):

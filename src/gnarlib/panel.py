@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataIntegrityError, InvalidInputError
+from .errors import DataIntegrityError, InvalidInputError, UndefinedStatisticError
 
 
 class DataCorrectionWarning(UserWarning):
@@ -326,6 +326,8 @@ def boxcox_profile(series: Sequence[float],
     if x.min() <= 0:
         raise InvalidInputError("values not strictly positive after shift")
     logx = np.log(x)
+    if float(np.var(logx)) == 0.0:
+        raise UndefinedStatisticError("constant series; the Box-Cox profile is undefined")
     loglik = tuple(_boxcox_llf(lmb, logx) for lmb in grid)
     lambda_hat = grid[int(np.argmax(loglik))]
     return BoxCoxProfile(lambda_grid=grid, loglik=loglik,

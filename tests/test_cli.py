@@ -506,6 +506,30 @@ def test_boxcox_empty_grid_is_an_error(tmp_path, sim_panel, capsys, steps):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_boxcox_constant_node_is_an_error(tmp_path, capsys):
+    panel = tmp_path / "flat.csv"
+    panel.write_text("date,a,b\n2020-01-06,5,1\n2020-01-13,5,2\n2020-01-20,5,4\n")
+    assert run(["data", "boxcox", "--panel", str(panel), "--node", "a",
+                "--out", str(tmp_path / "b.csv")]) == 1
+    _single_error(capsys, "constant")
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("argv, seed, out", [
+    (["diagnose", "moran", "--panel", "{panel}", "--graph", "{graph}", "--out", "{tmp}/moran"],
+     "-3", "moran.csv"),
+    (["network", "summarize", "--graph", "{graph}", "--out", "{tmp}/s.csv"], "-1", "s.csv"),
+    (["simulate", "--graph", "{graph}", "--p", "1", "--s", "1", "--alpha", "0.3",
+      "--beta", "0.4", "--T", "10", "--sigma", "0.5", "--out-dir", "{tmp}/neg"], "-1", "neg"),
+])
+def test_negative_seed_is_an_error(tmp_path, queen_json, sim_panel, capsys, argv, seed, out):
+    capsys.readouterr()
+    argv = [a.format(panel=sim_panel, graph=queen_json, tmp=tmp_path) for a in argv]
+    assert run([*argv, "--seed", seed]) == 1
+    _single_error(capsys, f"seed must be a non-negative integer, got {seed}")
+    assert not (tmp_path / out).exists()
+
+
 def test_ljungbox_zero_max_lag_is_an_error(tmp_path, sim_panel, capsys):
     assert run(["diagnose", "ljungbox", "--panel", sim_panel, "--max-lag", "0",
                 "--out", str(tmp_path / "lb.json")]) == 1

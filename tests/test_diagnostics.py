@@ -232,6 +232,14 @@ def test_permutation_test_rejects_small_R():
         moran_permutation_test(panel, g, R=10, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -3, 2.5])
+def test_permutation_test_rejects_bad_seed(seed):
+    g = path_graph(4)
+    panel = make_panel(np.random.default_rng(0).normal(size=(4, 5)), labels=g.labels)
+    with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+        moran_permutation_test(panel, g, R=20, seed=seed)
+
+
 def test_permutation_test_missing_nodes_excluded():
     rng = np.random.default_rng(16)
     g = path_graph(5)

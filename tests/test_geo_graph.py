@@ -418,6 +418,11 @@ def test_summary_queen(queen_graph):
     assert s.disconnected_pair_fraction == 0.0
 
 
+def test_summary_rejects_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed must be a non-negative integer, got -1"):
+        network_summary(ring_graph(4), brg_samples=3, seed=-1)
+
+
 def test_summary_seeded_reproducibility(queen_graph):
     s1 = network_summary(queen_graph, brg_samples=25, seed=123)
     s2 = network_summary(queen_graph, brg_samples=25, seed=123)

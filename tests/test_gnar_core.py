@@ -556,6 +556,12 @@ def test_simulate_rejects_negative_burn_in():
                  sigma=0.5, burn_in=-3)
 
 
+def test_simulate_rejects_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed must be a non-negative integer, got -1"):
+        simulate(spec_for(1, [1]), np.array([0.2]), [np.array([0.3])], ring_graph(3),
+                 T=10, sigma=0.5, seed=-1)
+
+
 def test_simulate_rejects_empty_stage():
     g = build_complete(["a", "b", "c"])
     spec = spec_for(1, [2])

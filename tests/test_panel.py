@@ -9,7 +9,7 @@ import pytest
 
 from conftest import EPOCH, make_panel, weekly_dates
 
-from gnarlib.errors import DataIntegrityError, InvalidInputError
+from gnarlib.errors import DataIntegrityError, InvalidInputError, UndefinedStatisticError
 from gnarlib.panel import (
     DataCorrectionWarning,
     PhaseSpec,
@@ -261,6 +261,12 @@ def test_boxcox_lognormal_data_prefers_log():
     x = np.exp(rng.normal(0.0, 1.0, size=400))
     prof = boxcox_profile(x, np.linspace(-2, 3, 101))
     assert prof.lambda_hat == pytest.approx(0.0, abs=0.25)
+
+
+@pytest.mark.parametrize("series", [[5.0] * 10, [0.0, 0.0, 0.0, math.nan]])
+def test_boxcox_constant_series_is_undefined(series):
+    with pytest.raises(UndefinedStatisticError, match="constant"):
+        boxcox_profile(series, [-1.0, 0.0, 1.0])
 
 
 def test_boxcox_identity_lambda_matches_manual_loglik():

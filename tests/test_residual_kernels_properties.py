@@ -9,11 +9,13 @@ observations (and tied ranks) are exercised.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from gnarlib.diagnostics import ks_normality_single, ljung_box, rank_transform
+from gnarlib.errors import UndefinedStatisticError
 from gnarlib.panel import boxcox_profile
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -54,6 +56,10 @@ def test_ljung_box_p_value_equals_chi2_sf(x, max_lag):
 @given(samples(min_size=3), st.integers(2, 40))
 def test_boxcox_profile_equals_scipy_boxcox_llf(x, steps):
     grid = np.r_[np.linspace(-2.0, 3.0, steps), 0.0]
+    if np.ptp(x) == 0.0:        # a constant sample has no profile
+        with pytest.raises(UndefinedStatisticError):
+            boxcox_profile(x, grid)
+        return
     prof = boxcox_profile(x, grid)
     y = x + prof.shift
     assert prof.loglik == tuple(float(stats.boxcox_llf(lmb, y)) for lmb in prof.lambda_grid)
