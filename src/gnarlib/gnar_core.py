@@ -16,13 +16,18 @@ B_j = diag(alpha_j) + sum_r beta[j, r] W_r.
 Estimation is restricted least squares on a stacked design with one row per
 (node, time) pair, cut by lag slicing and one row mask from regressor planes
 (the panel and its stage sums W_r X) that a model search shares across all
-candidates.  Each fit is one pivoted QR: rank check, coefficients and
-standard errors.  The restriction matrix maps the M free parameters into
-the VAR blocks; estimated GLS whitens rows with a residual covariance
-estimate, one Cholesky factor per set of present nodes.  Simulation and
-both forecast modes apply [B_p ... B_1] to the stacked lag window, one
-matrix-vector product per step, and the same blocks give the exact
-companion spectral radius beside the sufficient stationarity margin.
+candidates.  A global-alpha fit is one numpy QR of the design and response;
+a node-specific fit eliminates each node's own-lag block (one batched QR
+over nodes) and never forms the zero-filled N*p alpha columns.  Either
+solve gives the coefficients, the standard errors and a bound on the
+smallest singular value; a design whose rank is in doubt goes to one
+pivoted QR, which names the dependent columns.  The restriction matrix
+maps the M free parameters into the VAR blocks; estimated GLS whitens rows
+with a residual covariance estimate, one Cholesky factor per set of
+present nodes.  Simulation and both forecast modes apply [B_p ... B_1] to
+the stacked lag window, one matrix-vector product per step, and the same
+blocks give the exact companion spectral radius beside the sufficient
+stationarity margin.
 
 Estimation assumes i.i.d. Gaussian errors with a single profiled variance;
 information criteria are reported under that convention (BIC =
@@ -32,6 +37,7 @@ M*log(n_obs) - 2*loglik).
 from __future__ import annotations
 
 import datetime
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -293,13 +299,19 @@ def _validate_stages(order: GnarOrder, weights: WeightSet,
 
 def coefficient_names(spec: GnarSpec, labels: Sequence[str]) -> tuple[str, ...]:
     """Design column names: alpha block (lag-major) then beta block."""
+    return _column_names(spec.order, spec.global_alpha, tuple(labels))
+
+
+@functools.lru_cache(maxsize=512)
+def _column_names(order: GnarOrder, global_alpha: bool,
+                  labels: tuple[str, ...]) -> tuple[str, ...]:
     names: list[str] = []
-    for j in range(1, spec.order.p + 1):
-        if spec.global_alpha:
+    for j in range(1, order.p + 1):
+        if global_alpha:
             names.append(f"alpha{j}")
         else:
             names.extend(f"alpha{j}[{lbl}]" for lbl in labels)
-    for j, sj in enumerate(spec.order.s, start=1):
+    for j, sj in enumerate(order.s, start=1):
         names.extend(f"beta{j}.{r}" for r in range(1, sj + 1))
     return tuple(names)
 
@@ -336,6 +348,8 @@ def _stage_planes(values: np.ndarray, weights: WeightSet, r_max: int) -> np.ndar
     """Regressor planes shared by every order with stages up to ``r_max``:
     a (r_max + 1, T, N) stack of the panel (plane 0) and the stage-r sums
     W_r X, where a missing stage member poisons only the sums touching it."""
+    if np.isinf(values).any():
+        raise InvalidInputError("panel holds infinite values; NaN marks a missing cell")
     n, T = values.shape
     planes = np.empty((r_max + 1, T, n))
     planes[0] = values.T
@@ -355,11 +369,47 @@ def _poisoned_sums(w: np.ndarray, support: np.ndarray, values: np.ndarray) -> np
     return sums
 
 
+@dataclass(frozen=True)
+class NodeDesign:
+    """A node-specific-alpha design in compact form.
+
+    Row k of the wide design holds ``own[k]`` (its p own lags) in the alpha
+    columns of node ``nodes[k]``, zeros in the other (N - 1) * p alpha
+    columns, and ``beta[k]`` in the beta columns.  :func:`fit_ols` solves
+    it by block elimination without forming those zeros; ``wide()`` gives
+    the full design and ``design @ gamma`` the fitted values.
+    """
+
+    own: np.ndarray
+    beta: np.ndarray
+    nodes: np.ndarray
+    n: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        rows, p = self.own.shape
+        return rows, p * self.n + self.beta.shape[1]
+
+    def wide(self) -> np.ndarray:
+        rows, p = self.own.shape
+        design = np.zeros(self.shape)
+        design[:, p * self.n:] = self.beta
+        design[np.arange(rows)[:, None], np.arange(p) * self.n + self.nodes[:, None]] = self.own
+        return design
+
+    def __matmul__(self, gamma: np.ndarray) -> np.ndarray:
+        p = self.own.shape[1]
+        alpha = gamma[:p * self.n].reshape(p, self.n).T
+        return (np.einsum("kj,kj->k", self.own, alpha[self.nodes])
+                + self.beta @ gamma[p * self.n:])
+
+
 def _design_from_planes(planes: np.ndarray, spec: GnarSpec
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        ) -> tuple[np.ndarray | NodeDesign, np.ndarray, np.ndarray]:
     """One order's stacked design: every column is a lag slice of a plane, and
     one mask keeps the rows whose response and regressors are all observed.
-    The row index is an (n_rows, 2) array of (node, column) pairs."""
+    Node-specific alphas come as a :class:`NodeDesign`.  The row index is an
+    (n_rows, 2) array of (node, column) pairs."""
     p, s = spec.order.p, spec.order.s
     _, T, n = planes.shape
     if T <= p:
@@ -373,13 +423,8 @@ def _design_from_planes(planes: np.ndarray, spec: GnarSpec
     if nodes.size == 0:
         raise InsufficientDataError("no usable stacked rows (too much missing data)")
     regressors = lagged[:, keep].T
-    if spec.global_alpha:
-        design = regressors
-    else:
-        design = np.zeros((nodes.size, spec.n_params(n)))
-        design[:, p * n:] = regressors[:, p:]
-        own = np.arange(p) * n + nodes[:, None]
-        design[np.arange(nodes.size)[:, None], own] = regressors[:, :p]
+    design = (regressors if spec.global_alpha
+              else NodeDesign(regressors[:, :p], regressors[:, p:], nodes, n))
     return design, response[keep], np.column_stack([nodes, t_off + p])
 
 
@@ -403,19 +448,34 @@ def build_design(panel: TimeSeriesPanel, spec: GnarSpec, weights: WeightSet,
     _validate_stages(spec.order, weights, panel.labels)
     planes = _stage_planes(panel.values, weights, spec.order.max_stage)
     design, response, rows = _design_from_planes(planes, spec)
-    return design, response, list(zip(*rows.T.tolist()))
+    return _wide(design), response, list(zip(*rows.T.tolist()))
+
+
+def _wide(design: np.ndarray | NodeDesign) -> np.ndarray:
+    return design.wide() if isinstance(design, NodeDesign) else design
 
 
 # ---------------------------------------------------------------------------
 # Estimation
 # ---------------------------------------------------------------------------
 
+# A solve is kept only when its lower bound on the design's smallest singular
+# value clears the pivoted QR's rank tolerance by this factor, far beyond the
+# rounding of either factorisation; closer calls go to the pivoted QR, so the
+# rank decision and the dependent columns it names never change.
+_RANK_MARGIN = 1e6
+
+# Rows per block of the dense QR: numpy's QR copies its input twice, and a
+# block this size keeps those copies far below the design itself.
+_QR_ROWS = 4096
+
+
 def _qr_solve(design: np.ndarray, response: np.ndarray,
               names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares through one pivoted QR, D P = Q R, with Q applied to the
-    response and never formed.  diag(R) gives the rank check (naming the
-    dependent columns), a triangular solve gives gamma, and the row norms
-    of R^-1 give diag((D'D)^-1) without forming D'D."""
+    """The fallback solve, for designs whose rank is in doubt: one pivoted
+    QR, D P = Q R, with Q applied to the response and never formed.  diag(R)
+    gives the rank check (naming the dependent columns), a triangular solve
+    gives gamma, and the row norms of R^-1 give diag((D'D)^-1)."""
     from scipy import linalg
 
     m = design.shape[1]
@@ -430,6 +490,94 @@ def _qr_solve(design: np.ndarray, response: np.ndarray,
     sol = linalg.solve_triangular(r_fac, np.column_stack([qty, np.eye(m)]))
     unpivot = np.argsort(piv)
     return sol[unpivot, 0], np.sum(sol[unpivot, 1:] ** 2, axis=1)
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """numpy's QR does not check its input; the solves refuse NaN and inf here."""
+    if not np.isfinite(values).all():
+        raise InvalidInputError("design or response holds non-finite values")
+
+
+def _rank_is_clear(cov_diag: np.ndarray, shape: tuple[int, int], col_norm2: float) -> bool:
+    """Whether the pivoted QR would surely find full rank.  sum(cov_diag) is
+    ||R^-1||_F^2 >= 1 / sigma_min^2, and the pivoted QR keeps every column
+    whose R diagonal, itself >= sigma_min, exceeds max(shape) * eps times the
+    largest column norm."""
+    tol = _RANK_MARGIN * max(shape) * np.finfo(float).eps * math.sqrt(col_norm2)
+    return bool(cov_diag.sum() * tol * tol < 1.0)
+
+
+def _dense_solve(design: np.ndarray, response: np.ndarray,
+                 names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares through one numpy QR of [D y]: its R holds the design's
+    R and Q'y, so R^-1 Q'y is gamma and the row norms of R^-1 give
+    diag((D'D)^-1).  A design taller than ``_QR_ROWS`` is factorised in row
+    blocks and the stacked block factors once more (the same R), so numpy's
+    working copies stay small.  Falls back to :func:`_qr_solve` unless the
+    rank is clear."""
+    m = design.shape[1]
+    factors = []
+    for start in range(0, len(response), _QR_ROWS):
+        rows = slice(start, start + _QR_ROWS)
+        block = np.empty((m + 1, len(response[rows]))).T   # column-major, as LAPACK takes it
+        block[:, :m] = design[rows]
+        block[:, m] = response[rows]
+        _require_finite(block)
+        factors.append(np.linalg.qr(block, mode="r"))
+    r = factors[0] if len(factors) == 1 else np.linalg.qr(np.concatenate(factors), mode="r")
+    try:
+        r_inv = np.linalg.inv(r[:m, :m])
+    except np.linalg.LinAlgError:
+        return _qr_solve(design, response, names)
+    cov_diag = np.einsum("ij,ij->i", r_inv, r_inv)
+    col_norm2 = np.einsum("ij,ij->j", r[:, :m], r[:, :m]).max()
+    if not _rank_is_clear(cov_diag, design.shape, col_norm2):
+        return _qr_solve(design, response, names)
+    return r_inv @ r[:m, m], cov_diag
+
+
+def _node_solve(design: NodeDesign, response: np.ndarray,
+                names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares for node-specific alpha by block elimination.
+
+    Each node's rows [A_i B_i y_i] (own lags, beta regressors, response),
+    zero-padded to a common height, get one batched QR.  Its top p rows are
+    R_Ai, Q_i'B_i and Q_i'y_i; the rows below are [B_i y_i] projected off
+    A_i, and one QR of them stacked over nodes gives R_B and beta, after
+    which alpha_i = R_Ai^-1 (Q_i'y_i - Q_i'B_i beta).  The design's R
+    factor is [[R_A, Q_A'B], [0, R_B]], so diag((D'D)^-1) is the row norms
+    of R_A^-1 and R_A^-1 Q_A'B R_B^-1 for alpha and of R_B^-1 for beta.
+    Falls back to :func:`_qr_solve` on the wide design when a node has
+    fewer than p rows or the rank is not clear.
+    """
+    own, other, nodes, n = design.own, design.beta, design.nodes, design.n
+    p, k = own.shape[1], other.shape[1]
+    # a node occurs at most once in each run of increasing node ids (one date
+    # of the t-major rows), so the run number is the row's slot in its block
+    slot = np.concatenate([[0], np.cumsum(nodes[1:] <= nodes[:-1])])
+    blocks = np.zeros((n, slot[-1] + 1, p + k + 1))
+    blocks[nodes, slot] = np.column_stack([own, other, response])
+    _require_finite(blocks)
+    if np.bincount(nodes, minlength=n).min() < p:
+        return _qr_solve(design.wide(), response, names)
+    r = np.linalg.qr(blocks, mode="r")
+    r_b = np.linalg.qr(r[:, p:, p:].reshape(-1, k + 1), mode="r")
+    try:
+        ra_inv = np.linalg.inv(r[:, :p, :p])
+        rb_inv = np.linalg.inv(r_b[:k, :k])
+    except np.linalg.LinAlgError:
+        return _qr_solve(design.wide(), response, names)
+    beta = rb_inv @ r_b[:k, k]
+    alpha = np.einsum("nij,nj->ni", ra_inv, r[:, :p, -1] - r[:, :p, p:-1] @ beta)
+    coupling = ra_inv @ r[:, :p, p:-1] @ rb_inv
+    cov_alpha = (np.einsum("nij,nij->ni", ra_inv, ra_inv)
+                 + np.einsum("nij,nij->ni", coupling, coupling))
+    cov_diag = np.concatenate([cov_alpha.T.ravel(), np.einsum("ij,ij->i", rb_inv, rb_inv)])
+    col_norm2 = np.einsum("nij,nij->nj", r[:, :, :-1], r[:, :, :-1])  # beta: sum over nodes
+    largest = max(col_norm2[:, :p].max(), col_norm2[:, p:].sum(axis=0).max(initial=0.0))
+    if not _rank_is_clear(cov_diag, design.shape, largest):
+        return _qr_solve(design.wide(), response, names)
+    return np.concatenate([alpha.T.ravel(), beta]), cov_diag
 
 
 def _gaussian_criteria(rss: float, n_obs: int, M: int) -> tuple[float, float, float, float]:
@@ -465,7 +613,7 @@ def _residual_panel(shape: tuple[int, int], row_index, resid: np.ndarray) -> np.
     return out
 
 
-def fit_ols(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
+def fit_ols(design: np.ndarray | NodeDesign, response: np.ndarray, spec: GnarSpec,
             n: int, T: int,
             row_index: Optional[list[tuple[int, int]]] = None,
             labels: Optional[Sequence[str]] = None,
@@ -474,13 +622,23 @@ def fit_ols(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
 
     With errors i.i.d. across nodes and time, generalised least squares on
     the restricted parametrisation reduces to ordinary least squares on the
-    stacked design.  The design must have full column rank.  One pivoted
-    QR of the design gives the rank check, gamma and the standard errors.
-    ``row_index`` (node, column) pairs may be a list or an (n_rows, 2) array.
+    stacked design.  The design must have full column rank and finite
+    values.  A wide design goes through one numpy QR of [design, response];
+    a :class:`NodeDesign` (node-specific alpha in compact form, as
+    :func:`fit` and ``select_model`` pass it) through per-node block
+    elimination.  Each gives gamma, the standard errors and a rank bound;
+    when a node has fewer than p rows or the smallest singular value comes
+    within a safety factor of the pivoted QR's tolerance, the wide design
+    goes through that pivoted QR instead, which raises SingularDesignError
+    naming the dependent columns.  ``row_index`` (node, column) pairs may be
+    a list or an (n_rows, 2) array.
     """
-    design = np.asarray(design, dtype=float)
+    if not isinstance(design, NodeDesign):
+        design = np.asarray(design, dtype=float)
+        if design.ndim != 2:
+            raise InvalidInputError("design must be a 2-D array")
     response = np.asarray(response, dtype=float).ravel()
-    if design.ndim != 2 or design.shape[0] != response.size:
+    if design.shape[0] != response.size:
         raise InvalidInputError("design and response shapes do not match")
     n_obs, M = design.shape
     if M != spec.n_params(n):
@@ -488,19 +646,23 @@ def fit_ols(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
             f"design has {M} columns but spec implies {spec.n_params(n)}")
     if n_obs < M:
         raise InsufficientDataError(f"{n_obs} rows < {M} parameters")
-    return _estimate(design, response, design, response, spec, n, T, row_index,
-                     labels, weight_set)
+    names = coefficient_names(spec, _labels(labels, n))
+    solve = _node_solve if isinstance(design, NodeDesign) else _dense_solve
+    gamma, cov_diag = solve(design, response, names)
+    return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
+                   names, weight_set)
 
 
-def _estimate(design: np.ndarray, response: np.ndarray, solve_design: np.ndarray,
-              solve_response: np.ndarray, spec: GnarSpec, n: int, T: int,
-              row_index, labels, weight_set: Optional[WeightSet],
-              sigma_full: Optional[np.ndarray] = None) -> GnarFit:
-    """Solve the (whitened) system; report residuals and criteria on the
-    original scale, and scale the errors by sigma2 unless ``sigma_full``."""
-    labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
-    names = coefficient_names(spec, labels)
-    gamma, cov_diag = _qr_solve(solve_design, solve_response, names)
+def _labels(labels: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
+    return tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
+
+
+def _report(design: np.ndarray | NodeDesign, response: np.ndarray, gamma: np.ndarray,
+            cov_diag: np.ndarray, spec: GnarSpec, n: int, T: int, row_index, labels,
+            names: tuple[str, ...], weight_set: Optional[WeightSet],
+            sigma_full: Optional[np.ndarray] = None) -> GnarFit:
+    """Residuals and criteria on the original scale; the errors are scaled by
+    sigma2 unless ``sigma_full`` already whitened them."""
     resid = response - design @ gamma
     n_obs, M = design.shape
     sigma2, loglik, bic, aic = _gaussian_criteria(float(resid @ resid), n_obs, M)
@@ -509,7 +671,7 @@ def _estimate(design: np.ndarray, response: np.ndarray, solve_design: np.ndarray
     residuals = (_residual_panel((n, T), row_index, resid)
                  if row_index is not None else None)
     return GnarFit(
-        spec=spec, labels=labels, gamma=gamma, gamma_se=gamma_se,
+        spec=spec, labels=_labels(labels, n), gamma=gamma, gamma_se=gamma_se,
         column_names=names, alpha=alpha, beta=beta, sigma2=sigma2,
         residuals=residuals, n_obs=n_obs, M=M, loglik=loglik, bic=bic,
         aic=aic, sigma_full=sigma_full, weight_set=weight_set,
@@ -520,9 +682,9 @@ def estimate_sigma(panel: TimeSeriesPanel, p: int) -> np.ndarray:
     """Residual covariance from an unconstrained VAR(p) least-squares fit.
 
     Uses only time points whose response and full lag window are observed
-    at every node.  Requires at least N*p such columns, otherwise the
-    unconstrained coefficient matrix is not estimable and this raises
-    FeasibilityError (no diagonal fallback is applied).
+    at every node.  The N x N residual covariance of T' such columns has
+    rank at most T' - N*p, so this needs T' >= N*(p + 1); with fewer it
+    raises FeasibilityError (no diagonal fallback is applied).
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
@@ -530,11 +692,11 @@ def estimate_sigma(panel: TimeSeriesPanel, p: int) -> np.ndarray:
     n, T = X.shape
     complete = (~np.isnan(X)).all(axis=0)
     usable = [t for t in range(p, T) if complete[t - p:t + 1].all()]
-    if len(usable) < n * p:
+    if len(usable) < n * (p + 1):
         raise FeasibilityError(
-            f"{len(usable)} complete columns < N*p = {n * p}; the full covariance "
-            "is not estimable -- use a diagonal fallback from per-node residual "
-            "variances of the restricted fit")
+            f"{len(usable)} complete columns < N*(p+1) = {n * (p + 1)}; the full "
+            "covariance is not estimable -- use a diagonal fallback from per-node "
+            "residual variances of the restricted fit")
     Xt = X[:, usable]                                                    # N x T'
     Z = np.vstack([X[:, np.subtract(usable, j)] for j in range(1, p + 1)])  # pN x T'
     B_hat = np.linalg.lstsq(Z.T, Xt.T, rcond=None)[0].T       # N x pN
@@ -551,9 +713,10 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
 
     Rows are grouped by time point and whitened with the Cholesky factor of
     the covariance restricted to that time's present nodes, batched so that
-    there is one factorisation per distinct set of present nodes; the
-    whitened system goes through the same single pivoted QR as
-    :func:`fit_ols`, which it equals when sigma is a multiple of the
+    there is one factorisation per distinct set of present nodes.  Whitening
+    mixes nodes, so the whitened system always goes through the dense solve
+    of :func:`fit_ols` (one numpy QR, with the pivoted-QR fallback when the
+    rank is in doubt), and equals that fit when sigma is a multiple of the
     identity.  Residuals and criteria are reported on the original
     (unwhitened) scale under the pooled-variance convention, so criteria
     stay comparable with OLS fits.
@@ -565,6 +728,8 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
         raise InvalidInputError(f"sigma shape {sigma.shape} does not match n={n}")
     if row_index is None or len(row_index) != design.shape[0]:
         raise InvalidInputError("fit_egls needs a row_index aligned with the design")
+    _require_finite(design)
+    _require_finite(response)
 
     from scipy.linalg import solve_triangular
 
@@ -591,8 +756,10 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
         np.matmul(L_inv, design[rows], out=white_design[start:stop].reshape(rows.shape + (M,)))
         white_response[start:stop] = (L_inv @ response[rows].T).T.ravel()
         start = stop
-    return _estimate(design, response, white_design, white_response, spec, n, T,
-                     row_index, labels, weight_set, sigma_full=sigma)
+    names = coefficient_names(spec, _labels(labels, n))
+    gamma, cov_diag = _dense_solve(white_design, white_response, names)
+    return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
+                   names, weight_set, sigma_full=sigma)
 
 
 def fit(panel: TimeSeriesPanel, g: Graph, spec: GnarSpec,
@@ -600,9 +767,10 @@ def fit(panel: TimeSeriesPanel, g: Graph, spec: GnarSpec,
     """Convenience wrapper: stages -> weights -> design -> estimate.
 
     The design path is :func:`build_design`'s, with the row index kept as an
-    array.  ``method`` is 'ols' or 'egls'; EGLS estimates the full residual
-    covariance first and is only feasible when the panel is long enough
-    (see :func:`estimate_sigma`).
+    array and node-specific alphas kept compact for OLS.  ``method`` is
+    'ols' or 'egls'; EGLS estimates the full residual covariance first and
+    is only feasible when the panel is long enough (see
+    :func:`estimate_sigma`).
     """
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError(
@@ -617,7 +785,7 @@ def fit(panel: TimeSeriesPanel, g: Graph, spec: GnarSpec,
                        row_index=rows, labels=panel.labels, weight_set=weights)
     if method == "egls":
         sigma = estimate_sigma(panel, spec.order.p)
-        return fit_egls(design, response, spec, panel.n_nodes, panel.n_times,
+        return fit_egls(_wide(design), response, spec, panel.n_nodes, panel.n_times,
                         sigma, rows, labels=panel.labels, weight_set=weights)
     raise InvalidInputError(f"unknown method {method!r}; expected 'ols' or 'egls'")
 

@@ -137,7 +137,8 @@ def ingest_long_csv(stream) -> TimeSeriesPanel:
     Nodes are sorted lexicographically; absent (date, node) cells become
     missing.  A duplicate (date, node) pair with a conflicting value raises
     a data-integrity error naming the cell; exact duplicates are tolerated.
-    Empty value fields are treated as missing.
+    Empty value fields are treated as missing; an infinite value is
+    rejected with an error naming the data row.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, newline="") as fh:
@@ -152,7 +153,7 @@ def ingest_long_csv(stream) -> TimeSeriesPanel:
         raw = row["value"]
         with _row_errors(where, k):
             d = _iso_date(row["date"])
-            value = math.nan if raw in (None, "") else float(raw)
+            value = _cell_value(raw)
         key = (d, node)
         if key in cells:
             old = cells[key]
@@ -374,7 +375,8 @@ def write_wide_csv(panel: TimeSeriesPanel, path,
 
 
 def read_wide_csv(stream) -> TimeSeriesPanel:
-    """Read a wide CSV written by :func:`write_wide_csv`."""
+    """Read a wide CSV written by :func:`write_wide_csv`; empty cells are
+    missing and an infinite value is an error naming the data row."""
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, newline="") as fh:
             return read_wide_csv(fh)
@@ -392,7 +394,7 @@ def read_wide_csv(stream) -> TimeSeriesPanel:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
             dates.append(_iso_date(row[0]))
-            rows.append([math.nan if cell == "" else float(cell) for cell in row[1:]])
+            rows.append([_cell_value(cell) for cell in row[1:]])
     values = np.asarray(rows, dtype=float).T if rows else np.empty((len(labels), 0))
     return TimeSeriesPanel(labels=labels, dates=tuple(dates), values=values)
 
@@ -400,6 +402,16 @@ def read_wide_csv(stream) -> TimeSeriesPanel:
 def read_phase_spec_json(path) -> PhaseSpec:
     with open(path) as fh, _row_errors(path, None):
         return PhaseSpec.from_json(json.load(fh))
+
+
+def _cell_value(text) -> float:
+    """A panel cell: empty is missing, anything else a finite number."""
+    if text in (None, ""):
+        return math.nan
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def _iso_date(text) -> datetime.date:

@@ -194,6 +194,13 @@ def select_model(panel: TimeSeriesPanel, g: Graph, scheme: WeightScheme,
     longer lags use fewer stacked rows and are compared on their own n_obs.
     The regressor planes (the panel and its stage sums) are computed once
     per call; each candidate's design is a lag slice and row mask of them.
+    Global-alpha candidates are solved by one numpy QR each; node-specific
+    ones stay compact (own lags, beta regressors and node ids, see
+    :class:`~gnarlib.gnar_core.NodeDesign`) and are solved by per-node block
+    elimination, with residuals computed from the blocks.  Only a candidate
+    whose rank is in doubt is widened for the pivoted QR that names its
+    dependent columns.  A non-finite panel value that reaches a design
+    raises InvalidInputError instead of skipping the candidate.
     """
     if criterion not in ("bic", "aic"):
         raise InvalidInputError("criterion must be 'bic' or 'aic'")

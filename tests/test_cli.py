@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +444,45 @@ def test_bad_iso_date_is_an_error(tmp_path, capsys):
     _single_error(capsys, str(bad), "data row 2", "2020-13-45")
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--p", "1", "--s", "1", "--out", "fit.json"],
+    ["select", "--pmax", "1", "--smax", "1", "--out", "report"],
+    ["diagnose", "ks", "--out", "ks.json"],
+])
+def test_infinite_panel_value_is_an_error(tmp_path, capsys, monkeypatch, queen_json,
+                                          sim_panel, argv):
+    lines = Path(sim_panel).read_text().splitlines()
+    row = next(k for k, line in enumerate(lines) if line[:1].isdigit()) + 3  # data row 4
+    cells = lines[row].split(",")
+    cells[4] = "inf"
+    lines[row] = ",".join(cells)
+    bad = tmp_path / "inf.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    graph = [] if argv[0] == "diagnose" else ["--graph", queen_json]
+    assert run([*argv, "--panel", str(bad), *graph]) == 1
+    _single_error(capsys, str(bad), "data row 4", "non-finite value 'inf'")
+
+
+def test_long_csv_infinite_value_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "long.csv"
+    bad.write_text("date,node,value\n2020-01-06,a,1\n2020-01-13,a,-inf\n")
+    assert run(["data", "ingest", "--csv", str(bad), "--out", str(tmp_path / "w.csv")]) == 1
+    _single_error(capsys, str(bad), "data row 2", "non-finite value '-inf'")
+
+
+def test_egls_on_a_short_panel_names_the_bound(tmp_path, capsys, queen_json):
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--graph", queen_json, "--p", "2", "--s", "1,0",
+                "--alpha", "0.3,0.1", "--beta", "0.2;", "--T", "60", "--sigma", "1",
+                "--seed", "4", "--out-dir", str(sim)]) == 0
+    capsys.readouterr()
+    assert run(["fit", "--panel", str(sim / "panel.csv"), "--graph", queen_json,
+                "--p", "2", "--s", "1,0", "--method", "egls",
+                "--out", str(tmp_path / "fit.json")]) == 1
+    _single_error(capsys, "58 complete columns < N*(p+1) = 78")
+
+
 def test_points_csv_bad_latitude_is_an_error(tmp_path, capsys):
     bad = tmp_path / "points.csv"
     bad.write_text("node,lat,lon\na,52.0,-8.0\nb,north,-7.0\nc,53.0,-6.0\n")
@@ -581,6 +621,41 @@ def test_residual_commands_load_no_scipy_stats(tmp_path, queen_json, sim_panel):
                               text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]", (argv, proc.stdout)
+
+
+def test_model_commands_load_no_scipy_linalg(tmp_path, queen_json, sim_panel):
+    # fits of clear rank run on numpy's QR, so fit, select and forecast on
+    # clean data never import scipy.linalg; EGLS may, and still works
+    import os
+    import subprocess
+    import sys
+
+    import gnarlib
+
+    src = str(Path(gnarlib.__file__).resolve().parents[1])
+    code = ("import sys; from gnarlib.cli import main; rc = main(sys.argv[1:]); "
+            "print('scipy.linalg' in sys.modules); sys.exit(rc)")
+    model = ["--panel", sim_panel, "--graph", queen_json]
+    commands = [
+        (["fit", *model, "--p", "2", "--s", "1,1", "--out", str(tmp_path / "f.json")],
+         "False"),
+        (["fit", *model, "--p", "1", "--s", "1", "--vertex-alpha",
+          "--out", str(tmp_path / "fv.json")], "False"),
+        (["select", *model, "--pmax", "3", "--smax", "2", "--out", str(tmp_path / "s")],
+         "False"),
+        (["select", *model, "--pmax", "3", "--smax", "2", "--vertex-alpha",
+          "--out", str(tmp_path / "sv")], "False"),
+        (["forecast", *model, "--p", "1", "--s", "1", "--holdout", "5",
+          "--out-dir", str(tmp_path / "fc")], "False"),
+        (["fit", *model, "--p", "1", "--s", "1", "--method", "egls",
+          "--out", str(tmp_path / "e.json")], None),
+    ]
+    for argv, loaded in commands:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, (argv, proc.stderr)
+        if loaded is not None:
+            assert proc.stdout.strip().splitlines()[-1] == loaded, (argv, proc.stdout)
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,27 @@ def test_estimate_sigma_infeasible_dimensions():
         estimate_sigma(panel, 7)
 
 
+def test_estimate_sigma_needs_n_times_p_plus_one_complete_columns():
+    # the VAR(p) residual covariance of T' complete columns has rank at most
+    # T' - N*p, so N*(p+1) columns are the fewest with a full-rank estimate
+    rng = np.random.default_rng(51)
+    n, p = 3, 2
+    enough = make_panel(rng.normal(size=(n, n * (p + 1) + p)))
+    np.linalg.cholesky(estimate_sigma(enough, p))
+    short = make_panel(rng.normal(size=(n, n * (p + 1) + p - 1)))
+    with pytest.raises(FeasibilityError, match=r"8 complete columns < N\*\(p\+1\) = 9"):
+        estimate_sigma(short, p)
+
+
+def test_egls_on_a_short_queen_panel_is_infeasible(queen_graph):
+    # 58 complete columns give a rank-6 covariance for 26 nodes at p = 2
+    spec = GnarSpec(GnarOrder(2, (1, 0)))
+    panel = simulate(spec, np.array([0.3, 0.1]), [np.array([0.2]), np.array([])],
+                     queen_graph, T=60, sigma=1.0, seed=3)
+    with pytest.raises(FeasibilityError, match=r"58 complete columns < N\*\(p\+1\) = 78"):
+        fit(panel, queen_graph, spec, method="egls")
+
+
 def test_estimate_sigma_single_node_is_ar_residual_variance():
     rng = np.random.default_rng(50)
     x = rng.normal(size=200)

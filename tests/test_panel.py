@@ -35,6 +35,17 @@ def daily_panel(values, labels=("a",), start=EPOCH):
 # ingest
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+def test_readers_reject_infinite_values(cell):
+    wide = io.StringIO(f"date,a,b\n2020-01-06,1,2\n2020-01-13,{cell},4\n")
+    with pytest.raises(InvalidInputError, match=f"data row 2: malformed field "
+                                                f"\\(non-finite value '{cell}'\\)"):
+        read_wide_csv(wide)
+    long = io.StringIO(f"date,node,value\n2020-01-06,a,1\n2020-01-13,a,{cell}\n")
+    with pytest.raises(InvalidInputError, match="data row 2: malformed field"):
+        ingest_long_csv(long)
+
+
 def test_ingest_dense():
     csv = "date,node,value\n2020-01-06,b,1\n2020-01-06,a,2\n" \
           "2020-01-13,a,3\n2020-01-13,b,4\n2020-01-20,a,5\n2020-01-20,b,6\n"
