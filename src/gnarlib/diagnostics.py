@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UndefinedStatisticError, _check_seed
 from .geo_graph import Graph, shortest_path_lengths
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, _reject_infinite
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +405,12 @@ def ljung_box_panel(residuals: Union[TimeSeriesPanel, Mapping[str, np.ndarray]],
 def _per_node(test: Callable[[np.ndarray], TestResult], residuals
               ) -> dict[str, TestResult]:
     """``test`` on each node's series; a node the test rejects gets a NaN
-    entry whose parameters carry the error message."""
+    entry whose parameters carry the error message.  An infinite value is
+    an error for the whole call."""
     if isinstance(residuals, TimeSeriesPanel):
         residuals = dict(zip(residuals.labels, residuals.values))
     series = {str(k): np.asarray(v, dtype=float) for k, v in residuals.items()}
+    _reject_infinite(series.items())
     out: dict[str, TestResult] = {}
     for label, x in series.items():
         try:

@@ -4,11 +4,13 @@ Builds simple undirected networks over geographic point sets (KNN, distance
 threshold, Delaunay triangulation and its Gabriel / sphere-of-influence /
 relative-neighbourhood subgraphs, economic-hub augmentation, complete graph,
 arbitrary edge lists) and provides the graph-theoretic quantities the
-autoregressive model consumes.  All of those come from one hop-distance
-matrix, computed by frontier expansion over the dense adjacency matrix:
-shortest path lengths, r-th stage neighbourhoods (the mask hops == r),
-and summary statistics (clustering by triangle counts on the same
-adjacency matrix) with a Bernoulli random graph baseline.
+autoregressive model consumes.  A graph is one sorted (E, 2) array of index
+pairs, and every path below works on arrays.  The quantities all come from
+one hop-distance matrix, computed by breadth-first search from every source
+at once on packed bitsets over the neighbour lists: shortest path lengths,
+r-th stage neighbourhoods (the mask hops == r), and summary statistics
+(clustering from the common neighbours of each edge) with a Bernoulli
+random graph baseline drawn as edge arrays.
 
 Each construction from coordinates is a keep-mask.  KNN and the distance
 threshold mask the one great-circle distance matrix.  The Delaunay family
@@ -16,17 +18,22 @@ triangulates once into an (E, 2) array of edge indices and keeps a boolean
 mask of it, computed from one projected squared-distance matrix.
 
 Distances between points are great-circle distances on a sphere (default
-radius 6371 km).  The Delaunay family operates on an equirectangular local
-projection (x = lon * cos(mean lat), y = lat); at regional extent the induced
-triangulation matches the spherical one, and only relative distances matter
-for the edge filters.
+radius 6371 km), computed for all pairs at once with libm's (``math``)
+cosine and arc cosine, so the matrix equals the scalar
+``great_circle_distance`` bit for bit.  The Delaunay family operates on an
+equirectangular local projection (x = lon * cos(mean lat), y = lat); at
+regional extent the induced triangulation matches the spherical one, and
+only relative distances matter for the edge filters.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -76,29 +83,50 @@ class GeoPoint:
                 f"population must be nonnegative for {self.node_id!r}")
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected unweighted graph over labeled nodes.
 
-    Edges are stored as a frozenset of index pairs (i, j) with i < j,
-    indices into ``labels``.  Instances are immutable.
+    ``edges`` is an iterable of index pairs (i, j) with i < j, or an integer
+    (E, 2) array of them, indices into ``labels``.  The graph keeps them as
+    one sorted, deduplicated, read-only (E, 2) intp array, ``edge_array``,
+    ordered by the key i * n + j; ``edges`` is a frozenset view of it, built
+    on first use.  Instances are immutable.
     """
 
-    labels: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
+    def __init__(self, labels: Sequence[str], edges) -> None:
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
             raise InvalidInputError("node labels must be unique")
-        for i, j in self.edges:
-            if not ((type(i) is int or isinstance(i, np.integer))
-                    and (type(j) is int or isinstance(j, np.integer))):
-                raise InvalidInputError(f"edge ({i!r}, {j!r}) has a non-integer index")
-            if i == j:
-                raise InvalidInputError(f"self-loop on node {self.labels[i]!r}")
-            if not (0 <= i < j < n):
-                raise InvalidInputError(f"edge ({i}, {j}) out of range for n={n}")
+        pairs = _pair_array(edges)
+        n = len(labels)
+        i, j = pairs.T
+        loop = np.flatnonzero((i == j) & (i >= 0) & (i < n))
+        if len(loop):
+            raise InvalidInputError(f"self-loop on node {labels[i[loop[0]]]!r}")
+        bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
+        if len(bad):
+            raise InvalidInputError(f"edge ({i[bad[0]]}, {j[bad[0]]}) out of range for n={n}")
+        key = i * n + j
+        if (key[1:] <= key[:-1]).any():
+            pairs = np.column_stack(np.divmod(np.unique(key), n))
+        pairs.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edge_array", pairs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.edge_array.tobytes()))
+
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
     @property
     def n(self) -> int:
@@ -106,39 +134,41 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def degrees(self) -> np.ndarray:
-        return _adjacency_matrix(self).sum(axis=1).astype(int)
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     def has_edge(self, a: str, b: str) -> bool:
-        i, j = self.labels.index(a), self.labels.index(b)
-        return (min(i, j), max(i, j)) in self.edges
+        unknown = [lbl for lbl in (a, b) if lbl not in self.labels]
+        if unknown:
+            raise InvalidInputError(f"unknown node label {unknown[0]!r}")
+        i, j = sorted((self.labels.index(a), self.labels.index(b)))
+        return (i, j) in self.edges
 
     def to_json(self) -> dict:
         """JSON-ready dict: {labels: [...], edges: [[i, j], ...]}."""
-        return {
-            "labels": list(self.labels),
-            "edges": sorted([i, j] for i, j in self.edges),
-        }
+        return {"labels": list(self.labels), "edges": self.edge_array.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
-        labels = tuple(obj["labels"])
-        edges = frozenset(_norm_edge(i, j) for i, j in obj["edges"])
-        return cls(labels=labels, edges=edges)
+        return cls(tuple(obj["labels"]), [sorted(e) for e in obj["edges"]])
 
 
-def _norm_edge(i: int, j: int) -> tuple[int, int]:
-    if i == j:
-        raise InvalidInputError(f"self-loop on index {i}")
-    return (i, j) if i < j else (j, i)
-
-
-def _graph(labels: Sequence[str], edges) -> Graph:
-    """Graph from an (E, 2) array of index pairs (i, j) with i < j."""
-    i, j = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T.tolist()
-    return Graph(labels=tuple(labels), edges=frozenset(zip(i, j)))
+def _pair_array(edges) -> np.ndarray:
+    """Index pairs as an (E, 2) intp array; Python or numpy integers only."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+        types = set(map(type, itertools.chain.from_iterable(edges)))
+        if not all(t is int or issubclass(t, np.integer) for t in types):
+            i, j = next(e for e in edges if not all(
+                type(v) is int or isinstance(v, np.integer) for v in e))
+            raise InvalidInputError(f"edge ({i!r}, {j!r}) has a non-integer index")
+        edges = np.array(edges, dtype=np.intp) if edges else np.empty((0, 2), np.intp)
+    if edges.dtype.kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 2:
+        raise InvalidInputError(f"edges must be integer index pairs, got {edges.dtype} "
+                                f"array of shape {edges.shape}")
+    return edges.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -209,13 +239,36 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint,
 
 def distance_matrix(points: Sequence[GeoPoint],
                     radius_km: float = EARTH_RADIUS_KM) -> np.ndarray:
-    """Symmetric matrix of pairwise great-circle distances (km)."""
-    n = len(points)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = great_circle_distance(points[i], points[j], radius_km)
+    """Symmetric matrix of pairwise great-circle distances (km), equal bit
+    for bit to ``great_circle_distance`` on every pair."""
+    i, j = np.triu_indices(len(points), 1)
+    d = np.zeros((len(points), len(points)))
+    d[i, j] = d[j, i] = _pair_distances(points, i, j, radius_km)
     return d
+
+
+def _pair_distances(points: Sequence[GeoPoint], i: np.ndarray, j: np.ndarray,
+                    radius_km: float = EARTH_RADIUS_KM) -> np.ndarray:
+    """``great_circle_distance(points[i[k]], points[j[k]])`` for every k, bit
+    for bit: ``math`` (libm) takes every sine, cosine and arc cosine, numpy
+    only the products, sums and clamp, in the scalar formula's order.
+    numpy's SIMD cos and arccos differ from libm in the last bits."""
+    if not radius_km > 0:
+        raise InvalidInputError("radius_km must be positive")
+
+    def libm(f, x):
+        return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
+
+    lat = libm(math.radians, np.array([p.lat_deg for p in points], dtype=float))
+    lon = libm(math.radians, np.array([p.lon_deg for p in points], dtype=float))
+    sin_lat, cos_lat = libm(math.sin, lat), libm(math.cos, lat)
+    c = sin_lat[i] * sin_lat[j] + cos_lat[i] * cos_lat[j] * libm(math.cos, lon[i] - lon[j])
+    return radius_km * libm(math.acos, np.clip(c, -1.0, 1.0))
+
+
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_points(points: Sequence[GeoPoint]) -> None:
@@ -236,6 +289,7 @@ def build_knn(points: Sequence[GeoPoint], k: int) -> Graph:
     node_id, which makes the construction deterministic.
     """
     _check_points(points)
+    _check_integer("k", k)
     n = len(points)
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k={k} outside 1..{n - 1}")
@@ -247,7 +301,7 @@ def build_knn(points: Sequence[GeoPoint], k: int) -> Graph:
     order = np.lexsort((np.broadcast_to(rank, d.shape), d))  # each row by (d, rank)
     near = np.zeros((n, n), dtype=bool)
     near[np.arange(n)[:, None], order[:, :k]] = True
-    return _graph(ids, np.argwhere(np.triu(near | near.T, 1)))
+    return Graph(ids, np.argwhere(np.triu(near | near.T, 1)))
 
 
 def build_dnn(points: Sequence[GeoPoint], d_max: float) -> Graph:
@@ -261,8 +315,8 @@ def build_dnn(points: Sequence[GeoPoint], d_max: float) -> Graph:
     if not d_max > 0:
         raise InvalidInputError("d_max must be positive")
     d = distance_matrix(points)
-    return _graph([p.node_id for p in points],
-                  np.argwhere(np.triu((d > 0.0) & (d <= d_max), 1)))
+    return Graph([p.node_id for p in points],
+                 np.argwhere(np.triu((d > 0.0) & (d <= d_max), 1)))
 
 
 def _project(points: Sequence[GeoPoint]) -> np.ndarray:
@@ -307,7 +361,7 @@ def _delaunay_subgraph(points: Sequence[GeoPoint], name: str,
     if keep is not None:
         d2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
         edges = edges[keep(d2, *edges.T)]
-    return _graph(labels, edges)
+    return Graph(labels, edges)
 
 
 def build_delaunay(points: Sequence[GeoPoint]) -> Graph:
@@ -368,19 +422,14 @@ def build_from_edgelist(labels: Sequence[str],
     the offending entry.
     """
     labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise InvalidInputError("duplicate node labels")
     index = {lbl: i for i, lbl in enumerate(labels)}
-    out = set()
+    pairs = []
     for a, b in edges:
-        if a not in index:
-            raise InvalidInputError(f"unknown node label {a!r} in edge ({a!r}, {b!r})")
-        if b not in index:
-            raise InvalidInputError(f"unknown node label {b!r} in edge ({a!r}, {b!r})")
-        if a == b:
-            raise InvalidInputError(f"self-loop on node {a!r}")
-        out.add(_norm_edge(index[a], index[b]))
-    return _graph(labels, list(out))
+        for lbl in (a, b):
+            if lbl not in index:
+                raise InvalidInputError(f"unknown node label {lbl!r} in edge ({a!r}, {b!r})")
+        pairs.append(sorted((index[a], index[b])))
+    return Graph(labels, pairs)
 
 
 def build_economic_hub(base: Graph, points: Sequence[GeoPoint],
@@ -401,15 +450,14 @@ def build_economic_hub(base: Graph, points: Sequence[GeoPoint],
         if h not in base.labels:
             raise InvalidInputError(f"hub {h!r} is not a node of the base graph")
     index = {lbl: i for i, lbl in enumerate(base.labels)}
-    hub_set = set(hubs)
-    edges = set(base.edges)
-    for lbl in base.labels:
-        if lbl in hub_set:
-            continue
-        nearest = min(sorted(hub_set),
-                      key=lambda h: (great_circle_distance(by_id[lbl], by_id[h]), h))
-        edges.add(_norm_edge(index[lbl], index[nearest]))
-    return Graph(labels=base.labels, edges=frozenset(edges))
+    hub_idx = np.array([index[h] for h in sorted(set(hubs))])
+    others = np.flatnonzero(~np.isin(np.arange(base.n), hub_idx))
+    d = _pair_distances([by_id[lbl] for lbl in base.labels],
+                        np.repeat(others, len(hub_idx)), np.tile(hub_idx, len(others)))
+    # argmin keeps the first of tied hubs: the smallest label
+    nearest = hub_idx[d.reshape(len(others), len(hub_idx)).argmin(axis=1)]
+    spokes = np.sort(np.column_stack([others, nearest]), axis=1)
+    return Graph(base.labels, np.concatenate([base.edge_array, spokes]))
 
 
 def build_complete(labels: Sequence[str]) -> Graph:
@@ -417,50 +465,78 @@ def build_complete(labels: Sequence[str]) -> Graph:
     labels = tuple(labels)
     if len(labels) < 2:
         raise InvalidInputError("complete graph needs at least 2 nodes")
-    return _graph(labels, np.column_stack(np.triu_indices(len(labels), 1)))
+    return Graph(labels, np.column_stack(np.triu_indices(len(labels), 1)))
 
 
 # ---------------------------------------------------------------------------
 # Shortest paths and neighbourhood stages
 # ---------------------------------------------------------------------------
 
-def _adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense symmetric 0/1 adjacency matrix."""
-    adj = np.zeros((g.n, g.n))
-    i, j = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
-    adj[i, j] = adj[j, i] = 1.0
-    return adj
+# Bound on the uint64 words one neighbour gather holds (8 MiB).
+_GATHER_WORDS = 1 << 20
 
 
-def _hop_matrix(adj: np.ndarray, r_max: Optional[int] = None) -> np.ndarray:
-    """Hop distances by frontier expansion from every source at once, for at
-    most ``r_max`` steps when given; pairs not reached hold inf.  The product
-    counts at most N paths per pair: exact in float32, and twice as fast."""
-    n = len(adj)
-    adj = adj.astype(np.float32)
-    hops = np.full((n, n), np.inf)
-    np.fill_diagonal(hops, 0.0)
-    reached = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
+def _bitsets(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """n rows of W = ceil(n / 64) uint64 words, with bit s % 64 of word
+    s // 64 set in row rows[k] for s = cols[k]."""
+    mask = np.zeros((n, -(-n // 64) * 64), dtype=bool)
+    mask[rows, cols] = True
+    return np.packbits(mask, axis=1, bitorder="little").view("<u8")
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _hop_matrix(n: int, edges: np.ndarray, r_max: Optional[int] = None) -> np.ndarray:
+    """Hop distances by breadth-first search from every source at once, for
+    at most ``r_max`` steps when given; pairs not reached hold inf.
+
+    Bit s of ``frontier[v]`` is set when v is exactly r hops from source s.
+    The next frontier of v is the OR of its neighbours' rows, one
+    ``bitwise_or.reduceat`` over the neighbour lists, less the sources that
+    reached v before (multi-source BFS on bitsets; Then et al. 2014, PVLDB
+    8(4)).  A pair's hop count is the number of steps it spends unreached."""
+    # each node's list also holds row n, which stays zero: reduceat cannot
+    # reduce an empty segment, and an isolated node's list would be one
+    loops = np.column_stack([np.full(n, n), np.arange(n)])
+    u, v = np.concatenate([edges, edges[:, ::-1], loops]).T
+    nbr = u[np.argsort(v, kind="stable")]  # grouped by v
+    starts = np.concatenate([[0], np.cumsum(np.bincount(v, minlength=n))[:-1]])
+    frontier = _bitsets(n + 1, np.arange(n), np.arange(n))
+    unreached = ~frontier[:n]
+    block = max(1, _GATHER_WORDS // max(len(nbr), 1))
+    count = np.zeros((n, n), dtype=np.min_scalar_type(n))
     r = 0
-    while frontier.any() and (r_max is None or r < r_max):
+    while n and (r_max is None or r < r_max):
+        # word blocks bound the gather; it is a copy, so the next frontier
+        # may overwrite this one block by block
+        for w in range(0, frontier.shape[1], block):
+            np.bitwise_or.reduceat(frontier[nbr, w:w + block], starts, axis=0,
+                                   out=frontier[:n, w:w + block])
+        nxt = frontier[:n]
+        nxt &= unreached
+        if not nxt.any():
+            break
+        count += _unpack(unreached, n)
         r += 1
-        frontier = (frontier @ adj > 0) & ~reached
-        hops[frontier] = r
-        reached |= frontier
+        unreached ^= nxt
+    hops = count.astype(float)
+    hops[_unpack(unreached, n)] = np.inf
     return hops
 
 
 def stage_neighbourhoods(g: Graph, r_max: int) -> StageNeighbourhoods:
     """Neighbourhood shells per node: N^(r)(i) = nodes at SPL exactly r."""
+    _check_integer("r_max", r_max)
     if r_max < 1:
         raise InvalidInputError("r_max must be >= 1")
-    return StageNeighbourhoods(r_max=r_max, hops=_hop_matrix(_adjacency_matrix(g), r_max))
+    return StageNeighbourhoods(r_max=r_max, hops=_hop_matrix(g.n, g.edge_array, r_max))
 
 
 def shortest_path_lengths(g: Graph) -> np.ndarray:
     """All-pairs shortest path lengths in hops; np.inf for unreachable."""
-    return _hop_matrix(_adjacency_matrix(g))
+    return _hop_matrix(g.n, g.edge_array)
 
 
 # ---------------------------------------------------------------------------
@@ -477,23 +553,43 @@ def _avg_spl_and_disconnected(spl: np.ndarray) -> tuple[float, float]:
     return avg, 1.0 - n_conn / n_pairs
 
 
-def _avg_local_clustering(adj: np.ndarray) -> float:
-    """Mean local clustering; nodes of degree < 2 contribute 0.  Row i of
-    (A A) * A sums to twice the number of links among i's neighbours."""
-    k = adj.sum(axis=1)
-    links2 = ((adj @ adj) * adj).sum(axis=1)
-    local = np.divide(links2, k * (k - 1), out=np.zeros_like(k), where=k >= 2)
-    return sum(local.tolist()) / len(adj)
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount_table(words: np.ndarray) -> np.ndarray:
+    """Set bits of each byte of ``words``; its row sums are those of
+    ``np.bitwise_count``, which numpy < 2 lacks."""
+    return _BYTE_BITS[words.view(np.uint8)]
+
+
+_popcount = getattr(np, "bitwise_count", _popcount_table)
+
+
+def _avg_local_clustering(n: int, edges: np.ndarray) -> float:
+    """Mean local clustering; nodes of degree < 2 contribute 0.  Edge (i, j)
+    closes a triangle with each common neighbour of i and j, so these counts,
+    summed over i's edges, are twice the links among i's neighbours.  The
+    per-node values are summed in node order."""
+    adj = _bitsets(n, *np.concatenate([edges, edges[:, ::-1]]).T)
+    common = np.zeros(len(edges))
+    step = max(1, _GATHER_WORDS // adj.shape[1])
+    for e in range(0, len(edges), step):
+        i, j = edges[e:e + step].T
+        common[e:e + step] = _popcount(adj[i] & adj[j]).sum(axis=1)
+    k = np.bincount(edges.ravel(), minlength=n).astype(float)
+    links2 = np.bincount(edges.ravel(), weights=np.repeat(common, 2), minlength=n)
+    local = np.divide(links2, k * (k - 1), out=np.zeros(n), where=k >= 2)
+    return sum(local.tolist()) / n
 
 
 def _sample_gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Adjacency matrix of a uniform G(n, m): m distinct edges chosen without
+    """Edge array of a uniform G(n, m): m distinct edges chosen without
     replacement from the pairs i < j in row-major order."""
     picks = rng.choice(n * (n - 1) // 2, size=m, replace=False)
-    i, j = (ix[picks] for ix in np.triu_indices(n, 1))
-    adj = np.zeros((n, n))
-    adj[i, j] = adj[j, i] = 1.0
-    return adj
+    rows = np.arange(n)
+    first = rows * (2 * n - rows - 1) // 2  # position of pair (i, i + 1)
+    i = np.searchsorted(first, picks, side="right") - 1
+    return np.column_stack([i, picks - first[i] + i + 1])
 
 
 def network_summary(g: Graph, brg_samples: int = 100, seed: int = 0) -> NetworkSummary:
@@ -502,30 +598,32 @@ def network_summary(g: Graph, brg_samples: int = 100, seed: int = 0) -> NetworkS
     The baseline draws ``brg_samples`` uniform random graphs with the same
     node and edge count using a generator seeded with ``seed``; results are
     bit-reproducible for a fixed seed.  Average SPL is taken over connected
-    ordered pairs only, with the disconnected fraction reported.
+    ordered pairs only, with the disconnected fraction reported; it is NaN
+    when no pair is connected (for the baseline: in no sample).
     """
+    _check_integer("brg_samples", brg_samples)
     if brg_samples < 1:
         raise InvalidInputError("brg_samples must be >= 1")
     _check_seed(seed)
-    avg_degree = 2.0 * g.n_edges / g.n
-    adj = _adjacency_matrix(g)
-    avg_spl, disc = _avg_spl_and_disconnected(_hop_matrix(adj))
-    clust = _avg_local_clustering(adj)
+    n, m = g.n, g.n_edges
+    if n < 2:
+        raise InvalidInputError(f"network summary needs at least 2 nodes, got {n}")
+    avg_spl, disc = _avg_spl_and_disconnected(_hop_matrix(n, g.edge_array))
+    clust = _avg_local_clustering(n, g.edge_array)
 
     rng = np.random.default_rng(seed)
-    spls, clusts, discs = [], [], []
+    stats = []
     for _ in range(brg_samples):
-        sample = _sample_gnm(g.n, g.n_edges, rng)
-        s, dfrac = _avg_spl_and_disconnected(_hop_matrix(sample))
-        spls.append(s)
-        discs.append(dfrac)
-        clusts.append(_avg_local_clustering(sample))
+        sample = _sample_gnm(n, m, rng)
+        stats.append((*_avg_spl_and_disconnected(_hop_matrix(n, sample)),
+                      _avg_local_clustering(n, sample)))
+    spls, discs, clusts = zip(*stats)
     return NetworkSummary(
-        avg_degree=avg_degree,
+        avg_degree=2.0 * m / n,
         avg_spl=avg_spl,
         avg_local_clustering=clust,
         disconnected_pair_fraction=disc,
-        brg_avg_spl=float(np.nanmean(spls)),
+        brg_avg_spl=float(np.nanmean(spls)) if m else math.nan,
         brg_avg_clustering=float(np.mean(clusts)),
         brg_disconnected_pair_fraction=float(np.mean(discs)),
         brg_samples=brg_samples,

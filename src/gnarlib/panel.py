@@ -431,6 +431,14 @@ def _row_errors(where, row: Optional[int]):
         raise InvalidInputError(f"{at}: malformed field ({exc})") from exc
 
 
+def _reject_infinite(series) -> None:
+    """Raise on the first (label, values) pair that holds +-inf."""
+    for label, x in series:
+        if np.isinf(x).any():
+            raise InvalidInputError(
+                f"node {label!r} holds infinite values; NaN marks a missing cell")
+
+
 def _skip_comments(stream) -> Iterable[str]:
     for line in stream:
         if not line.lstrip().startswith("#"):

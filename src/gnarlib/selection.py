@@ -42,7 +42,7 @@ from .gnar_core import (
     compute_weights,
     fit_ols,
 )
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, _reject_infinite
 
 # Stage-vector catalogue, lengths 1-5.  Fixed literal data; the grid builder
 # filters by the stage cap and zero-pads to higher lag orders.
@@ -276,10 +276,11 @@ def fit_ar_baseline(panel: TimeSeriesPanel, p_max: int) -> dict[str, ArNodeResul
     same Gaussian-likelihood BIC convention as the network model: the
     design is the GNAR(p, [0, ..., 0]) design of the node's one-row plane.
     Nodes with a constant series or too few observations are flagged
-    degenerate and the rest proceed.
+    degenerate and the rest proceed; an infinite value is an error.
     """
     if p_max < 1:
         raise InvalidInputError("p_max must be >= 1")
+    _reject_infinite(zip(panel.labels, panel.values))
     out: dict[str, ArNodeResult] = {}
     for i, label in enumerate(panel.labels):
         x = panel.values[i]

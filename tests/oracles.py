@@ -50,6 +50,68 @@ def hops_bruteforce(n: int, edges, r_max: int | None = None) -> np.ndarray:
     return d
 
 
+def distance_matrix_loop(points, radius_km: float = 6371.0) -> np.ndarray:
+    """Pairwise great-circle distances, one scalar call per pair i < j."""
+    from gnarlib.geo_graph import great_circle_distance
+
+    n = len(points)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = great_circle_distance(points[i], points[j], radius_km)
+    return d
+
+
+def local_clustering_bruteforce(n: int, edges) -> float:
+    """Mean over nodes of links among the neighbours / (k (k - 1) / 2), by
+    set intersection; nodes of degree < 2 count 0.  Summed in node order."""
+    nbrs = [set() for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    local = []
+    for i in range(n):
+        k = len(nbrs[i])
+        links = sum(len(nbrs[a] & nbrs[i]) for a in nbrs[i]) // 2
+        local.append(links / (k * (k - 1) // 2) if k >= 2 else 0.0)
+    return sum(local) / n
+
+
+def network_summary_bruteforce(n: int, edges, brg_samples: int, seed: int):
+    """The summary from loops: queue-BFS hops, set-intersection clustering,
+    and G(n, m) samples drawn by the same ``rng.choice`` over the pairs
+    i < j enumerated row by row."""
+    from gnarlib.geo_graph import NetworkSummary
+
+    def spl_and_disconnected(edge_list):
+        d = hops_bruteforce(n, edge_list)
+        finite = [d[i, j] for i in range(n) for j in range(n)
+                  if i != j and math.isfinite(d[i, j])]
+        avg = float(np.mean(finite)) if finite else math.nan
+        return avg, 1.0 - len(finite) / (n * (n - 1))
+
+    edges = list(edges)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng = np.random.default_rng(seed)
+    spls, clusts, discs = [], [], []
+    for _ in range(brg_samples):
+        sample = [pairs[k] for k in rng.choice(len(pairs), size=len(edges), replace=False)]
+        s, dfrac = spl_and_disconnected(sample)
+        spls.append(s)
+        discs.append(dfrac)
+        clusts.append(local_clustering_bruteforce(n, sample))
+    avg_spl, disc = spl_and_disconnected(edges)
+    finite_spls = [s for s in spls if not math.isnan(s)]
+    return NetworkSummary(
+        avg_degree=2.0 * len(edges) / n, avg_spl=avg_spl,
+        avg_local_clustering=local_clustering_bruteforce(n, edges),
+        disconnected_pair_fraction=disc,
+        brg_avg_spl=float(np.nanmean(spls)) if finite_spls else math.nan,
+        brg_avg_clustering=float(np.mean(clusts)),
+        brg_disconnected_pair_fraction=float(np.mean(discs)),
+        brg_samples=brg_samples, seed=seed)
+
+
 def delaunay_edges_bruteforce(xy: np.ndarray) -> set[tuple[int, int]]:
     """Delaunay edges via the empty-circumcircle test over all triangles.
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +533,32 @@ def test_graph_json_with_fractional_edge_is_an_error(tmp_path, capsys):
     _single_error(capsys, str(bad), "1.5")
 
 
+def test_summarize_one_node_graph_is_an_error(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"labels": ["a"], "edges": []}))
+    assert run(["network", "summarize", "--graph", str(graph),
+                "--out", str(tmp_path / "s.csv")]) == 1
+    _single_error(capsys, "network summary needs at least 2 nodes, got 1")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_summarize_graph_without_edges_is_silent(tmp_path, capsys):
+    # every G(n, 0) sample is disconnected: the baseline SPL is an empty cell,
+    # with no numpy warning about the mean of an empty slice
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"labels": ["a", "b", "c"], "edges": []}))
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["network", "summarize", "--graph", str(graph), "--brg-samples", "3",
+                    "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, row = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["avg_spl"] == cells["brg_avg_spl"] == ""
+    assert cells["brg_disconnected_pair_fraction"] == "1.0"
+
+
 def test_boxcox_unknown_node_is_an_error(tmp_path, sim_panel, capsys):
     assert run(["data", "boxcox", "--panel", sim_panel, "--node", "Atlantis",
                 "--out", str(tmp_path / "b.csv")]) == 1
@@ -594,6 +621,34 @@ def test_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_network_commands_load_no_scipy(tmp_path, towns):
+    # KNN, DNN, complete and edge-list graphs and their summaries (bitset BFS,
+    # triangle counts) run on numpy alone; only the Delaunay family loads scipy
+    import os
+    import subprocess
+    import sys
+
+    import gnarlib
+
+    src = str(Path(gnarlib.__file__).resolve().parents[1])
+    code = ("import sys; from gnarlib.cli import main; rc = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.exit(rc)")
+    builds = [["--kind", "knn", "--k", "3", "--points", towns],
+              ["--kind", "dnn", "--d-max", "80", "--points", towns],
+              ["--kind", "complete", "--n", "5"],
+              ["--kind", "edgelist", "--edges", irish_queen_edges_path(), "--points", towns]]
+    for k, build in enumerate(builds):
+        graph = str(tmp_path / f"g{k}.json")
+        for argv in (["network", "build", *build, "--out", graph],
+                     ["network", "summarize", "--graph", graph, "--brg-samples", "5",
+                      "--out", str(tmp_path / f"s{k}.csv")]):
+            proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert proc.stdout.strip().splitlines()[-1] == "[]", (argv, proc.stdout)
 
 
 def test_residual_commands_load_no_scipy_stats(tmp_path, queen_json, sim_panel):

@@ -301,6 +301,17 @@ def test_ks_panel_wrapper_flags_bad_nodes():
     assert "error" in out["flat"].parameters
 
 
+@pytest.mark.parametrize("test", [ks_normality, ljung_box_panel])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_residual_tests_reject_infinite_values(test, value):
+    x = np.random.default_rng(3).normal(size=(3, 40))
+    x[1, 7] = value
+    with pytest.raises(InvalidInputError, match="node 'b' holds infinite values"):
+        test(make_panel(x, labels=("a", "b", "c")))
+    with pytest.raises(InvalidInputError, match="node 'b' holds infinite values"):
+        test({"a": x[0], "b": x[1]})
+
+
 # ---------------------------------------------------------------------------
 # Ljung-Box
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Network construction, stages, shortest paths, summaries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,23 @@ def test_dnn_threshold_excludes_kerry_cork(irish_towns):
     assert not g.has_edge("Kerry", "Cork")
     g2 = build_dnn(irish_towns, d + 0.5)
     assert g2.has_edge("Kerry", "Cork")
+
+
+def test_dnn_threshold_equal_to_a_distance_keeps_that_edge(irish_towns):
+    by_id = {p.node_id: p for p in irish_towns}
+    d = great_circle_distance(by_id["Kerry"], by_id["Cork"])
+    assert build_dnn(irish_towns, d).has_edge("Kerry", "Cork")
+    assert not build_dnn(irish_towns, math.nextafter(d, 0.0)).has_edge("Kerry", "Cork")
+
+
+@pytest.mark.parametrize("k", [1.5, True, "2", np.float64(2.0)])
+def test_knn_non_integer_k_is_an_error(irish_towns, k):
+    with pytest.raises(InvalidInputError, match="k must be an integer"):
+        build_knn(irish_towns, k)
+
+
+def test_knn_numpy_integer_k(irish_towns):
+    assert build_knn(irish_towns, np.int64(3)) == build_knn(irish_towns, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +283,50 @@ def test_graph_rejects_non_integer_edge_index(edge):
     assert repr(edge[0]) in str(exc.value)
 
 
+def test_graph_from_frozenset_equals_graph_from_array():
+    pairs = [(0, 2), (1, 3), (0, 1), (2, 3)]
+    labels = ("a", "b", "c", "d")
+    from_set = Graph(labels=labels, edges=frozenset(pairs))
+    from_array = Graph(labels=labels, edges=np.array(pairs, dtype=np.int32))
+    assert from_set == from_array and hash(from_set) == hash(from_array)
+    assert from_set.to_json() == from_array.to_json() == {
+        "labels": list(labels), "edges": [[0, 1], [0, 2], [1, 3], [2, 3]]}
+    assert from_array.edges == frozenset(pairs)
+    np.testing.assert_array_equal(from_array.edge_array, [[0, 1], [0, 2], [1, 3], [2, 3]])
+    assert Graph(labels, pairs + pairs) == from_set  # duplicates are stored once
+    assert Graph(labels, []) != from_set and from_set != "not a graph"
+
+
+def test_graph_is_immutable():
+    g = Graph(labels=("a", "b"), edges=np.array([[0, 1]]))
+    with pytest.raises(AttributeError):
+        g.labels = ("x", "y")
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 1
+
+
+@pytest.mark.parametrize("edges, message", [
+    (np.array([[0.0, 1.0]]), "integer index pairs"),
+    (np.array([[True, False]]), "integer index pairs"),
+    (np.array([0, 1]), "integer index pairs"),
+    (np.array([[0, 1, 2]]), "integer index pairs"),
+    (np.array([[1, 1]]), "self-loop on node 'b'"),
+    (np.array([[0, 1], [2, 1]]), r"edge \(2, 1\) out of range for n=3"),
+    ([(0, 3)], r"edge \(0, 3\) out of range for n=3"),
+    ([(-1, 2)], r"edge \(-1, 2\) out of range for n=3"),
+])
+def test_graph_rejects_bad_edges(edges, message):
+    with pytest.raises(InvalidInputError, match=message):
+        Graph(labels=("a", "b", "c"), edges=edges)
+
+
+def test_has_edge_unknown_label_is_an_error():
+    g = Graph(labels=("a", "b"), edges=[(0, 1)])
+    assert g.has_edge("b", "a")
+    with pytest.raises(InvalidInputError, match="unknown node label 'zz'"):
+        g.has_edge("a", "zz")
+
+
 def test_edgelist_single_edge():
     g = build_from_edgelist(["a", "b"], [("a", "b")])
     assert g.n_edges == 1
@@ -301,6 +363,16 @@ def test_hub_idempotent_when_already_adjacent():
     base = Graph(labels=("h", "x"), edges=frozenset({(0, 1)}))
     g = build_economic_hub(base, pts, ["h"])
     assert g.edges == base.edges
+
+
+def test_hub_tie_goes_to_the_smaller_label():
+    # x is equidistant from both hubs; the hub listed first in the labels
+    # has the larger label, so label order and index order disagree
+    pts = [GeoPoint("hub_b", 0.0, -1.0), GeoPoint("hub_a", 0.0, 1.0),
+           GeoPoint("x", 0.0, 0.0), GeoPoint("y", 0.0, -3.0)]
+    base = Graph(labels=("hub_b", "hub_a", "x", "y"), edges=frozenset())
+    g = build_economic_hub(base, pts, ["hub_b", "hub_a", "hub_b"])
+    assert g.edges == frozenset({(1, 2), (0, 3)})
 
 
 def test_hub_requires_hubs():
@@ -373,6 +445,12 @@ def test_stages_agree_with_spl_bruteforce():
                 assert q in st.stage(i, int(r))
 
 
+@pytest.mark.parametrize("r_max", [1.5, True, "2"])
+def test_stages_non_integer_r_max_is_an_error(r_max):
+    with pytest.raises(InvalidInputError, match="r_max must be an integer"):
+        stage_neighbourhoods(ring_graph(6), r_max)
+
+
 def test_spl_basics():
     g = ring_graph(6)
     spl = shortest_path_lengths(g)
@@ -416,6 +494,29 @@ def test_summary_queen(queen_graph):
     assert s.avg_spl == pytest.approx(2.74, abs=0.15)
     assert s.avg_local_clustering == pytest.approx(0.51, abs=0.15)
     assert s.disconnected_pair_fraction == 0.0
+
+
+@pytest.mark.parametrize("samples", [2.5, True, "3"])
+def test_summary_non_integer_samples_is_an_error(samples):
+    with pytest.raises(InvalidInputError, match="brg_samples must be an integer"):
+        network_summary(ring_graph(4), brg_samples=samples)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_summary_needs_two_nodes(n):
+    g = Graph(labels=tuple(f"v{i}" for i in range(n)), edges=[])
+    with pytest.raises(InvalidInputError, match="at least 2 nodes"):
+        network_summary(g, brg_samples=3)
+
+
+def test_summary_without_edges_is_nan_and_silent():
+    g = Graph(labels=("a", "b", "c"), edges=[])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = network_summary(g, brg_samples=4, seed=1)
+    assert math.isnan(s.avg_spl) and math.isnan(s.brg_avg_spl)
+    assert s.disconnected_pair_fraction == s.brg_disconnected_pair_fraction == 1.0
+    assert s.avg_degree == s.avg_local_clustering == s.brg_avg_clustering == 0.0
 
 
 def test_summary_rejects_negative_seed():

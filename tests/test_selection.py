@@ -177,6 +177,15 @@ def test_ar_baseline_constant_series_flagged():
     assert res["n01"].status == "ok"
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_ar_baseline_rejects_infinite_values(value, capfd):
+    x = np.random.default_rng(3).normal(size=(3, 40))
+    x[2, 11] = value
+    with pytest.raises(InvalidInputError, match="node 'n02' holds infinite values"):
+        fit_ar_baseline(make_panel(x), 3)
+    assert capfd.readouterr().err == ""
+
+
 def test_ar_baseline_short_series_flagged():
     panel = make_panel(np.random.default_rng(2).normal(size=(1, 5)))
     res = fit_ar_baseline(panel, 6)
