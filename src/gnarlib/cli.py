@@ -10,12 +10,14 @@ files are written atomically (temp + rename); reruns with identical inputs
 produce byte-identical outputs.  Option precedence is flags > config file >
 built-in defaults; the config is a flat JSON object keyed by option name
 (dashes or underscores) and may supply any option of the invoked
-subcommand, including ones that are otherwise mandatory.
+subcommand, including ones that are otherwise mandatory.  Each value is
+parsed exactly as the same flag would be.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import math
 import os
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import GnarError, InvalidInputError
+from .errors import GnarError, InvalidInputError, _read_json
 from . import geo_graph as gg
 from . import panel as pn
 from . import gnar_core as gc
@@ -158,36 +160,21 @@ def _load_scheme(args: argparse.Namespace, g: gg.Graph) -> gc.WeightScheme:
     return gc.WeightScheme("pb", dist_km=dist, populations=np.asarray(pops, dtype=float))
 
 
-def _parse_s(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(v) for v in str(text).split(",")) if str(text) else ()
+def _parse_s(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",")) if text else ()
 
 
-def _parse_alpha(value) -> np.ndarray:
-    if isinstance(value, (list, tuple)):
-        return np.asarray([float(v) for v in value])
-    return np.asarray([float(v) for v in str(value).split(",")])
+def _parse_alpha(text: str) -> np.ndarray:
+    return np.asarray([float(v) for v in text.split(",")])
 
 
-def _parse_beta(value, s: tuple[int, ...]) -> list[np.ndarray]:
-    if isinstance(value, (list, tuple)):
-        groups = [[float(v) for v in grp] for grp in value]
-    else:
-        groups = [[float(v) for v in grp.split(",") if v.strip() != ""]
-                  for grp in str(value).split(";")]
-    if len(groups) != len(s):
-        raise InvalidInputError(
-            f"beta has {len(groups)} lag groups but s has {len(s)} entries")
-    for grp, sj in zip(groups, s):
-        if len(grp) != sj:
-            raise InvalidInputError(
-                f"beta group {grp} has {len(grp)} entries, expected {sj}")
-    return [np.asarray(grp) for grp in groups]
+def _parse_beta(text: str) -> list[np.ndarray]:
+    return [np.asarray([float(v) for v in grp.split(",") if v.strip() != ""])
+            for grp in text.split(";")]
 
 
 def _spec_from_args(args: argparse.Namespace, g: gg.Graph) -> gc.GnarSpec:
-    order = gc.GnarOrder(p=args.p, s=_parse_s(args.s))
+    order = gc.GnarOrder(p=args.p, s=args.s)
     return gc.GnarSpec(order=order, global_alpha=not args.vertex_alpha,
                        scheme=_load_scheme(args, g))
 
@@ -286,8 +273,6 @@ def cmd_network_summarize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_data(args: argparse.Namespace) -> int:
-    import datetime
-
     sub = args.data_cmd
     _require(args, "out")
     if sub == "ingest":
@@ -299,12 +284,8 @@ def cmd_data(args: argparse.Namespace) -> int:
                                           tolerance=args.tolerance)
     elif sub == "smooth":
         _require(args, "panel", "window", "start", "end")
-        try:
-            interval = (datetime.date.fromisoformat(args.start),
-                        datetime.date.fromisoformat(args.end))
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"--start/--end must be ISO dates ({exc})") from exc
-        panel = pn.rolling_average(pn.read_wide_csv(args.panel), args.window, interval)
+        panel = pn.rolling_average(pn.read_wide_csv(args.panel), args.window,
+                                   (args.start, args.end))
     elif sub == "diff":
         _require(args, "panel")
         panel = pn.difference(pn.read_wide_csv(args.panel), args.lag)
@@ -358,7 +339,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     g = gg.read_graph_json(args.graph)
     panel = _aligned_panel(args, g)
     scheme = _load_scheme(args, g)
-    p_max = args.pmax if args.pmax else sel.schwert_max_lag(panel.n_times)
+    p_max = args.pmax if args.pmax is not None else sel.schwert_max_lag(panel.n_times)
     grid = sel.order_grid(p_max, args.smax)
     report = sel.select_model(panel, g, scheme, grid, criterion=args.criterion,
                               global_alpha=not args.vertex_alpha)
@@ -420,12 +401,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "graph", "p", "s", "alpha", "beta", "T")
     g = gg.read_graph_json(args.graph)
-    s = _parse_s(args.s)
-    order = gc.GnarOrder(p=args.p, s=s)
-    alpha = _parse_alpha(args.alpha)
-    beta = _parse_beta(args.beta, s)
-    scheme = (gc.WeightScheme(args.scheme) if args.scheme in ("spl", "uniform")
-              else _load_scheme(args, g))
+    order = gc.GnarOrder(p=args.p, s=args.s)
+    alpha, beta = args.alpha, args.beta
+    scheme = _load_scheme(args, g)
     spec = gc.GnarSpec(order=order, global_alpha=True, scheme=scheme)
     sigma = math.sqrt(args.sigma2) if args.sigma2 is not None else args.sigma
     if sigma is None:
@@ -600,8 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="centered moving average in an interval")
     dsm.add_argument("--panel")
     dsm.add_argument("--window", type=int)
-    dsm.add_argument("--start", help="ISO date")
-    dsm.add_argument("--end", help="ISO date")
+    dsm.add_argument("--start", type=datetime.date.fromisoformat, help="ISO date")
+    dsm.add_argument("--end", type=datetime.date.fromisoformat, help="ISO date")
     dd = data_sub.add_parser("diff", parents=[common], help="lag differencing")
     dd.add_argument("--panel")
     dd.add_argument("--lag", type=int, default=1)
@@ -634,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="node-specific own-lag coefficients")
     for model_p in (fit_p, fc):
         model_p.add_argument("--p", type=int)
-        model_p.add_argument("--s", help="comma-separated stages, e.g. 2,1,0")
+        model_p.add_argument("--s", type=_parse_s,
+                             help="comma-separated stages, e.g. 2,1,0")
     fit_p.add_argument("--method", default="ols", choices=["ols", "egls"])
     fit_p.add_argument("--residuals-out", help="also write the residual panel")
     fit_p.add_argument("--out")
@@ -654,9 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="simulate a panel from the model")
     sim.add_argument("--graph")
     sim.add_argument("--p", type=int)
-    sim.add_argument("--s")
-    sim.add_argument("--alpha", help="comma-separated, one per lag")
-    sim.add_argument("--beta",
+    sim.add_argument("--s", type=_parse_s)
+    sim.add_argument("--alpha", type=_parse_alpha, help="comma-separated, one per lag")
+    sim.add_argument("--beta", type=_parse_beta,
                      help="semicolon-separated lag groups of comma-separated "
                           "stage values, e.g. '0.14,0.41;-0.07;0.03;0.14;0.01'")
     sim.add_argument("--T", type=int)
@@ -708,51 +687,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parsed_dests(argv: list[str]) -> set[str]:
-    """Options argparse parsed from argv in any accepted spelling (abbreviated,
-    ``--opt=value``): re-parses with every default suppressed."""
-    parsers = [build_parser()]
-    for parser in parsers:
-        for action in parser._actions:
-            action.default = argparse.SUPPRESS
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return set(vars(parsers[0].parse_args(argv)))
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The entries of a ``--config`` JSON object as ``--option=value`` tokens
+    of ``parser``: a list joins with ``,``, a list of lists with ``;``, and a
+    switch takes only ``true`` or ``false``."""
+    options = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    tokens = []
+    for key, value in _read_json(path, _flat_object, "a flat JSON object").items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise InvalidInputError(f"config key {key!r} is not an option of this subcommand")
+        if action.nargs != 0:
+            tokens.append(f"{action.option_strings[-1]}={_config_text(key, value)}")
+        elif isinstance(value, bool):
+            tokens += [action.option_strings[-1]] if value else []
+        else:
+            raise InvalidInputError(f"config key {key!r} is a switch: use true or false")
+    return tokens
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill options from the config file unless given on the command line."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        try:
-            config = json.load(fh)
-        except ValueError as exc:
-            raise InvalidInputError(f"{args.config}: not valid JSON ({exc})") from exc
-    if not isinstance(config, dict):
-        raise InvalidInputError("--config must contain a flat JSON object")
-    on_cli = _parsed_dests(argv)
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise InvalidInputError(
-                f"config key {key!r} is not an option of this subcommand")
-        if dest not in on_cli:
-            setattr(args, dest, value)
+def _config_text(key: str, value) -> str:
+    if isinstance(value, list):
+        sep = ";" if any(isinstance(v, list) for v in value) else ","
+        return sep.join(_config_text(key, v) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InvalidInputError(f"config key {key!r}: {json.dumps(value)} is not a "
+                                "string, a number or a list")
+    return str(value)
+
+
+def _flat_object(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise TypeError(f"got a JSON {type(obj).__name__}")
+    return obj
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.argv = ["gnar", *argv]
     try:
-        _apply_config(args, argv)
+        if args.config:
+            # config entries go right after the subcommand names, so that any
+            # spelling of a flag on the command line comes later and wins
+            k = next(i for i, token in enumerate(argv) if token.startswith("-"))
+            sub = parser
+            for name in argv[:k]:
+                sub = next(a for a in sub._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices[name]
+            args = parser.parse_args(argv[:k] + _config_flags(args.config, sub) + argv[k:])
+        args.argv = ["gnar", *argv]
         return args.func(args)
-    except GnarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (GnarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

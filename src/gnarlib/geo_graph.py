@@ -28,7 +28,6 @@ only relative distances matter for the edge filters.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -39,8 +38,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError, _check_seed
-from .panel import _row_errors, _skip_comments
+from .errors import (DegenerateGeometryError, InvalidInputError, _check_seed, _read_csv,
+                     _read_json)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -641,24 +640,14 @@ def read_points_csv(stream) -> list[GeoPoint]:
     Accepts a text stream or a path.  Points are returned sorted by node_id
     so that graphs built from the same file always share label order.
     """
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        with open(stream, newline="") as fh:
-            return read_points_csv(fh)
-    reader = csv.DictReader(_skip_comments(stream))
-    required = {"node", "lat", "lon"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise InvalidInputError("points CSV must have header node,lat,lon[,population]")
-    where = getattr(stream, "name", "points CSV")
-    points = []
-    for k, row in enumerate(reader, start=1):
-        pop = row.get("population")
-        with _row_errors(where, k):
-            points.append(GeoPoint(
-                node_id=row["node"],
-                lat_deg=float(row["lat"]),
-                lon_deg=float(row["lon"]),
-                population=float(pop) if pop not in (None, "") else None,
-            ))
+    def point(row, col):
+        pop = row[col["population"]] if "population" in col else ""
+        return GeoPoint(node_id=row[col["node"]], lat_deg=float(row[col["lat"]]),
+                        lon_deg=float(row[col["lon"]]),
+                        population=float(pop) if pop else None)
+
+    _, points = _read_csv(stream, "header node,lat,lon[,population]",
+                          lambda header: {"node", "lat", "lon"}.issubset(header), point)
     points.sort(key=lambda p: p.node_id)
     _check_points(points)
     return points
@@ -666,20 +655,9 @@ def read_points_csv(stream) -> list[GeoPoint]:
 
 def read_edgelist_csv(stream) -> list[tuple[str, str]]:
     """Read undirected edges from CSV with header ``from,to``."""
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        with open(stream, newline="") as fh:
-            return read_edgelist_csv(fh)
-    reader = csv.DictReader(_skip_comments(stream))
-    if reader.fieldnames is None or not {"from", "to"}.issubset(reader.fieldnames):
-        raise InvalidInputError("edge-list CSV must have header from,to")
-    where = getattr(stream, "name", "edge-list CSV")
-    edges = []
-    for k, row in enumerate(reader, start=1):
-        with _row_errors(where, k):
-            if row["from"] is None or row["to"] is None:
-                raise ValueError("row has fewer fields than the header from,to")
-            edges.append((row["from"], row["to"]))
-    return edges
+    return _read_csv(stream, "header from,to",
+                     lambda header: {"from", "to"}.issubset(header),
+                     lambda row, col: (row[col["from"]], row[col["to"]]))[1]
 
 
 def write_graph_json(g: Graph, path, meta: Optional[dict] = None) -> None:
@@ -693,9 +671,5 @@ def write_graph_json(g: Graph, path, meta: Optional[dict] = None) -> None:
 
 
 def read_graph_json(path) -> Graph:
-    with open(path) as fh:
-        try:
-            return Graph.from_json(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(
-                f"{path}: not a graph JSON with 'labels' and 'edges' lists ({exc})") from exc
+    return _read_json(path, Graph.from_json,
+                      "a graph JSON with 'labels' and 'edges' lists")

@@ -633,6 +633,17 @@ def fit_ols(design: np.ndarray | NodeDesign, response: np.ndarray, spec: GnarSpe
     naming the dependent columns.  ``row_index`` (node, column) pairs may be
     a list or an (n_rows, 2) array.
     """
+    design, response = _checked_system(design, response, spec, n)
+    names = coefficient_names(spec, _labels(labels, n))
+    solve = _node_solve if isinstance(design, NodeDesign) else _dense_solve
+    gamma, cov_diag = solve(design, response, names)
+    return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
+                   names, weight_set)
+
+
+def _checked_system(design, response, spec: GnarSpec, n: int):
+    """The design (2-D, or a NodeDesign) and the flat response, checked
+    against each other and against the parameter count of ``spec``."""
     if not isinstance(design, NodeDesign):
         design = np.asarray(design, dtype=float)
         if design.ndim != 2:
@@ -646,11 +657,7 @@ def fit_ols(design: np.ndarray | NodeDesign, response: np.ndarray, spec: GnarSpe
             f"design has {M} columns but spec implies {spec.n_params(n)}")
     if n_obs < M:
         raise InsufficientDataError(f"{n_obs} rows < {M} parameters")
-    names = coefficient_names(spec, _labels(labels, n))
-    solve = _node_solve if isinstance(design, NodeDesign) else _dense_solve
-    gamma, cov_diag = solve(design, response, names)
-    return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
-                   names, weight_set)
+    return design, response
 
 
 def _labels(labels: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
@@ -721,8 +728,7 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
     (unwhitened) scale under the pooled-variance convention, so criteria
     stay comparable with OLS fits.
     """
-    design = np.asarray(design, dtype=float)
-    response = np.asarray(response, dtype=float).ravel()
+    design, response = _checked_system(np.asarray(design, dtype=float), response, spec, n)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n, n):
         raise InvalidInputError(f"sigma shape {sigma.shape} does not match n={n}")

@@ -15,10 +15,8 @@ propagate (no operation invents a number where an input was missing).
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import datetime
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataIntegrityError, InvalidInputError, UndefinedStatisticError
+from .errors import (DataIntegrityError, InvalidInputError, UndefinedStatisticError,
+                     _read_csv, _read_json)
 
 
 class DataCorrectionWarning(UserWarning):
@@ -140,20 +139,13 @@ def ingest_long_csv(stream) -> TimeSeriesPanel:
     Empty value fields are treated as missing; an infinite value is
     rejected with an error naming the data row.
     """
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        with open(stream, newline="") as fh:
-            return ingest_long_csv(fh)
-    reader = csv.DictReader(_skip_comments(stream))
-    if reader.fieldnames is None or not {"date", "node", "value"}.issubset(reader.fieldnames):
-        raise InvalidInputError("long CSV must have header date,node,value")
-    where = getattr(stream, "name", "long CSV")
+    _, rows = _read_csv(
+        stream, "header date,node,value",
+        lambda header: {"date", "node", "value"}.issubset(header),
+        lambda row, col: (_iso_date(row[col["date"]]), row[col["node"]],
+                          _cell_value(row[col["value"]])))
     cells: dict[tuple[datetime.date, str], float] = {}
-    for k, row in enumerate(reader, start=1):
-        node = row["node"]
-        raw = row["value"]
-        with _row_errors(where, k):
-            d = _iso_date(row["date"])
-            value = _cell_value(raw)
+    for d, node, value in rows:
         key = (d, node)
         if key in cells:
             old = cells[key]
@@ -193,6 +185,8 @@ def weekly_from_cumulative(daily: TimeSeriesPanel,
     emits a :class:`DataCorrectionWarning` per node and week, and the value
     is kept as reported.
     """
+    if not daily.dates:
+        raise InvalidInputError("the daily panel has no dates")
     date_ix = {d: j for j, d in enumerate(daily.dates)}
     first = daily.dates[0]
     week_ends = []
@@ -377,31 +371,20 @@ def write_wide_csv(panel: TimeSeriesPanel, path,
 def read_wide_csv(stream) -> TimeSeriesPanel:
     """Read a wide CSV written by :func:`write_wide_csv`; empty cells are
     missing and an infinite value is an error naming the data row."""
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        with open(stream, newline="") as fh:
-            return read_wide_csv(fh)
-    reader = csv.reader(_skip_comments(stream))
-    header = next(reader, None)
-    if not header or header[0] != "date" or len(header) < 2:
-        raise InvalidInputError("wide CSV must have header date,<node>,...")
+    header, rows = _read_csv(
+        stream, "header date,<node>,...",
+        lambda header: header[:1] == ["date"] and len(header) > 1,
+        lambda row, col: (_iso_date(row[0]), [_cell_value(cell) for cell in row[1:]]))
     labels = tuple(header[1:])
-    where = getattr(stream, "name", "wide CSV")
-    dates, rows = [], []
-    for k, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        with _row_errors(where, k):
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
-            dates.append(_iso_date(row[0]))
-            rows.append([_cell_value(cell) for cell in row[1:]])
-    values = np.asarray(rows, dtype=float).T if rows else np.empty((len(labels), 0))
-    return TimeSeriesPanel(labels=labels, dates=tuple(dates), values=values)
+    dates = tuple(d for d, _ in rows)
+    values = (np.asarray([v for _, v in rows], dtype=float).T if rows
+              else np.empty((len(labels), 0)))
+    return TimeSeriesPanel(labels=labels, dates=dates, values=values)
 
 
 def read_phase_spec_json(path) -> PhaseSpec:
-    with open(path) as fh, _row_errors(path, None):
-        return PhaseSpec.from_json(json.load(fh))
+    return _read_json(path, PhaseSpec.from_json,
+                      "a phase spec JSON with 'name' and 'intervals'")
 
 
 def _cell_value(text) -> float:
@@ -421,25 +404,9 @@ def _iso_date(text) -> datetime.date:
         raise ValueError(f"bad ISO date {text!r}") from None
 
 
-@contextlib.contextmanager
-def _row_errors(where, row: Optional[int]):
-    """Re-raise a malformed field as an error naming the file and data row."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        at = f"{where}: data row {row}" if row is not None else str(where)
-        raise InvalidInputError(f"{at}: malformed field ({exc})") from exc
-
-
 def _reject_infinite(series) -> None:
     """Raise on the first (label, values) pair that holds +-inf."""
     for label, x in series:
         if np.isinf(x).any():
             raise InvalidInputError(
                 f"node {label!r} holds infinite values; NaN marks a missing cell")
-
-
-def _skip_comments(stream) -> Iterable[str]:
-    for line in stream:
-        if not line.lstrip().startswith("#"):
-            yield line

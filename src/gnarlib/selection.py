@@ -255,7 +255,6 @@ class ArNodeResult:
     sigma2: float = math.nan
     bic: float = math.nan
     n_obs: int = 0
-    one_step_predictions: Optional[np.ndarray] = None  # panel-length, NaN pads
 
     def to_json(self) -> dict:
         return {
@@ -288,11 +287,11 @@ def fit_ar_baseline(panel: TimeSeriesPanel, p_max: int) -> dict[str, ArNodeResul
         if observed.size <= p_max + 1 or np.nanstd(x) == 0.0:
             out[label] = ArNodeResult(label=label, status="degenerate")
             continue
-        best: Optional[tuple[float, int, np.ndarray, float, int, np.ndarray, np.ndarray]] = None
+        best: Optional[tuple[float, int, np.ndarray, float, int]] = None
         for p in range(1, p_max + 1):
             spec = GnarSpec(order=GnarOrder(p=p, s=(0,) * p))
             try:
-                design, y, rows = _design_from_planes(x[None, :, None], spec)
+                design, y, _ = _design_from_planes(x[None, :, None], spec)
             except InsufficientDataError:
                 continue
             if design.shape[0] <= p:
@@ -303,17 +302,15 @@ def fit_ar_baseline(panel: TimeSeriesPanel, p_max: int) -> dict[str, ArNodeResul
             resid = y - design @ coef
             sigma2, _, bic, _ = _gaussian_criteria(float(resid @ resid), y.size, p)
             if best is None or bic < best[0]:
-                best = (bic, p, coef, sigma2, y.size, rows[:, 1], design)
+                best = (bic, p, coef, sigma2, y.size)
         if best is None:
             out[label] = ArNodeResult(label=label, status="degenerate")
             continue
-        bic, p, coef, sigma2, n_obs, ts, design = best
-        preds = np.full(panel.n_times, np.nan)
-        preds[ts] = design @ coef
+        bic, p, coef, sigma2, n_obs = best
         out[label] = ArNodeResult(
             label=label, status="ok", order=p,
             coefficients=tuple(float(c) for c in coef),
-            sigma2=sigma2, bic=bic, n_obs=n_obs, one_step_predictions=preds)
+            sigma2=sigma2, bic=bic, n_obs=n_obs)
     return out
 
 

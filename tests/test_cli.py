@@ -742,3 +742,115 @@ def test_csv_outputs_hold_plain_numbers(tmp_path, queen_json, sim_panel):
                            tmp_path / "moran.csv", sim / "refit_table.csv")}
     assert counts == {"forecast.csv": 2 * 26 * 5, "mase.csv": 26 * 5,
                       "moran.csv": 4 * 80, "refit_table.csv": 4 * 2}
+
+
+# ---------------------------------------------------------------------------
+# every CSV input: a directory or undecodable bytes end in one error line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", ["directory", "undecodable"])
+@pytest.mark.parametrize("reader", ["points", "edgelist", "long", "wide"])
+def test_unreadable_csv_input_is_an_error(tmp_path, capsys, reader, bad):
+    path = tmp_path / "input.csv"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"date,node,value\n2020-01-06,\xff\xfe,1\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "points": ["network", "build", "--kind", "knn", "--k", "1", "--points", str(path)],
+        "edgelist": ["network", "build", "--kind", "edgelist", "--edges", str(path)],
+        "long": ["data", "ingest", "--csv", str(path)],
+        "wide": ["diagnose", "ks", "--panel", str(path)],
+    }[reader]
+    assert run([*argv, "--out", out]) == 1
+    _single_error(capsys, str(path), *(["undecodable"] if bad == "undecodable" else []))
+
+
+def test_weekly_on_a_header_only_panel_is_an_error(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("date,a,b\n")
+    assert run(["data", "weekly", "--panel", str(empty),
+                "--out", str(tmp_path / "w.csv")]) == 1
+    _single_error(capsys, "no dates")
+
+
+# ---------------------------------------------------------------------------
+# a config value is parsed exactly as the same flag
+# ---------------------------------------------------------------------------
+
+def _data_lines(path):
+    return [l for l in Path(path).read_text().splitlines() if not l.startswith("#")]
+
+
+def _without_meta(path):
+    obj = json.loads(Path(path).read_text())
+    del obj["meta"]
+    return obj
+
+
+def test_config_strings_convert_like_flags(tmp_path, queen_json, sim_panel):
+    model = ["--panel", sim_panel, "--graph", queen_json, "--s", "1"]
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"p": "1"}))
+    assert run(["fit", *model, "--config", str(cfg), "--out", str(tmp_path / "c.json")]) == 0
+    assert run(["fit", *model, "--p", "1", "--out", str(tmp_path / "f.json")]) == 0
+    assert _without_meta(tmp_path / "c.json") == _without_meta(tmp_path / "f.json")
+
+    moran = ["diagnose", "moran", "--panel", sim_panel, "--graph", queen_json]
+    cfg.write_text(json.dumps({"R": "50"}))
+    assert run([*moran, "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 0
+    assert run([*moran, "--R", "50", "--out", str(tmp_path / "mf")]) == 0
+    assert _data_lines(tmp_path / "mc.csv") == _data_lines(tmp_path / "mf.csv")
+    assert _without_meta(tmp_path / "mc.json") == _without_meta(tmp_path / "mf.json")
+
+
+def test_config_non_integer_fails_like_the_flag(tmp_path, capsys, queen_json, sim_panel):
+    model = ["fit", "--panel", sim_panel, "--graph", queen_json, "--s", "1",
+             "--out", str(tmp_path / "f.json")]
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"p": 2.5}))
+    with pytest.raises(SystemExit) as from_config:
+        run([*model, "--config", str(cfg)])
+    config_err = capsys.readouterr().err.splitlines()[-1]
+    with pytest.raises(SystemExit) as from_flag:
+        run([*model, "--p", "2.5"])
+    assert from_config.value.code == from_flag.value.code == 2
+    assert config_err == capsys.readouterr().err.splitlines()[-1]
+    assert "invalid int value: '2.5'" in config_err
+
+
+@pytest.mark.parametrize("config", [{"vertex_alpha": "false"}, {"vertex-alpha": 0},
+                                    {"func": 1}, {"p": None}])
+def test_config_value_without_a_flag_form_is_rejected(tmp_path, capsys, queen_json,
+                                                      sim_panel, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["fit", "--panel", sim_panel, "--graph", queen_json, "--p", "1",
+                "--s", "1", "--config", str(cfg), "--out", str(tmp_path / "f.json")]) == 1
+    _single_error(capsys, repr(next(iter(config))))
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_readme_protocol_config_lists_match_strings(tmp_path, queen_json, capsys):
+    config = {"graph": queen_json, "p": 5, "s": "2,1,1,1,1",
+              "alpha": "0.18,-0.19,-0.09,-0.17,-0.11",
+              "beta": "0.14,0.41;-0.07;0.03;0.14;0.01",
+              "T": 1000, "sigma2": 0.001, "init-mean": 10.0,
+              "scheme": "uniform", "seed": 1, "refit": True}
+    lists = {**config, "s": [2, 1, 1, 1, 1], "alpha": [0.18, -0.19, -0.09, -0.17, -0.11],
+             "beta": [[0.14, 0.41], [-0.07], [0.03], [0.14], [0.01]]}
+    for name, obj in (("strings", config), ("lists", lists)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        assert run(["simulate", "--config", str(tmp_path / f"{name}.json"),
+                    "--out-dir", str(tmp_path / name)]) == 0
+    for out in ("panel.csv", "refit_table.csv"):
+        assert _data_lines(tmp_path / "lists" / out) == _data_lines(tmp_path / "strings" / out)
+    assert (_without_meta(tmp_path / "lists" / "params.json")
+            == _without_meta(tmp_path / "strings" / "params.json"))
+
+
+def test_select_pmax_zero_is_rejected_not_defaulted(tmp_path, capsys, queen_json, sim_panel):
+    assert run(["select", "--panel", sim_panel, "--graph", queen_json, "--pmax", "0",
+                "--smax", "1", "--out", str(tmp_path / "report")]) == 1
+    _single_error(capsys, "p_max and s_max must be >= 1")

@@ -510,6 +510,25 @@ def test_egls_requires_positive_definite_sigma():
         fit_egls(D, y, spec, 3, 15, singular, rows)
 
 
+@pytest.mark.parametrize("case", ["spec", "response"])
+def test_egls_checks_its_arguments_as_ols_does(case):
+    # e.g. a GNAR(1, [1]) design under a GNAR(2, [1, 0]) spec: both fits refuse it
+    rng = np.random.default_rng(54)
+    g = ring_graph(5)
+    panel = make_panel(rng.normal(size=(5, 40)), labels=g.labels)
+    stages = stage_neighbourhoods(g, 1)
+    w = compute_weights(g, stages, WeightScheme("spl"))
+    D, y, rows = build_design(panel, spec_for(1, [1]), w, stages)
+    spec = spec_for(2, [1, 0]) if case == "spec" else spec_for(1, [1])
+    if case == "response":
+        y = y[:-1]
+    with pytest.raises(InvalidInputError) as ols_error:
+        fit_ols(D, y, spec, 5, 40, row_index=rows)
+    with pytest.raises(InvalidInputError) as egls_error:
+        fit_egls(D, y, spec, 5, 40, np.eye(5), rows)
+    assert str(egls_error.value) == str(ols_error.value)
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
