@@ -160,6 +160,17 @@ def _load_scheme(args: argparse.Namespace, g: gg.Graph) -> gc.WeightScheme:
     return gc.WeightScheme("pb", dist_km=dist, populations=np.asarray(pops, dtype=float))
 
 
+def _arg_type(parse, expected: str):
+    """``parse`` as an argparse ``type=``: a bad value is reported as
+    "expected <expected>", not by the name of the converter."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return convert
+
+
 def _parse_s(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",")) if text else ()
 
@@ -171,6 +182,10 @@ def _parse_alpha(text: str) -> np.ndarray:
 def _parse_beta(text: str) -> list[np.ndarray]:
     return [np.asarray([float(v) for v in grp.split(",") if v.strip() != ""])
             for grp in text.split(";")]
+
+
+_STAGES = _arg_type(_parse_s, "comma-separated integers")
+_ISO_DATE = _arg_type(datetime.date.fromisoformat, "an ISO date")
 
 
 def _spec_from_args(args: argparse.Namespace, g: gg.Graph) -> gc.GnarSpec:
@@ -578,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="centered moving average in an interval")
     dsm.add_argument("--panel")
     dsm.add_argument("--window", type=int)
-    dsm.add_argument("--start", type=datetime.date.fromisoformat, help="ISO date")
-    dsm.add_argument("--end", type=datetime.date.fromisoformat, help="ISO date")
+    dsm.add_argument("--start", type=_ISO_DATE, help="ISO date")
+    dsm.add_argument("--end", type=_ISO_DATE, help="ISO date")
     dd = data_sub.add_parser("diff", parents=[common], help="lag differencing")
     dd.add_argument("--panel")
     dd.add_argument("--lag", type=int, default=1)
@@ -612,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="node-specific own-lag coefficients")
     for model_p in (fit_p, fc):
         model_p.add_argument("--p", type=int)
-        model_p.add_argument("--s", type=_parse_s,
+        model_p.add_argument("--s", type=_STAGES,
                              help="comma-separated stages, e.g. 2,1,0")
     fit_p.add_argument("--method", default="ols", choices=["ols", "egls"])
     fit_p.add_argument("--residuals-out", help="also write the residual panel")
@@ -633,9 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="simulate a panel from the model")
     sim.add_argument("--graph")
     sim.add_argument("--p", type=int)
-    sim.add_argument("--s", type=_parse_s)
-    sim.add_argument("--alpha", type=_parse_alpha, help="comma-separated, one per lag")
-    sim.add_argument("--beta", type=_parse_beta,
+    sim.add_argument("--s", type=_STAGES)
+    sim.add_argument("--alpha", type=_arg_type(_parse_alpha, "comma-separated numbers"),
+                     help="comma-separated, one per lag")
+    sim.add_argument("--beta", type=_arg_type(_parse_beta, "';'-separated groups of numbers"),
                      help="semicolon-separated lag groups of comma-separated "
                           "stage values, e.g. '0.14,0.41;-0.07;0.03;0.14;0.01'")
     sim.add_argument("--T", type=int)

@@ -64,9 +64,11 @@ def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
     Lines starting with ``#`` and blank rows are skipped.  ``header_ok(header)``
     must hold (``layout`` describes the header it expects), every data row
     must have as many fields as the header, and ``col`` maps each header name
-    to its field index.  An undecodable byte, a bad header or row, or an error
-    from ``parse`` raises one InvalidInputError naming the source and the data
-    row.
+    to its field index.  A ``parse`` that returns None folds the row itself
+    and nothing is kept.  An undecodable byte, a bad header or row, or an
+    error from ``parse`` raises one InvalidInputError naming the source and
+    the data row; a DataIntegrityError (rows that contradict each other)
+    passes unchanged.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
@@ -83,8 +85,12 @@ def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
             if row:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
-                out.append(parse(row, col))
+                parsed = parse(row, col)
+                if parsed is not None:
+                    out.append(parsed)
             k += 1
+    except DataIntegrityError:
+        raise
     except (csv.Error, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, UnicodeDecodeError):  # decoded a block at a time: no row
             at = "undecodable text"

@@ -139,22 +139,20 @@ def ingest_long_csv(stream) -> TimeSeriesPanel:
     Empty value fields are treated as missing; an infinite value is
     rejected with an error naming the data row.
     """
-    _, rows = _read_csv(
-        stream, "header date,node,value",
-        lambda header: {"date", "node", "value"}.issubset(header),
-        lambda row, col: (_iso_date(row[col["date"]]), row[col["node"]],
-                          _cell_value(row[col["value"]])))
     cells: dict[tuple[datetime.date, str], float] = {}
-    for d, node, value in rows:
-        key = (d, node)
-        if key in cells:
-            old = cells[key]
-            same = (old == value) or (math.isnan(old) and math.isnan(value))
-            if not same:
-                raise DataIntegrityError(
-                    f"conflicting duplicate for node {node!r} on {d.isoformat()}: "
-                    f"{old!r} vs {value!r}")
-        cells[key] = value
+
+    def fold(row, col) -> None:
+        d, node = _iso_date(row[col["date"]]), row[col["node"]]
+        value = _cell_value(row[col["value"]])
+        old = cells.get((d, node))
+        if old is not None and not (old == value or (math.isnan(old) and math.isnan(value))):
+            raise DataIntegrityError(
+                f"conflicting duplicate for node {node!r} on {d.isoformat()}: "
+                f"{old!r} vs {value!r}")
+        cells[d, node] = value
+
+    _read_csv(stream, "header date,node,value",
+              lambda header: {"date", "node", "value"}.issubset(header), fold)
     if not cells:
         raise InvalidInputError("no data rows in long CSV")
     dates = tuple(sorted({d for d, _ in cells}))
@@ -306,9 +304,12 @@ def boxcox_profile(series: Sequence[float],
 
     Differenced incidence can be negative, so the data is shifted by
     (1 - min) whenever min <= 0; the shift is reported on the result.
-    ``lambda_hat`` is the grid argmax.
+    ``lambda_hat`` is the grid argmax.  Each log-likelihood equals scipy
+    1.17.1's ``scipy.stats.boxcox_llf`` of the shifted data bit for bit; it
+    is computed by numpy alone, so it does not depend on the installed scipy.
     """
-    x = np.asarray([v for v in series if not math.isnan(v)], dtype=float)
+    x = np.asarray(series, dtype=float)
+    x = x[~np.isnan(x)]
     if x.size < 3:
         raise InvalidInputError("need at least 3 observed values to profile")
     if lambda_grid is None:
@@ -321,27 +322,83 @@ def boxcox_profile(series: Sequence[float],
     if x.min() <= 0:
         raise InvalidInputError("values not strictly positive after shift")
     logx = np.log(x)
-    if float(np.var(logx)) == 0.0:
+    var = np.var(logx)
+    if float(var) == 0.0:
         raise UndefinedStatisticError("constant series; the Box-Cox profile is undefined")
-    loglik = tuple(_boxcox_llf(lmb, logx) for lmb in grid)
+    loglik = tuple(_boxcox_loglik(np.asarray(grid), logx, var).tolist())
     lambda_hat = grid[int(np.argmax(loglik))]
     return BoxCoxProfile(lambda_grid=grid, loglik=loglik,
                          lambda_hat=lambda_hat, shift=shift)
 
 
-def _boxcox_llf(lmb: float, logx: np.ndarray) -> float:
-    """Box-Cox log-likelihood from log(x), step for step as scipy.stats.boxcox_llf."""
-    from scipy.special import logsumexp
+# Elements per lambda block of the Box-Cox kernel: its (lambdas x n)
+# temporaries stay this small however long the series is.
+_BOXCOX_CELLS = 1 << 16
 
-    log_n = math.log(logx.size)
-    if lmb == 0:
-        logvar = np.log(np.var(logx))
-    else:
-        y = lmb * logx
-        pair = np.stack((y, np.full_like(y, logsumexp(y, axis=0) - log_n)))
-        logdev = logsumexp(pair, axis=0, b=[[1.0], [-1.0]], return_sign=True)[0]
-        logvar = logsumexp(2 * logdev, axis=0) - log_n - 2 * math.log(abs(lmb))
-    return float((lmb - 1) * np.sum(logx) - logx.size / 2 * logvar)
+
+def _boxcox_loglik(lam: np.ndarray, logx: np.ndarray, var) -> np.ndarray:
+    """Box-Cox log-likelihood for every lambda from log(x) and var(log x).
+
+    This is scipy 1.17.1's ``boxcox_llf`` batched over lambda.  With
+    y = lambda log x, the log variance of the transformed data is
+    logsumexp(2 log|e^y - mean e^y|) - log n - 2 log|lambda|, the last term
+    from libm's log as in scipy.  Every logsumexp reduces a contiguous row
+    as scipy reduces its 1-D array, so each value is the one scipy returns.
+    lambda = 0 (and -0.0) uses log(var(log x)).  The lambdas are taken in
+    blocks of at most ``_BOXCOX_CELLS`` elements.
+    """
+    n = logx.size
+    log_n = math.log(n)
+    logvar = np.full(lam.shape, np.log(var))
+    nz = np.flatnonzero(lam != 0)
+    step = max(1, _BOXCOX_CELLS // n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, nz.size, step):
+            rows = nz[start:start + step]
+            y = lam[rows, None] * logx
+            logmean = _row_logsumexp(y) - log_n
+            logdev = _row_logdiffexp(y, logmean)
+            two_log_lam = np.array([2 * math.log(abs(v)) for v in lam[rows].tolist()])
+            logvar[rows] = _row_logsumexp(2 * logdev)[:, 0] - log_n - two_log_lam
+    return (lam - 1) * np.sum(logx) - n / 2 * logvar
+
+
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """scipy's ``logsumexp`` of each row of ``a``, as an (rows, 1) column.
+
+    The row max and its ties (m of them) are taken out; exp(a - max) of the
+    rest is summed, and the result is log1p(s / m) + log(m) + max.  A row
+    whose result is not finite gets log(sum(exp(a))) instead.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=1, keepdims=True, dtype=float)
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    out = np.log1p(s) + np.log(m) + a_max
+    bad = ~np.isfinite(out[:, 0])
+    if bad.any():
+        out[bad] = np.log(np.exp(a[bad]).sum(axis=1, keepdims=True))
+    return out
+
+
+def _row_logdiffexp(y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """log|exp(y) - exp(c)| elementwise (c is a column), as scipy's signed
+    two-term ``logsumexp([y, c], b=[1, -1])``.
+
+    scipy masks the larger term hi out (its exp becomes 0), so the sum is
+    +-exp(lo - hi) and the sign count m is +-1, and s / m = -exp(lo - hi);
+    the result is log1p(s) + log|m| + hi.  A tie y == c has m = 0 and
+    -inf, and every non-finite result falls back to the direct formula.
+    """
+    c = np.broadcast_to(c, y.shape)
+    hi = np.maximum(y, c)
+    s = -np.exp(np.minimum(y, c) - hi)
+    out = np.log1p(s) + np.where(y == c, -np.inf, 0.0) + hi
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = np.log(np.abs(np.exp(y[bad]) - np.exp(c[bad])))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,23 @@ def normal_equations_solve(design: np.ndarray, response: np.ndarray,
     return np.linalg.solve(design.T @ W @ design, design.T @ W @ response)
 
 
+def boxcox_llf_loop(lmb: float, logx: np.ndarray) -> float:
+    """Box-Cox log-likelihood of one lambda from log(x), step for step as
+    ``scipy.stats.boxcox_llf``, through three ``scipy.special.logsumexp``
+    calls; the profile evaluates a grid of these one lambda at a time."""
+    from scipy.special import logsumexp
+
+    log_n = math.log(logx.size)
+    if lmb == 0:
+        logvar = np.log(np.var(logx))
+    else:
+        y = lmb * logx
+        pair = np.stack((y, np.full_like(y, logsumexp(y, axis=0) - log_n)))
+        logdev = logsumexp(pair, axis=0, b=[[1.0], [-1.0]], return_sign=True)[0]
+        logvar = logsumexp(2 * logdev, axis=0) - log_n - 2 * math.log(abs(lmb))
+    return float((lmb - 1) * np.sum(logx) - logx.size / 2 * logvar)
+
+
 def morans_i_bruteforce(values: np.ndarray, weights: np.ndarray) -> float:
     """Double-loop evaluation of the spatial autocorrelation formula."""
     x = np.asarray(values, dtype=float)

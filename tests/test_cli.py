@@ -472,6 +472,16 @@ def test_long_csv_infinite_value_is_an_error(tmp_path, capsys):
     _single_error(capsys, str(bad), "data row 2", "non-finite value '-inf'")
 
 
+def test_long_csv_conflicting_duplicate_names_the_cell(tmp_path, capsys):
+    # the duplicate check runs while the rows are read, yet it still reports
+    # the cell, not a malformed row
+    bad = tmp_path / "long.csv"
+    bad.write_text("date,node,value\n2020-01-06,a,1\n2020-01-13,a,2\n2020-01-06,a,3\n")
+    assert run(["data", "ingest", "--csv", str(bad), "--out", str(tmp_path / "w.csv")]) == 1
+    _single_error(capsys, "conflicting duplicate for node 'a' on 2020-01-06: 1.0 vs 3.0")
+    assert not (tmp_path / "w.csv").exists()
+
+
 def test_egls_on_a_short_panel_names_the_bound(tmp_path, capsys, queen_json):
     sim = tmp_path / "sim"
     assert run(["simulate", "--graph", queen_json, "--p", "2", "--s", "1,0",
@@ -711,6 +721,54 @@ def test_model_commands_load_no_scipy_linalg(tmp_path, queen_json, sim_panel):
         assert proc.returncode == 0, (argv, proc.stderr)
         if loaded is not None:
             assert proc.stdout.strip().splitlines()[-1] == loaded, (argv, proc.stdout)
+
+
+def test_data_boxcox_loads_no_scipy(tmp_path, sim_panel):
+    # the Box-Cox profile runs on numpy alone
+    import os
+    import subprocess
+    import sys
+
+    import gnarlib
+
+    src = str(Path(gnarlib.__file__).resolve().parents[1])
+    code = ("import sys; from gnarlib.cli import main; rc = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.exit(rc)")
+    for node in ([], ["--node", "Dublin"]):
+        argv = ["data", "boxcox", "--panel", sim_panel, *node,
+                "--out", str(tmp_path / "bc.csv")]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout.strip().splitlines()[-1] == "[]", (argv, proc.stdout)
+
+
+@pytest.mark.parametrize("flag,value,expected", [
+    ("--alpha", "x", "expected comma-separated numbers, got 'x'"),
+    ("--beta", "0.1;y", "expected ';'-separated groups of numbers, got '0.1;y'"),
+    ("--s", "1,a", "expected comma-separated integers, got '1,a'"),
+])
+def test_bad_list_flag_names_the_expected_form(tmp_path, capsys, queen_json, flag, value,
+                                               expected):
+    argv = {"--alpha": "0.3", "--beta": "0.4", "--s": "1", flag: value}
+    with pytest.raises(SystemExit) as exit_info:
+        run(["simulate", "--graph", queen_json, "--p", "1", "--T", "20",
+             *(tok for item in argv.items() for tok in item),
+             "--out-dir", str(tmp_path / "sim")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {expected}" in err.splitlines()[-1]
+    assert "_parse" not in err and "convert" not in err
+
+
+def test_bad_date_flag_names_the_expected_form(tmp_path, capsys, sim_panel):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["data", "smooth", "--panel", sim_panel, "--window", "3",
+             "--start", "2020-13-01", "--end", "2020-12-01", "--out", str(tmp_path / "s.csv")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert "argument --start: expected an ISO date, got '2020-13-01'" in err
 
 
 # ---------------------------------------------------------------------------

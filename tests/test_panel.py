@@ -68,6 +68,22 @@ def test_ingest_conflicting_duplicate():
         ingest_long_csv(io.StringIO(csv))
 
 
+def test_ingest_conflicting_duplicate_is_not_a_row_error(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("date,node,value\n2020-01-06,a,\n2020-01-06,a,\n2020-01-13,a,1\n"
+                    "2020-01-06,a,2\n")
+    with pytest.raises(DataIntegrityError) as info:
+        ingest_long_csv(path)
+    assert type(info.value) is DataIntegrityError
+    assert str(info.value) == "conflicting duplicate for node 'a' on 2020-01-06: nan vs 2.0"
+
+
+def test_ingest_duplicates_keep_the_last_equal_value():
+    csv = "date,node,value\n2020-01-06,a,0.0\n2020-01-06,a,-0.0\n2020-01-13,a,1\n"
+    p = ingest_long_csv(io.StringIO(csv))
+    assert math.copysign(1.0, p.values[0, 0]) == -1.0
+
+
 def test_ingest_exact_duplicate_tolerated():
     csv = "date,node,value\n2020-01-06,a,1\n2020-01-06,a,1\n"
     p = ingest_long_csv(io.StringIO(csv))
