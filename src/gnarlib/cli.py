@@ -12,6 +12,12 @@ built-in defaults; the config is a flat JSON object keyed by option name
 (dashes or underscores) and may supply any option of the invoked
 subcommand, including ones that are otherwise mandatory.  Each value is
 parsed exactly as the same flag would be.
+
+``build_parser`` declares each subcommand once: its parser, its handler and
+its mandatory options.  A mandatory option missing from both the flags and
+the config ends the command, before it reads or writes anything, in one
+``error:`` line naming every missing flag and exit code 1.  ``network
+build`` needs --kind, --out and the options ``_KINDS`` lists for the kind.
 """
 
 from __future__ import annotations
@@ -127,8 +133,11 @@ def _stationarity(alpha, beta, weights: gc.WeightSet, n: int) -> dict:
     return {"stationarity_margin": margin, "spectral_radius": radius}
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
+def _require(args: argparse.Namespace) -> None:
+    """Every mandatory option of the invoked subcommand is set: ``required``
+    names their dests, or is a function of ``args`` that returns them."""
+    names = args.required(args) if callable(args.required) else args.required
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise InvalidInputError(f"missing required option(s): {flags} "
@@ -139,13 +148,17 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 # Input helpers
 # ---------------------------------------------------------------------------
 
+def _points(args: argparse.Namespace) -> list:
+    return gg.read_points_csv(args.points)
+
+
 def _load_scheme(args: argparse.Namespace, g: gg.Graph) -> gc.WeightScheme:
     kind = args.scheme
     if kind in ("spl", "uniform"):
         return gc.WeightScheme(kind)
-    if not getattr(args, "points", None):
+    if not args.points:
         raise InvalidInputError(f"scheme {kind!r} needs --points for distances")
-    points = gg.read_points_csv(args.points)
+    points = _points(args)
     by_id = {p.node_id: p for p in points}
     missing = [lbl for lbl in g.labels if lbl not in by_id]
     if missing:
@@ -194,15 +207,17 @@ def _spec_from_args(args: argparse.Namespace, g: gg.Graph) -> gc.GnarSpec:
                        scheme=_load_scheme(args, g))
 
 
-def _aligned_panel(args: argparse.Namespace, g: gg.Graph) -> pn.TimeSeriesPanel:
+def _graph_and_panel(args: argparse.Namespace) -> tuple[gg.Graph, pn.TimeSeriesPanel]:
+    """The --graph network and the --panel panel, its rows in the graph's order."""
+    g = gg.read_graph_json(args.graph)
     panel = pn.read_wide_csv(args.panel)
     if tuple(panel.labels) == tuple(g.labels):
-        return panel
+        return g, panel
     if set(panel.labels) != set(g.labels):
         raise InvalidInputError("panel and graph node sets differ; cannot align them")
     order = [panel.labels.index(lbl) for lbl in g.labels]
-    return pn.TimeSeriesPanel(labels=g.labels, dates=panel.dates,
-                              values=panel.values[order])
+    return g, pn.TimeSeriesPanel(labels=g.labels, dates=panel.dates,
+                                 values=panel.values[order])
 
 
 def _training_part(panel: pn.TimeSeriesPanel, h: int) -> pn.TimeSeriesPanel:
@@ -217,59 +232,57 @@ def _training_part(panel: pn.TimeSeriesPanel, h: int) -> pn.TimeSeriesPanel:
 # network
 # ---------------------------------------------------------------------------
 
-def cmd_network_build(args: argparse.Namespace) -> int:
-    _require(args, "kind", "out")
-    kind = args.kind
-    if kind == "complete":
-        if args.points:
-            labels = [p.node_id for p in gg.read_points_csv(args.points)]
-        elif args.n:
-            width = len(str(args.n))
-            labels = [f"v{i + 1:0{width}d}" for i in range(args.n)]
-        else:
-            raise InvalidInputError("complete graph needs --points or --n")
-        g = gg.build_complete(labels)
-    elif kind == "edgelist":
-        _require(args, "edges")
-        edges = gg.read_edgelist_csv(args.edges)
-        if args.points:
-            labels = [p.node_id for p in gg.read_points_csv(args.points)]
-        else:
-            labels = sorted({v for e in edges for v in e})
-        g = gg.build_from_edgelist(labels, edges)
-    elif kind == "hub":
-        _require(args, "points", "edges", "hubs")
-        points = gg.read_points_csv(args.points)
-        edges = gg.read_edgelist_csv(args.edges)
-        base = gg.build_from_edgelist([p.node_id for p in points], edges)
-        hubs = [h.strip() for h in args.hubs.split(",") if h.strip()]
-        g = gg.build_economic_hub(base, points, hubs)
+def _build_complete(args: argparse.Namespace) -> gg.Graph:
+    if args.points:
+        labels = [p.node_id for p in _points(args)]
+    elif args.n:
+        width = len(str(args.n))
+        labels = [f"v{i + 1:0{width}d}" for i in range(args.n)]
     else:
-        _require(args, "points")
-        points = gg.read_points_csv(args.points)
-        if kind == "knn":
-            _require(args, "k")
-            g = gg.build_knn(points, args.k)
-        elif kind == "dnn":
-            _require(args, "d_max")
-            g = gg.build_dnn(points, args.d_max)
-        elif kind == "delaunay":
-            g = gg.build_delaunay(points)
-        elif kind == "gabriel":
-            g = gg.derive_gabriel(points)
-        elif kind == "soi":
-            g = gg.derive_soi(points)
-        elif kind == "relative":
-            g = gg.derive_relative(points)
-        else:
-            raise InvalidInputError(f"unknown network kind {args.kind!r}")
+        raise InvalidInputError("complete graph needs --points or --n")
+    return gg.build_complete(labels)
+
+
+def _build_edgelist(args: argparse.Namespace) -> gg.Graph:
+    edges = gg.read_edgelist_csv(args.edges)
+    if args.points:
+        labels = [p.node_id for p in _points(args)]
+    else:
+        labels = sorted({v for e in edges for v in e})
+    return gg.build_from_edgelist(labels, edges)
+
+
+def _build_hub(args: argparse.Namespace) -> gg.Graph:
+    points = _points(args)
+    edges = gg.read_edgelist_csv(args.edges)
+    base = gg.build_from_edgelist([p.node_id for p in points], edges)
+    hubs = [h.strip() for h in args.hubs.split(",") if h.strip()]
+    return gg.build_economic_hub(base, points, hubs)
+
+
+# The ``network build --kind`` choices: the options each kind needs besides
+# --kind and --out, and the function that builds its graph from ``args``.
+_KINDS = {
+    "knn": (("points", "k"), lambda a: gg.build_knn(_points(a), a.k)),
+    "dnn": (("points", "d_max"), lambda a: gg.build_dnn(_points(a), a.d_max)),
+    "delaunay": (("points",), lambda a: gg.build_delaunay(_points(a))),
+    "gabriel": (("points",), lambda a: gg.derive_gabriel(_points(a))),
+    "soi": (("points",), lambda a: gg.derive_soi(_points(a))),
+    "relative": (("points",), lambda a: gg.derive_relative(_points(a))),
+    "edgelist": (("edges",), _build_edgelist),
+    "hub": (("points", "edges", "hubs"), _build_hub),
+    "complete": ((), _build_complete),
+}
+
+
+def cmd_network_build(args: argparse.Namespace) -> int:
+    g = _KINDS[args.kind][1](args)
     _write_json(args.out, g.to_json(), args)
     print(f"wrote {args.out} ({g.n} nodes, {g.n_edges} edges)")
     return 0
 
 
 def cmd_network_summarize(args: argparse.Namespace) -> int:
-    _require(args, "graph", "out")
     g = gg.read_graph_json(args.graph)
     s = gg.network_summary(g, brg_samples=args.brg_samples, seed=args.seed)
     header = ["n", "n_edges", "avg_degree", "avg_spl", "avg_local_clustering",
@@ -287,42 +300,46 @@ def cmd_network_summarize(args: argparse.Namespace) -> int:
 # data
 # ---------------------------------------------------------------------------
 
-def cmd_data(args: argparse.Namespace) -> int:
-    sub = args.data_cmd
-    _require(args, "out")
-    if sub == "ingest":
-        _require(args, "csv")
-        panel = pn.ingest_long_csv(args.csv)
-    elif sub == "weekly":
-        _require(args, "panel")
-        panel = pn.weekly_from_cumulative(pn.read_wide_csv(args.panel),
-                                          tolerance=args.tolerance)
-    elif sub == "smooth":
-        _require(args, "panel", "window", "start", "end")
-        panel = pn.rolling_average(pn.read_wide_csv(args.panel), args.window,
-                                   (args.start, args.end))
-    elif sub == "diff":
-        _require(args, "panel")
-        panel = pn.difference(pn.read_wide_csv(args.panel), args.lag)
-    elif sub == "phases":
-        _require(args, "panel", "spec")
-        spec = pn.read_phase_spec_json(args.spec)
-        panel = pn.split_phases(pn.read_wide_csv(args.panel), spec)
-    elif sub == "boxcox":
-        _require(args, "panel")
-        panel = pn.read_wide_csv(args.panel)
-        series = panel.row(args.node) if args.node else panel.values.ravel()
-        if args.grid_steps < 1:
-            raise InvalidInputError(f"--grid-steps must be >= 1, got {args.grid_steps}")
-        grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
-        prof = pn.boxcox_profile(series[~np.isnan(series)], grid)
-        rows = [[lmb, ll] for lmb, ll in zip(prof.lambda_grid, prof.loglik)]
-        _write_csv(args.out, ["lambda", "loglik"], rows, args)
-        print(f"lambda_hat={prof.lambda_hat:g} shift={prof.shift:g}")
-    else:
-        raise InvalidInputError(f"unknown data subcommand {sub!r}")
-    if sub != "boxcox":
-        _write_panel(args.out, panel, args)
+def _write_data(args: argparse.Namespace, panel: pn.TimeSeriesPanel) -> int:
+    _write_panel(args.out, panel, args)
+    print(f"wrote {args.out}")
+    return 0
+
+
+def cmd_data_ingest(args: argparse.Namespace) -> int:
+    return _write_data(args, pn.ingest_long_csv(args.csv))
+
+
+def cmd_data_weekly(args: argparse.Namespace) -> int:
+    return _write_data(args, pn.weekly_from_cumulative(pn.read_wide_csv(args.panel),
+                                                       tolerance=args.tolerance))
+
+
+def cmd_data_smooth(args: argparse.Namespace) -> int:
+    return _write_data(args, pn.rolling_average(pn.read_wide_csv(args.panel), args.window,
+                                                (args.start, args.end)))
+
+
+def cmd_data_diff(args: argparse.Namespace) -> int:
+    return _write_data(args, pn.difference(pn.read_wide_csv(args.panel), args.lag))
+
+
+def cmd_data_phases(args: argparse.Namespace) -> int:
+    spec = pn.read_phase_spec_json(args.spec)
+    return _write_data(args, pn.split_phases(pn.read_wide_csv(args.panel), spec))
+
+
+def cmd_data_boxcox(args: argparse.Namespace) -> int:
+    panel = pn.read_wide_csv(args.panel)
+    series = panel.row(args.node) if args.node else panel.values.ravel()
+    if args.grid_steps < 1:
+        raise InvalidInputError(f"--grid-steps must be >= 1, got {args.grid_steps}")
+    grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
+    prof = pn.boxcox_profile(series[~np.isnan(series)], grid)
+    summary = f"lambda_hat={prof.lambda_hat:g} shift={prof.shift:g}"
+    rows = [[lmb, ll] for lmb, ll in zip(prof.lambda_grid, prof.loglik)]
+    _write_csv(args.out, ["lambda", "loglik"], rows, args)
+    print(summary)
     print(f"wrote {args.out}")
     return 0
 
@@ -332,9 +349,7 @@ def cmd_data(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    _require(args, "panel", "graph", "p", "s", "out")
-    g = gg.read_graph_json(args.graph)
-    panel = _aligned_panel(args, g)
+    g, panel = _graph_and_panel(args)
     spec = _spec_from_args(args, g)
     fit = gc.fit(panel, g, spec, method=args.method)
     obj = fit.to_json()
@@ -350,9 +365,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    _require(args, "panel", "graph", "out")
-    g = gg.read_graph_json(args.graph)
-    panel = _aligned_panel(args, g)
+    g, panel = _graph_and_panel(args)
     scheme = _load_scheme(args, g)
     p_max = args.pmax if args.pmax is not None else sel.schwert_max_lag(panel.n_times)
     grid = sel.order_grid(p_max, args.smax)
@@ -377,9 +390,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
-    _require(args, "panel", "graph", "p", "s")
-    g = gg.read_graph_json(args.graph)
-    panel = _aligned_panel(args, g)
+    g, panel = _graph_and_panel(args)
     spec = _spec_from_args(args, g)
     h = args.holdout
     train = _training_part(panel, h)
@@ -414,12 +425,13 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _require(args, "graph", "p", "s", "alpha", "beta", "T")
     g = gg.read_graph_json(args.graph)
     order = gc.GnarOrder(p=args.p, s=args.s)
     alpha, beta = args.alpha, args.beta
     scheme = _load_scheme(args, g)
     spec = gc.GnarSpec(order=order, global_alpha=True, scheme=scheme)
+    if args.sigma2 is not None and args.sigma2 < 0:
+        raise InvalidInputError(f"sigma2 must be >= 0, got {args.sigma2}")
     sigma = math.sqrt(args.sigma2) if args.sigma2 is not None else args.sigma
     if sigma is None:
         raise InvalidInputError("provide --sigma2 or --sigma")
@@ -428,6 +440,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                         seed=args.seed)
     weights = gc.compute_weights(
         g, gg.stage_neighbourhoods(g, max(order.max_stage, 1)), scheme)
+    stationarity = _stationarity(alpha, beta, weights, g.n)
     _write_panel(_out_path(args, "panel.csv"), panel, args)
     sidecar = {
         "order": {"p": order.p, "s": list(order.s)},
@@ -439,7 +452,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "T": args.T,
         "scheme": spec.scheme.kind,
         "labels": list(g.labels),
-        **_stationarity(alpha, beta, weights, g.n),
+        **stationarity,
     }
     _write_json(_out_path(args, "params.json"), sidecar, args)
     written = ["panel.csv", "params.json"]
@@ -465,57 +478,56 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
-    sub = args.diag_cmd
-    _require(args, "out")
-    if sub == "moran":
-        _require(args, "panel", "graph")
-        g = gg.read_graph_json(args.graph)
-        panel = _aligned_panel(args, g)
-        res = dg.moran_permutation_test(panel, g, R=args.R, seed=args.seed,
-                                        rank_based=args.rank)
-        rows = []
-        for t, d in enumerate(res.dates):
-            if not res.tested[t]:
-                continue
-            rows.append([d.isoformat(), res.observed[t], res.lower[t],
-                         res.median[t], res.upper[t],
-                         "yes" if res.outside[t] else "no"])
-        _write_csv(args.out + ".csv",
-                   ["date", "I", "lower", "median", "upper", "outside"],
-                   rows, args)
-        _write_json(args.out + ".json", {
-            "n_m": res.n_m,
-            "tested_dates": int(res.tested.sum()),
-            "outside": int(res.outside.sum()),
-            "R": res.R,
-            "rank_based": res.rank_based,
-            "skipped": list(res.skipped_reasons),
-        }, args)
-        print(f"N_m = {res.n_m:.4f} over {int(res.tested.sum())} dates; "
-              f"wrote {args.out}.csv/.json")
-    elif sub in ("ks", "ljungbox"):
-        _require(args, "panel")
-        panel = pn.read_wide_csv(args.panel)
-        results = (dg.ks_normality(panel) if sub == "ks"
-                   else dg.ljung_box_panel(panel, max_lag=args.max_lag))
-        _write_json(args.out, {"tests": {
-            lbl: {"statistic": r.statistic, "p_value": r.p_value,
-                  "parameters": r.parameters}
-            for lbl, r in results.items()}}, args)
-        if sub == "ks":
-            n_rej = sum(1 for r in results.values()
-                        if not math.isnan(r.p_value) and r.p_value <= 0.025)
-            print(f"{n_rej}/{len(results)} nodes rejected at p <= 0.025; wrote {args.out}")
-        else:
-            print(f"wrote {args.out}")
-    else:
-        raise InvalidInputError(f"unknown diagnose subcommand {sub!r}")
+def cmd_diagnose_moran(args: argparse.Namespace) -> int:
+    g, panel = _graph_and_panel(args)
+    res = dg.moran_permutation_test(panel, g, R=args.R, seed=args.seed,
+                                    rank_based=args.rank)
+    rows = []
+    for t, d in enumerate(res.dates):
+        if not res.tested[t]:
+            continue
+        rows.append([d.isoformat(), res.observed[t], res.lower[t],
+                     res.median[t], res.upper[t],
+                     "yes" if res.outside[t] else "no"])
+    _write_csv(args.out + ".csv",
+               ["date", "I", "lower", "median", "upper", "outside"],
+               rows, args)
+    _write_json(args.out + ".json", {
+        "n_m": res.n_m,
+        "tested_dates": int(res.tested.sum()),
+        "outside": int(res.outside.sum()),
+        "R": res.R,
+        "rank_based": res.rank_based,
+        "skipped": list(res.skipped_reasons),
+    }, args)
+    print(f"N_m = {res.n_m:.4f} over {int(res.tested.sum())} dates; "
+          f"wrote {args.out}.csv/.json")
+    return 0
+
+
+def _write_tests(args: argparse.Namespace, results: dict) -> None:
+    _write_json(args.out, {"tests": {
+        lbl: {"statistic": r.statistic, "p_value": r.p_value,
+              "parameters": r.parameters}
+        for lbl, r in results.items()}}, args)
+
+
+def cmd_diagnose_ks(args: argparse.Namespace) -> int:
+    results = dg.ks_normality(pn.read_wide_csv(args.panel))
+    _write_tests(args, results)
+    n_rej = sum(1 for r in results.values()
+                if not math.isnan(r.p_value) and r.p_value <= 0.025)
+    print(f"{n_rej}/{len(results)} nodes rejected at p <= 0.025; wrote {args.out}")
+    return 0
+
+
+def cmd_diagnose_ljungbox(args: argparse.Namespace) -> int:
+    _write_tests(args, dg.ljung_box_panel(pn.read_wide_csv(args.panel), max_lag=args.max_lag))
+    print(f"wrote {args.out}")
     return 0
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    _require(args, "panel", "pmax")
     panel = pn.read_wide_csv(args.panel)
     h = args.holdout
     train = _training_part(panel, h) if h else panel
@@ -547,9 +559,22 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # options of several subcommands, each declared once in a parent parser
+    common, panel, out, graph, points, out_dir, order, model = (
+        argparse.ArgumentParser(add_help=False) for _ in range(8))
     common.add_argument("--config", help="JSON file with default option values")
     common.add_argument("--seed", type=int, default=0)
+    panel.add_argument("--panel", help="wide panel CSV")
+    out.add_argument("--out")
+    graph.add_argument("--graph")
+    points.add_argument("--points", help="CSV node,lat,lon[,population]")
+    out_dir.add_argument("--out-dir", default=".")
+    order.add_argument("--p", type=int)
+    order.add_argument("--s", type=_STAGES, help="comma-separated stages, e.g. 2,1,0")
+    model.add_argument("--scheme", default="spl", choices=gc.WEIGHT_KINDS,
+                       help="idw and pb need --points")
+    model.add_argument("--vertex-alpha", action="store_true",
+                       help="node-specific own-lag coefficients")
 
     parser = argparse.ArgumentParser(
         prog="gnar",
@@ -558,97 +583,66 @@ def build_parser() -> argparse.ArgumentParser:
                     "and run diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    net = sub.add_parser("network", help="build or summarize networks")
-    net_sub = net.add_subparsers(dest="net_cmd", required=True)
-    nb = net_sub.add_parser("build", parents=[common],
-                            help="construct a network and write JSON")
-    nb.add_argument("--kind",
-                    choices=["knn", "dnn", "delaunay", "gabriel", "soi",
-                             "relative", "edgelist", "hub", "complete"])
-    nb.add_argument("--points", help="CSV node,lat,lon[,population]")
+    def group(name, dest, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+
+    def leaf(within, name, help, func, required, *parents):
+        """A subcommand's parser, its handler and the dests of its mandatory
+        options (or a function of the parsed args that returns them)."""
+        p = within.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(func=func, required=required)
+        return p
+
+    net = group("network", "net_cmd", "build or summarize networks")
+    nb = leaf(net, "build", "construct a network and write JSON", cmd_network_build,
+              lambda a: ("kind", "out", *(_KINDS[a.kind][0] if a.kind else ())), points, out)
+    nb.add_argument("--kind", choices=_KINDS)
     nb.add_argument("--edges", help="CSV from,to (edgelist/hub kinds)")
     nb.add_argument("--hubs", help="comma-separated hub labels (hub kind)")
     nb.add_argument("--k", type=int, help="neighbour count (knn)")
     nb.add_argument("--d-max", type=float, help="distance threshold km (dnn)")
     nb.add_argument("--n", type=int, help="node count (complete without points)")
-    nb.add_argument("--out")
-    nb.set_defaults(func=cmd_network_build)
-    ns = net_sub.add_parser("summarize", parents=[common],
-                            help="structural summary with G(n,m) baseline")
-    ns.add_argument("--graph")
-    ns.add_argument("--brg-samples", type=int, default=100)
-    ns.add_argument("--out")
-    ns.set_defaults(func=cmd_network_summarize)
+    leaf(net, "summarize", "structural summary with G(n,m) baseline", cmd_network_summarize,
+         ("graph", "out"), graph, out).add_argument("--brg-samples", type=int, default=100)
 
-    data = sub.add_parser("data", help="panel preparation")
-    data_sub = data.add_subparsers(dest="data_cmd", required=True)
-    di = data_sub.add_parser("ingest", parents=[common],
-                             help="pivot long CSV to a wide panel")
-    di.add_argument("--csv")
-    dw = data_sub.add_parser("weekly", parents=[common],
-                             help="weekly incidence from daily cumulative")
-    dw.add_argument("--panel")
-    dw.add_argument("--tolerance", type=float, default=0.0)
-    dsm = data_sub.add_parser("smooth", parents=[common],
-                              help="centered moving average in an interval")
-    dsm.add_argument("--panel")
+    data = group("data", "data_cmd", "panel preparation")
+    leaf(data, "ingest", "pivot long CSV to a wide panel", cmd_data_ingest,
+         ("csv", "out"), out).add_argument("--csv")
+    leaf(data, "weekly", "weekly incidence from daily cumulative", cmd_data_weekly,
+         ("panel", "out"), panel, out).add_argument("--tolerance", type=float, default=0.0)
+    dsm = leaf(data, "smooth", "centered moving average in an interval", cmd_data_smooth,
+               ("panel", "window", "start", "end", "out"), panel, out)
     dsm.add_argument("--window", type=int)
     dsm.add_argument("--start", type=_ISO_DATE, help="ISO date")
     dsm.add_argument("--end", type=_ISO_DATE, help="ISO date")
-    dd = data_sub.add_parser("diff", parents=[common], help="lag differencing")
-    dd.add_argument("--panel")
-    dd.add_argument("--lag", type=int, default=1)
-    dp = data_sub.add_parser("phases", parents=[common],
-                             help="restrict to a phase spec")
-    dp.add_argument("--panel")
-    dp.add_argument("--spec", help="phase spec JSON")
-    db = data_sub.add_parser("boxcox", parents=[common],
-                             help="Box-Cox profile likelihood")
-    db.add_argument("--panel")
+    leaf(data, "diff", "lag differencing", cmd_data_diff,
+         ("panel", "out"), panel, out).add_argument("--lag", type=int, default=1)
+    leaf(data, "phases", "restrict to a phase spec", cmd_data_phases,
+         ("panel", "spec", "out"), panel, out).add_argument("--spec", help="phase spec JSON")
+    db = leaf(data, "boxcox", "Box-Cox profile likelihood", cmd_data_boxcox,
+              ("panel", "out"), panel, out)
     db.add_argument("--node", help="profile one node instead of the pooled panel")
     db.add_argument("--grid-min", type=float, default=-2.0)
     db.add_argument("--grid-max", type=float, default=3.0)
     db.add_argument("--grid-steps", type=int, default=101)
-    for p in (di, dw, dsm, dd, dp, db):
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_data)
 
-    fit_p = sub.add_parser("fit", parents=[common], help="fit one model")
-    sel_p = sub.add_parser("select", parents=[common], help="BIC/AIC grid search")
-    fc = sub.add_parser("forecast", parents=[common],
-                        help="hold out weeks, fit, predict, score")
-    for model_p in (fit_p, sel_p, fc):
-        model_p.add_argument("--panel")
-        model_p.add_argument("--graph")
-        model_p.add_argument("--scheme", default="spl",
-                             choices=["spl", "uniform", "idw", "pb"])
-        model_p.add_argument("--points", help="needed for idw/pb schemes")
-        model_p.add_argument("--vertex-alpha", action="store_true",
-                             help="node-specific own-lag coefficients")
-    for model_p in (fit_p, fc):
-        model_p.add_argument("--p", type=int)
-        model_p.add_argument("--s", type=_STAGES,
-                             help="comma-separated stages, e.g. 2,1,0")
+    fit_p = leaf(sub, "fit", "fit one model", cmd_fit,
+                 ("panel", "graph", "p", "s", "out"), panel, graph, model, points, order, out)
     fit_p.add_argument("--method", default="ols", choices=["ols", "egls"])
     fit_p.add_argument("--residuals-out", help="also write the residual panel")
-    fit_p.add_argument("--out")
-    fit_p.set_defaults(func=cmd_fit)
+    sel_p = leaf(sub, "select", "BIC/AIC grid search; writes <out>.csv and <out>.json",
+                 cmd_select, ("panel", "graph", "out"), panel, graph, model, points, out)
     sel_p.add_argument("--pmax", type=int,
                        help="lag cap; defaults to Schwert's rule on the panel length")
     sel_p.add_argument("--smax", type=int, default=5)
     sel_p.add_argument("--criterion", default="bic", choices=["bic", "aic"])
-    sel_p.add_argument("--out", help="base path; writes <out>.csv and <out>.json")
-    sel_p.set_defaults(func=cmd_select)
+    fc = leaf(sub, "forecast", "hold out weeks, fit, predict, score", cmd_forecast,
+              ("panel", "graph", "p", "s"), panel, graph, model, points, order, out_dir)
     fc.add_argument("--holdout", type=int, default=5)
     fc.add_argument("--mode", default="rolling", choices=["rolling", "recursive"])
-    fc.add_argument("--out-dir", default=".")
-    fc.set_defaults(func=cmd_forecast)
 
-    sim = sub.add_parser("simulate", parents=[common],
-                         help="simulate a panel from the model")
-    sim.add_argument("--graph")
-    sim.add_argument("--p", type=int)
-    sim.add_argument("--s", type=_STAGES)
+    sim = leaf(sub, "simulate", "simulate a panel from the model", cmd_simulate,
+               ("graph", "p", "s", "alpha", "beta", "T"), graph, order, points, out_dir)
     sim.add_argument("--alpha", type=_arg_type(_parse_alpha, "comma-separated numbers"),
                      help="comma-separated, one per lag")
     sim.add_argument("--beta", type=_arg_type(_parse_beta, "';'-separated groups of numbers"),
@@ -659,47 +653,26 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma2", type=float, help="innovation variance")
     sim.add_argument("--init-mean", type=float, default=0.0)
     sim.add_argument("--burn-in", type=int, default=0)
-    sim.add_argument("--scheme", default="uniform",
-                     choices=["spl", "uniform", "idw", "pb"])
-    sim.add_argument("--points")
+    sim.add_argument("--scheme", default="uniform", choices=gc.WEIGHT_KINDS)
     sim.add_argument("--refit", action="store_true",
                      help="refit the generating model and write a truth/estimate "
                           "table with 95%% CIs")
-    sim.add_argument("--out-dir", default=".")
-    sim.set_defaults(func=cmd_simulate)
 
-    diag = sub.add_parser("diagnose", help="residual and dependence diagnostics")
-    diag_sub = diag.add_subparsers(dest="diag_cmd", required=True)
-    dm = diag_sub.add_parser("moran", parents=[common],
-                             help="permutation test of spatial correlation")
-    dm.add_argument("--panel")
-    dm.add_argument("--graph")
+    diag = group("diagnose", "diag_cmd", "residual and dependence diagnostics")
+    dm = leaf(diag, "moran", "permutation test of spatial correlation; writes <out>.csv "
+              "and <out>.json", cmd_diagnose_moran, ("panel", "graph", "out"), panel, graph, out)
     dm.add_argument("--R", type=int, default=100)
     dm.add_argument("--rank", action="store_true", help="use rank-based values")
-    dm.add_argument("--out", help="base path; writes <out>.csv and <out>.json")
-    dm.set_defaults(func=cmd_diagnose)
-    dk = diag_sub.add_parser("ks", parents=[common],
-                             help="per-node normality of residuals")
-    dk.add_argument("--panel", help="residual panel (wide CSV)")
-    dk.add_argument("--out")
-    dk.set_defaults(func=cmd_diagnose)
-    dl = diag_sub.add_parser("ljungbox", parents=[common],
-                             help="per-node whiteness of residuals")
-    dl.add_argument("--panel", help="residual panel (wide CSV)")
-    dl.add_argument("--max-lag", type=int)
-    dl.add_argument("--out")
-    dl.set_defaults(func=cmd_diagnose)
+    leaf(diag, "ks", "per-node normality of residuals", cmd_diagnose_ks,
+         ("panel", "out"), panel, out)
+    leaf(diag, "ljungbox", "per-node whiteness of residuals", cmd_diagnose_ljungbox,
+         ("panel", "out"), panel, out).add_argument("--max-lag", type=int)
 
-    base = sub.add_parser("baseline", help="per-node AR reference model")
-    base_sub = base.add_subparsers(dest="base_cmd", required=True)
-    ba = base_sub.add_parser("ar", parents=[common],
-                             help="fit AR(p) per node with BIC order choice")
-    ba.add_argument("--panel")
+    ba = leaf(group("baseline", "base_cmd", "per-node AR reference model"), "ar",
+              "fit AR(p) per node with BIC order choice", cmd_baseline,
+              ("panel", "pmax"), panel, out_dir)
     ba.add_argument("--pmax", type=int)
     ba.add_argument("--holdout", type=int, default=0)
-    ba.add_argument("--out-dir", default=".")
-    ba.set_defaults(func=cmd_baseline)
-
     return parser
 
 
@@ -753,6 +726,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                            if isinstance(a, argparse._SubParsersAction)).choices[name]
             args = parser.parse_args(argv[:k] + _config_flags(args.config, sub) + argv[k:])
         args.argv = ["gnar", *argv]
+        _require(args)
         return args.func(args)
     except (GnarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

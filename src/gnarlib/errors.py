@@ -2,14 +2,16 @@
 
 All errors raised on bad user input derive from ``GnarError`` so callers
 can catch one base class; the CLI maps them to nonzero exit codes.  The
-seed check and the one CSV and one JSON reader that every file input goes
-through live here, so that malformed outside input ends in one
-``InvalidInputError`` naming the file.
+seed and finiteness checks and the one CSV and one JSON reader that every
+file input goes through live here, so that malformed outside input ends in
+one ``InvalidInputError`` naming the file.
 """
 
 import csv
 import json
 import numbers
+
+import numpy as np
 
 
 class GnarError(Exception):
@@ -56,6 +58,15 @@ def _check_seed(seed) -> None:
     """Reject a seed that ``np.random.default_rng`` cannot take as entropy."""
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _check_finite(**params) -> None:
+    """Reject a parameter (a number or an array of them) that holds a NaN
+    or an infinity, naming the parameter and its first such value."""
+    for name, value in params.items():
+        bad = np.extract(~np.isfinite(value), value)
+        if bad.size:
+            raise InvalidInputError(f"{name} must be finite, got {bad[0]}")
 
 
 def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:

@@ -50,6 +50,7 @@ from .errors import (
     InvalidInputError,
     ModelInadmissibleError,
     SingularDesignError,
+    _check_finite,
     _check_seed,
 )
 from .geo_graph import Graph, StageNeighbourhoods, stage_neighbourhoods
@@ -833,7 +834,8 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
     follow the model recursion with i.i.d. N(0, sigma^2) innovations.
     ``burn_in`` extra leading columns are generated and discarded.  Output
     is deterministic given the seed.  ``sigma`` is a standard deviation;
-    sigma=0 gives the deterministic recursion.
+    sigma=0 gives the deterministic recursion.  alpha, beta, sigma and
+    init_mean must be finite.
     """
     order = spec.order
     p = order.p
@@ -848,6 +850,7 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
     beta = [np.asarray(b, dtype=float) for b in beta]
     if len(beta) != p or any(len(b) != sj for b, sj in zip(beta, order.s)):
         raise InvalidInputError("beta shapes do not match the order's stage counts")
+    _check_finite(alpha=alpha, beta=np.concatenate(beta), sigma=sigma, init_mean=init_mean)
 
     weights = compute_weights(g, stage_neighbourhoods(g, max(order.max_stage, 1)),
                               spec.scheme)

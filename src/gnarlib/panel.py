@@ -122,8 +122,17 @@ class BoxCoxProfile:
 
     lambda_grid: tuple[float, ...]
     loglik: tuple[float, ...]
-    lambda_hat: float
     shift: float
+
+    @property
+    def lambda_hat(self) -> float:
+        """The grid lambda of the largest finite log-likelihood, the first of
+        ties; UndefinedStatisticError when none is finite."""
+        loglik = np.asarray(self.loglik)
+        finite = np.isfinite(loglik)
+        if not finite.any():
+            raise UndefinedStatisticError("no finite log-likelihood on the lambda grid")
+        return self.lambda_grid[int(np.argmax(np.where(finite, loglik, -np.inf)))]
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +189,11 @@ def weekly_from_cumulative(daily: TimeSeriesPanel,
     observation at its end date) is dropped.
 
     Real feeds contain downward corrections; a decrease beyond ``tolerance``
-    emits a :class:`DataCorrectionWarning` per node and week, and the value
-    is kept as reported.
+    (a number >= 0) emits a :class:`DataCorrectionWarning` per node and
+    week, and the value is kept as reported.
     """
+    if not tolerance >= 0:  # also a NaN, which would silence every warning
+        raise InvalidInputError(f"tolerance must be a number >= 0, got {tolerance}")
     if not daily.dates:
         raise InvalidInputError("the daily panel has no dates")
     date_ix = {d: j for j, d in enumerate(daily.dates)}
@@ -304,9 +315,10 @@ def boxcox_profile(series: Sequence[float],
 
     Differenced incidence can be negative, so the data is shifted by
     (1 - min) whenever min <= 0; the shift is reported on the result.
-    ``lambda_hat`` is the grid argmax.  Each log-likelihood equals scipy
-    1.17.1's ``scipy.stats.boxcox_llf`` of the shifted data bit for bit; it
-    is computed by numpy alone, so it does not depend on the installed scipy.
+    ``lambda_hat`` is the grid argmax over the finite log-likelihoods.  Each
+    log-likelihood equals scipy 1.17.1's ``scipy.stats.boxcox_llf`` of the
+    shifted data bit for bit; it is computed by numpy alone, so it does not
+    depend on the installed scipy.
     """
     x = np.asarray(series, dtype=float)
     x = x[~np.isnan(x)]
@@ -326,9 +338,7 @@ def boxcox_profile(series: Sequence[float],
     if float(var) == 0.0:
         raise UndefinedStatisticError("constant series; the Box-Cox profile is undefined")
     loglik = tuple(_boxcox_loglik(np.asarray(grid), logx, var).tolist())
-    lambda_hat = grid[int(np.argmax(loglik))]
-    return BoxCoxProfile(lambda_grid=grid, loglik=loglik,
-                         lambda_hat=lambda_hat, shift=shift)
+    return BoxCoxProfile(lambda_grid=grid, loglik=loglik, shift=shift)
 
 
 # Elements per lambda block of the Box-Cox kernel: its (lambdas x n)

@@ -879,7 +879,7 @@ def test_config_non_integer_fails_like_the_flag(tmp_path, capsys, queen_json, si
 
 
 @pytest.mark.parametrize("config", [{"vertex_alpha": "false"}, {"vertex-alpha": 0},
-                                    {"func": 1}, {"p": None}])
+                                    {"func": 1}, {"required": ["p"]}, {"p": None}])
 def test_config_value_without_a_flag_form_is_rejected(tmp_path, capsys, queen_json,
                                                       sim_panel, config):
     cfg = tmp_path / "c.json"
@@ -912,3 +912,161 @@ def test_select_pmax_zero_is_rejected_not_defaulted(tmp_path, capsys, queen_json
     assert run(["select", "--panel", sim_panel, "--graph", queen_json, "--pmax", "0",
                 "--smax", "1", "--out", str(tmp_path / "report")]) == 1
     _single_error(capsys, "p_max and s_max must be >= 1")
+
+
+# ---------------------------------------------------------------------------
+# mandatory options: one error line naming every missing flag; --config
+# may supply any of them
+# ---------------------------------------------------------------------------
+
+# Every leaf subcommand (each network kind apart) as a command that runs,
+# and the flags it cannot run without.
+MANDATORY = {
+    "network build knn": ("network build --kind knn --k 3 --points {towns} --out {out}.json",
+                          ["--kind", "--k", "--points", "--out"]),
+    "network build dnn": ("network build --kind dnn --d-max 80 --points {towns} --out {out}.json",
+                          ["--kind", "--d-max", "--points", "--out"]),
+    **{f"network build {kind}": (f"network build --kind {kind} --points {{towns}}"
+                                 " --out {out}.json", ["--kind", "--points", "--out"])
+       for kind in ("delaunay", "gabriel", "soi", "relative")},
+    "network build edgelist": ("network build --kind edgelist --edges {edges} --out {out}.json",
+                               ["--kind", "--edges", "--out"]),
+    "network build hub": ("network build --kind hub --points {towns} --edges {edges}"
+                          " --hubs Dublin,Cork --out {out}.json",
+                          ["--kind", "--points", "--edges", "--hubs", "--out"]),
+    "network build complete": ("network build --kind complete --n 4 --out {out}.json",
+                               ["--kind", "--out"]),
+    "network summarize": ("network summarize --graph {graph} --brg-samples 5 --out {out}.csv",
+                          ["--graph", "--out"]),
+    "data ingest": ("data ingest --csv {long} --out {out}.csv", ["--csv", "--out"]),
+    "data weekly": ("data weekly --panel {daily} --out {out}.csv", ["--panel", "--out"]),
+    "data smooth": ("data smooth --panel {panel} --window 3 --start 2000-01-17"
+                    " --end 2000-03-06 --out {out}.csv",
+                    ["--panel", "--window", "--start", "--end", "--out"]),
+    "data diff": ("data diff --panel {panel} --out {out}.csv", ["--panel", "--out"]),
+    "data phases": ("data phases --panel {panel} --spec {spec} --out {out}.csv",
+                    ["--panel", "--spec", "--out"]),
+    "data boxcox": ("data boxcox --panel {panel} --out {out}.csv", ["--panel", "--out"]),
+    "fit": ("fit --panel {panel} --graph {graph} --p 1 --s 1 --out {out}.json",
+            ["--panel", "--graph", "--p", "--s", "--out"]),
+    "select": ("select --panel {panel} --graph {graph} --pmax 1 --smax 1 --out {out}",
+               ["--panel", "--graph", "--out"]),
+    "forecast": ("forecast --panel {panel} --graph {graph} --p 1 --s 1 --out-dir {out}",
+                 ["--panel", "--graph", "--p", "--s"]),
+    "simulate": ("simulate --graph {graph} --p 1 --s 1 --alpha 0.3 --beta 0.4 --T 20"
+                 " --sigma 0.5 --out-dir {out}",
+                 ["--graph", "--p", "--s", "--alpha", "--beta", "--T"]),
+    "diagnose moran": ("diagnose moran --panel {panel} --graph {graph} --R 20 --out {out}",
+                       ["--panel", "--graph", "--out"]),
+    "diagnose ks": ("diagnose ks --panel {panel} --out {out}.json", ["--panel", "--out"]),
+    "diagnose ljungbox": ("diagnose ljungbox --panel {panel} --out {out}.json",
+                          ["--panel", "--out"]),
+    "baseline ar": ("baseline ar --panel {panel} --pmax 1 --out-dir {out}", ["--panel", "--pmax"]),
+}
+
+
+@pytest.fixture()
+def command(tmp_path, towns, queen_json, sim_panel):
+    """``command(name)``: the argv of MANDATORY[name] in tmp_path."""
+    daily = tmp_path / "daily.csv"
+    daily.write_text("date,a,b\n" + "".join(f"2020-01-{d:02d},{d},{2 * d}\n"
+                                            for d in range(1, 16)))
+    long_csv = tmp_path / "long.csv"
+    long_csv.write_text("date,node,value\n2020-01-06,a,1\n2020-01-06,b,2\n2020-01-13,a,3\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "x", "intervals": [["2000-01-10", "2000-05-01"]]}))
+    paths = dict(towns=towns, edges=irish_queen_edges_path(), graph=queen_json,
+                 panel=sim_panel, daily=daily, long=long_csv, spec=spec, out=tmp_path / "o")
+    return lambda name: MANDATORY[name][0].format(**paths).split(" ")
+
+
+def _without(argv, flags):
+    """argv without each of ``flags`` and its value."""
+    for flag in flags:
+        k = argv.index(flag)
+        argv = argv[:k] + argv[k + 2:]
+    return argv
+
+
+def _missing_flags(capsys) -> set:
+    """The flags named by the one error line of a missing-option exit."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    prefix = "error: missing required option(s): "
+    suffix = " (set on the command line or in --config)"
+    assert err[0].startswith(prefix) and err[0].endswith(suffix), err[0]
+    return set(err[0][len(prefix):-len(suffix)].split(", "))
+
+
+@pytest.mark.parametrize("name, flag", [(name, flag) for name, (_, flags) in MANDATORY.items()
+                                        for flag in flags])
+def test_missing_option_is_one_error_and_config_may_supply_it(tmp_path, capsys, command,
+                                                              name, flag):
+    argv = command(name)
+    value = argv[argv.index(flag) + 1]
+    argv = _without(argv, [flag])
+    assert run(argv) == 1
+    assert _missing_flags(capsys) == {flag}
+    assert not list(tmp_path.glob("o*"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: value}))
+    assert run([*argv, "--config", str(cfg)]) == 0
+    assert list(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("name", list(MANDATORY))
+def test_missing_options_are_named_in_one_error(tmp_path, capsys, command, name):
+    # --kind stays: without it, the options of the kind are unknown
+    flags = set(MANDATORY[name][1]) - {"--kind"}
+    assert run(_without(command(name), flags)) == 1
+    assert _missing_flags(capsys) == flags
+    assert not list(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("config", [{"n": 4}, {"points": irish_county_towns_path()}])
+def test_complete_graph_needs_points_or_n(tmp_path, capsys, command, config):
+    argv = _without(command("network build complete"), ["--n"])
+    assert run(argv) == 1
+    _single_error(capsys, "complete graph needs --points or --n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([*argv, "--config", str(cfg)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# values no command can use end in one error line and leave no file
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "nan", "alpha must be finite, got nan"),
+    ("--beta", "nan", "beta must be finite, got nan"),
+    ("--sigma", "inf", "sigma must be finite, got inf"),
+    ("--sigma", "nan", "sigma must be finite, got nan"),
+    ("--sigma2", "nan", "sigma must be finite, got nan"),
+    ("--sigma2", "-1", "sigma2 must be >= 0, got -1.0"),
+    ("--init-mean", "inf", "init_mean must be finite, got inf"),
+])
+def test_simulate_nonfinite_parameter_is_an_error(tmp_path, capsys, command, flag, value,
+                                                  message):
+    # the last of a repeated flag wins
+    assert run([*command("simulate"), flag, value]) == 1
+    _single_error(capsys, message)
+    assert not list(tmp_path.glob("o*/*"))
+
+
+def test_weekly_negative_tolerance_is_an_error(tmp_path, capsys, command):
+    assert run([*command("data weekly"), "--tolerance", "-1"]) == 1
+    _single_error(capsys, "tolerance must be a number >= 0, got -1.0")
+    assert not list(tmp_path.glob("o*"))
+
+
+def test_boxcox_without_a_finite_loglik_is_an_error(tmp_path, capsys):
+    # lambda * log x collapses to one value: every log-likelihood is +inf
+    values = np.random.default_rng(15).uniform(0.7, 1.5, 28).tolist()
+    panel = tmp_path / "p.csv"
+    panel.write_text("date,a\n" + "".join(f"2020-01-{d + 1:02d},{v!r}\n"
+                                          for d, v in enumerate(values)))
+    assert run(["data", "boxcox", "--panel", str(panel), "--grid-min", "5e-324",
+                "--grid-max", "5e-324", "--grid-steps", "1", "--out", str(tmp_path / "o.csv")]) == 1
+    _single_error(capsys, "no finite log-likelihood")
+    assert not (tmp_path / "o.csv").exists()

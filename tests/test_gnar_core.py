@@ -602,6 +602,20 @@ def test_simulate_rejects_negative_seed():
                  T=10, sigma=0.5, seed=-1)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("alpha", {"alpha": np.array([0.2, math.nan])}),
+    ("beta", {"beta": [np.array([0.3]), np.array([math.inf])]}),
+    ("sigma", {"sigma": math.inf}),
+    ("sigma", {"sigma": math.nan}),
+    ("init_mean", {"init_mean": -math.inf}),
+])
+def test_simulate_rejects_nonfinite_parameters(name, bad):
+    args = dict(alpha=np.array([0.2, -0.1]), beta=[np.array([0.3]), np.array([0.15])],
+                g=ring_graph(4), T=10, sigma=0.5, init_mean=0.0)
+    with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+        simulate(spec_for(2, [1, 1]), **{**args, **bad})
+
+
 def test_simulate_rejects_empty_stage():
     g = build_complete(["a", "b", "c"])
     spec = spec_for(1, [2])

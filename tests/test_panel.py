@@ -130,6 +130,13 @@ def test_weekly_decrease_warns_and_keeps_value():
     assert list(w.values[0]) == [0.0, 10.0, -7.0]
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan])
+def test_weekly_rejects_negative_or_nan_tolerance(tolerance):
+    # -1 would flag weeks that did not fall, NaN would silence every warning
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        weekly_from_cumulative(daily_panel([0] * 7 + [10] * 7 + [3] * 7), tolerance=tolerance)
+
+
 # ---------------------------------------------------------------------------
 # rolling average
 # ---------------------------------------------------------------------------
@@ -317,6 +324,18 @@ def test_boxcox_argmax_invariant():
     x = rng.uniform(0.5, 2.0, size=100)
     prof = boxcox_profile(x, np.linspace(-2, 3, 51))
     assert prof.loglik[prof.lambda_grid.index(prof.lambda_hat)] == max(prof.loglik)
+
+
+def test_boxcox_lambda_hat_skips_nonfinite_loglik():
+    # x**2 overflows at lambda = 2: scipy's boxcox_llf is NaN there too
+    prof = boxcox_profile(np.sqrt([1.0, 2.0, 3.0]) * 1e170, [1.0, 2.0, 1.5])
+    assert math.isnan(prof.loglik[1])
+    assert prof.lambda_hat == 1.0
+    # lambda * log x collapses to one value: every log-likelihood is +inf
+    prof = boxcox_profile(np.random.default_rng(15).uniform(0.7, 1.5, 40), [5e-324, 1e-300])
+    assert prof.loglik == (math.inf, math.inf)
+    with pytest.raises(UndefinedStatisticError, match="no finite log-likelihood"):
+        prof.lambda_hat
 
 
 @pytest.mark.parametrize("grid", [[], [0.5, math.nan], [-math.inf, 1.0]])
