@@ -6,12 +6,15 @@ evaluation, seeded simulation (optionally refitting and tabulating truth
 versus estimates), residual diagnostics, and the per-node AR baseline.
 
 Every output file embeds tool version, the command line, and the seed, and
-files are written atomically (temp + rename); reruns with identical inputs
-produce byte-identical outputs.  Option precedence is flags > config file >
-built-in defaults; the config is a flat JSON object keyed by option name
-(dashes or underscores) and may supply any option of the invoked
-subcommand, including ones that are otherwise mandatory.  Each value is
-parsed exactly as the same flag would be.
+goes through the one CSV writer or the one JSON writer in ``errors``: CSV
+with ``#`` metadata lines, minimal quoting and LF line ends, JSON with
+sorted keys and ``null`` for an undefined number, each written atomically
+(temp + rename) with the mode the umask gives.  Reruns with identical
+inputs produce byte-identical outputs.  Option precedence is flags >
+config file > built-in defaults; the config is a flat JSON object keyed by
+option name (dashes or underscores) and may supply any option of the
+invoked subcommand, including ones that are otherwise mandatory.  Each
+value is parsed exactly as the same flag would be.
 
 ``build_parser`` declares each subcommand once: its parser, its handler and
 its mandatory options.  A mandatory option missing from both the flags and
@@ -23,18 +26,18 @@ build`` needs --kind, --out and the options ``_KINDS`` lists for the kind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
 import os
-import pathlib
 import sys
-import tempfile
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
+from . import errors
 from .errors import GnarError, InvalidInputError, _read_json
 from . import geo_graph as gg
 from . import panel as pn
@@ -60,37 +63,12 @@ def _meta_lines(args: argparse.Namespace) -> list[str]:
     return [f"tool={m['tool']}", f"command={m['command']}", f"seed={m['seed']}"]
 
 
-def _atomic_write(path: str, write) -> None:
-    """Call ``write(tmp_path)`` on a temp file beside ``path``, then rename."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    os.close(fd)
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(text))
-
-
 def _write_json(path: str, obj: dict, args: argparse.Namespace) -> None:
-    obj = dict(obj)
-    obj["meta"] = _meta(args)
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    errors._write_json(path, {**obj, "meta": _meta(args)})
 
 
 def _write_csv(path: str, header: Sequence[str], rows, args: argparse.Namespace) -> None:
-    lines = [f"# {line}" for line in _meta_lines(args)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    errors._write_csv(path, header, rows, _meta_lines(args))
 
 
 def _write_forecast(path: str, panel: pn.TimeSeriesPanel, preds: np.ndarray,
@@ -100,18 +78,6 @@ def _write_forecast(path: str, panel: pn.TimeSeriesPanel, preds: np.ndarray,
     rows = [[d.isoformat(), lbl, panel.values[i, j - h], preds[i, j]]
             for j, d in enumerate(panel.dates[-h:]) for i, lbl in enumerate(panel.labels)]
     _write_csv(path, ["date", "node", "actual", "predicted"], rows, args)
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return "" if math.isnan(v) else repr(float(v))
-    return str(v)
-
-
-def _write_panel(path: str, panel: pn.TimeSeriesPanel, args: argparse.Namespace) -> None:
-    _atomic_write(path, lambda tmp: pn.write_wide_csv(panel, tmp, meta_lines=_meta_lines(args)))
 
 
 def _out_path(args: argparse.Namespace, name: str) -> str:
@@ -285,13 +251,8 @@ def cmd_network_build(args: argparse.Namespace) -> int:
 def cmd_network_summarize(args: argparse.Namespace) -> int:
     g = gg.read_graph_json(args.graph)
     s = gg.network_summary(g, brg_samples=args.brg_samples, seed=args.seed)
-    header = ["n", "n_edges", "avg_degree", "avg_spl", "avg_local_clustering",
-              "disconnected_pair_fraction", "brg_avg_spl", "brg_avg_clustering",
-              "brg_disconnected_pair_fraction", "brg_samples", "seed"]
-    row = [g.n, g.n_edges, s.avg_degree, s.avg_spl, s.avg_local_clustering,
-           s.disconnected_pair_fraction, s.brg_avg_spl, s.brg_avg_clustering,
-           s.brg_disconnected_pair_fraction, s.brg_samples, s.seed]
-    _write_csv(args.out, header, [row], args)
+    row = {"n": g.n, "n_edges": g.n_edges, **dataclasses.asdict(s)}
+    _write_csv(args.out, list(row), [list(row.values())], args)
     print(f"wrote {args.out}")
     return 0
 
@@ -301,7 +262,7 @@ def cmd_network_summarize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_data(args: argparse.Namespace, panel: pn.TimeSeriesPanel) -> int:
-    _write_panel(args.out, panel, args)
+    pn.write_wide_csv(panel, args.out, _meta_lines(args))
     print(f"wrote {args.out}")
     return 0
 
@@ -358,7 +319,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.residuals_out:
         resid_panel = pn.TimeSeriesPanel(labels=panel.labels, dates=panel.dates,
                                          values=fit.residuals)
-        _write_panel(args.residuals_out, resid_panel, args)
+        pn.write_wide_csv(resid_panel, args.residuals_out, _meta_lines(args))
         print(f"wrote {args.residuals_out}")
     print(f"wrote {args.out} (bic={fit.bic:.4f}, n_obs={fit.n_obs})")
     return 0
@@ -377,7 +338,7 @@ def cmd_select(args: argparse.Namespace) -> int:
              c.bic, c.aic, c.loglik, c.M, c.n_obs, ""]
             for rank, c in enumerate(report.ranked(), start=1)]
     rows += [["", c.order.name(), c.scheme_kind, c.global_alpha, c.status,
-              "", "", "", "", "", c.reason.replace(",", ";")]
+              "", "", "", "", "", c.reason]
              for c in report.candidates if c.status != "ok"]
     _write_csv(args.out + ".csv", header, rows, args)
     _write_json(args.out + ".json", report.to_json(), args)
@@ -387,6 +348,12 @@ def cmd_select(args: argparse.Namespace) -> int:
               f"{c.M:>3} {c.n_obs:>6}")
     print(f"wrote {args.out}.csv and {args.out}.json")
     return 0
+
+
+def _mase_means(result: dg.MaseResult) -> dict:
+    """The per-node and overall mean scaled errors of a MASE summary file."""
+    return {"per_node_mean": dict(zip(result.labels, map(float, result.per_node_mean))),
+            "overall_mean": result.overall_mean}
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
@@ -408,9 +375,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     _write_csv(_out_path(args, "mase.csv"),
                ["node", "date", "scaled_error"], rows, args)
     _write_json(_out_path(args, "mase_summary.json"), {
-        "per_node_mean": dict(zip(result.labels,
-                                  (float(v) for v in result.per_node_mean))),
-        "overall_mean": result.overall_mean,
+        **_mase_means(result),
         "undefined_nodes": list(result.undefined_nodes),
         "mode": args.mode,
         "holdout": h,
@@ -441,7 +406,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     weights = gc.compute_weights(
         g, gg.stage_neighbourhoods(g, max(order.max_stage, 1)), scheme)
     stationarity = _stationarity(alpha, beta, weights, g.n)
-    _write_panel(_out_path(args, "panel.csv"), panel, args)
+    pn.write_wide_csv(panel, _out_path(args, "panel.csv"), _meta_lines(args))
     sidecar = {
         "order": {"p": order.p, "s": list(order.s)},
         "alpha": alpha.tolist(),
@@ -544,11 +509,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
                 preds[i] = sel.ar_rolling_forecast(r, panel.values[i], h)
         _write_forecast(_out_path(args, "ar_forecast.csv"), panel, preds, args)
         res = dg.mase(panel.values[:, -h:], preds, panel.values, labels=panel.labels)
-        _write_json(_out_path(args, "ar_mase.json"), {
-            "per_node_mean": dict(zip(res.labels,
-                                      (float(v) for v in res.per_node_mean))),
-            "overall_mean": res.overall_mean,
-        }, args)
+        _write_json(_out_path(args, "ar_mase.json"), _mase_means(res), args)
         written += ["ar_forecast.csv", "ar_mase.json"]
     print(f"wrote {', '.join(written)}")
     return 0

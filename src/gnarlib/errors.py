@@ -1,15 +1,21 @@
-"""Exception types shared across the library, and its input boundary.
+"""Exception types shared across the library, and its input and output
+boundary.
 
 All errors raised on bad user input derive from ``GnarError`` so callers
 can catch one base class; the CLI maps them to nonzero exit codes.  The
 seed and finiteness checks and the one CSV and one JSON reader that every
 file input goes through live here, so that malformed outside input ends in
-one ``InvalidInputError`` naming the file.
+one ``InvalidInputError`` naming the file.  So do the one CSV and one JSON
+writer that every output file goes through: RFC 4180 CSV with LF line ends
+and RFC 8259 JSON (an undefined number is ``null``), each written
+atomically with the mode a plain ``open`` would give.
 """
 
 import csv
 import json
+import math
 import numbers
+import os
 
 import numpy as np
 
@@ -120,3 +126,55 @@ def _read_json(path, build, what: str):
             return build(json.load(fh))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"{path}: not {what} ({exc})") from exc
+
+
+def _write_atomic(path, write) -> None:
+    """Call ``write(fh)`` on a new text file beside ``path``, then rename it
+    onto ``path``, so that a reader sees the old file or the whole new one.
+    The parent directory is created, and the umask sets the file's mode."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    tmp = os.path.join(d, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _cell(v) -> str:
+    """A CSV cell: None and NaN are empty, a float is its repr, else ``str``."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v)) if v == v else ""
+    return "" if v is None else str(v)
+
+
+def _write_csv(path, header, rows, meta_lines=()) -> None:
+    """Write ``# `` metadata lines, the header and the rows as CSV: a field
+    is quoted only where it must be, and every line ends in LF."""
+    def write(fh):
+        fh.writelines(f"# {line}\n" for line in meta_lines)
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_cell(v) for v in row] for row in rows)
+    _write_atomic(path, write)
+
+
+def _write_json(path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys, indent 2 and a trailing
+    newline; a NaN or an infinity is written as ``null``."""
+    text = json.dumps(_finite_or_none(obj), indent=2, sort_keys=True, allow_nan=False)
+    _write_atomic(path, lambda fh: fh.write(text + "\n"))
+
+
+def _finite_or_none(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return obj

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (DegenerateGeometryError, InvalidInputError, _check_seed, _read_csv,
-                     _read_json)
+                     _read_json, _write_json)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -661,13 +660,12 @@ def read_edgelist_csv(stream) -> list[tuple[str, str]]:
 
 
 def write_graph_json(g: Graph, path, meta: Optional[dict] = None) -> None:
-    """Write a graph as JSON; optional metadata goes under key ``meta``."""
+    """Write a graph as JSON, atomically; optional metadata goes under key
+    ``meta``."""
     obj = g.to_json()
     if meta:
         obj["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, obj)
 
 
 def read_graph_json(path) -> Graph:

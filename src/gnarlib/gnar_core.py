@@ -835,7 +835,8 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
     ``burn_in`` extra leading columns are generated and discarded.  Output
     is deterministic given the seed.  ``sigma`` is a standard deviation;
     sigma=0 gives the deterministic recursion.  alpha, beta, sigma and
-    init_mean must be finite.
+    init_mean must be finite, and an explosive model whose recursion
+    overflows to +-inf raises InvalidInputError naming the first such step.
     """
     order = spec.order
     p = order.p
@@ -867,9 +868,15 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
         Xt[:p] = init.T
     else:
         Xt[:p] = rng.normal(init_mean, sigma, size=(n, p)).T
-    for t in range(p, total):
-        mean = _poisoned_sums(lag_op, support, Xt[t - p:t].ravel())
-        Xt[t] = mean + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(p, total):
+            mean = _poisoned_sums(lag_op, support, Xt[t - p:t].ravel())
+            Xt[t] = mean + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)
+    overflow = np.flatnonzero(np.isinf(Xt[p:]).any(axis=1))
+    if overflow.size:
+        raise InvalidInputError(
+            f"the simulation overflows to +-inf at step {p + overflow[0] + 1} of {total} "
+            "(burn-in included): the model is explosive")
 
     X = np.ascontiguousarray(Xt[burn_in:].T)
     if start_date is None:

@@ -15,7 +15,6 @@ propagate (no operation invents a number where an input was missing).
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
 import warnings
@@ -25,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (DataIntegrityError, InvalidInputError, UndefinedStatisticError,
-                     _read_csv, _read_json)
+                     _read_csv, _read_json, _write_csv)
 
 
 class DataCorrectionWarning(UserWarning):
@@ -419,20 +418,13 @@ def write_wide_csv(panel: TimeSeriesPanel, path,
                    meta_lines: Iterable[str] = ()) -> None:
     """Write a panel as wide CSV: date column plus one column per node.
 
-    Missing cells render as empty fields.  Optional metadata lines are
-    written first, prefixed with ``#``.
+    Optional metadata lines are written first, prefixed with ``# ``.
+    Missing cells render as empty fields, a label is quoted only where it
+    must be, and every line ends in LF.  The file is written atomically.
     """
-    with open(path, "w", newline="") as fh:
-        for line in meta_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["date", *panel.labels])
-        for j, d in enumerate(panel.dates):
-            row = [d.isoformat()]
-            for i in range(panel.n_nodes):
-                v = panel.values[i, j]
-                row.append("" if math.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+    _write_csv(path, ["date", *panel.labels],
+               ([d.isoformat(), *col] for d, col in zip(panel.dates, panel.values.T.tolist())),
+               meta_lines)
 
 
 def read_wide_csv(stream) -> TimeSeriesPanel:

@@ -1,7 +1,13 @@
 """End-to-end command-line checks: files, determinism, exit codes."""
 
+import csv
+import datetime
+import io
+import itertools
 import json
 import math
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -10,7 +16,7 @@ import pytest
 
 from gnarlib.cli import main
 from gnarlib.datasets import irish_county_towns_path, irish_queen_edges_path
-from gnarlib.panel import read_wide_csv
+from gnarlib.panel import read_wide_csv, write_wide_csv
 
 
 def run(argv):
@@ -1070,3 +1076,167 @@ def test_boxcox_without_a_finite_loglik_is_an_error(tmp_path, capsys):
                 "--grid-max", "5e-324", "--grid-steps", "1", "--out", str(tmp_path / "o.csv")]) == 1
     _single_error(capsys, "no finite log-likelihood")
     assert not (tmp_path / "o.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# an explosive simulation ends in one error line
+# ---------------------------------------------------------------------------
+
+def test_simulate_overflow_is_an_error(tmp_path, capsys, queen_json):
+    out_dir = tmp_path / "sim"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", "--graph", queen_json, "--p", "1", "--s", "1",
+                    "--alpha", "1.5", "--beta", "1.0", "--T", "2000", "--sigma", "1",
+                    "--out-dir", str(out_dir)]) == 1
+    _single_error(capsys, "overflows to +-inf at step 778 of 2000", "explosive")
+    assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# every output parses strictly: RFC 4180 CSV, RFC 8259 JSON
+# ---------------------------------------------------------------------------
+
+ODD_LABELS = ["Bray, Co. Wicklow", 'The "Hub"', 'Naas, "Kildare"', "Athy",
+              "Tullow", "Arklow", "Gorey", "Carlow"]
+UMASK = 0o022
+
+ROUND_TRIP = [
+    # the README round trip
+    "network build --kind edgelist --edges {edges} --points {towns} --out queen.json",
+    "network build --kind knn --k 11 --points {towns} --out knn11.json",
+    "network summarize --graph queen.json --brg-samples 100 --seed 7 --out summary.csv",
+    "simulate --graph queen.json --p 2 --s 1,0 --alpha 0.4,-0.3 --beta 0.35; --T 300"
+    " --sigma 0.25 --seed 1 --out-dir sim/",
+    "select --panel sim/panel.csv --graph queen.json --scheme spl --pmax 3 --smax 2"
+    " --out report",
+    "fit --panel sim/panel.csv --graph queen.json --p 2 --s 1,0 --residuals-out resid.csv"
+    " --out fit.json",
+    "forecast --panel sim/panel.csv --graph queen.json --p 2 --s 1,0 --holdout 5"
+    " --mode rolling --out-dir fc/",
+    "diagnose moran --panel sim/panel.csv --graph queen.json --R 100 --seed 3 --out moran",
+    "diagnose ks --panel resid.csv --out ks.json",
+    "diagnose ljungbox --panel resid.csv --out lb.json",
+    "baseline ar --panel sim/panel.csv --pmax 3 --holdout 5 --out-dir ar/",
+    # labels holding ',' and '"'; skipped candidates; NaN p-values
+    "network build --kind knn --k 2 --points {odd} --out odd/g.json",
+    "network summarize --graph odd/g.json --brg-samples 10 --out odd/summary.csv",
+    "simulate --graph odd/g.json --p 1 --s 1 --alpha 0.3 --beta 0.2 --T 40 --sigma 1"
+    " --refit --out-dir odd/sim/",
+    "select --panel odd/sim/panel.csv --graph odd/g.json --pmax 2 --smax 4 --out odd/report",
+    "fit --panel odd/sim/panel.csv --graph odd/g.json --p 1 --s 1"
+    " --residuals-out odd/resid.csv --out odd/fit.json",
+    "forecast --panel odd/sim/panel.csv --graph odd/g.json --p 1 --s 1 --holdout 3"
+    " --out-dir odd/fc/",
+    "diagnose moran --panel odd/sim/panel.csv --graph odd/g.json --R 20 --out odd/moran",
+    "diagnose ljungbox --panel odd/resid.csv --max-lag 60 --out odd/lb.json",
+    "baseline ar --panel odd/sim/panel.csv --pmax 2 --holdout 3 --out-dir odd/ar/",
+    "data ingest --csv {odd_long} --out odd/daily.csv",
+    "data diff --panel odd/daily.csv --out odd/diff.csv",
+    "data boxcox --panel odd/daily.csv --out odd/boxcox.csv",
+]
+OUTPUTS = [
+    "queen.json", "knn11.json", "summary.csv", "sim/panel.csv", "sim/params.json",
+    "report.csv", "report.json", "fit.json", "resid.csv", "fc/forecast.csv", "fc/mase.csv",
+    "fc/mase_summary.json", "moran.csv", "moran.json", "ks.json", "lb.json", "ar/ar.json",
+    "ar/ar_forecast.csv", "ar/ar_mase.json",
+    "odd/g.json", "odd/summary.csv", "odd/sim/panel.csv", "odd/sim/params.json",
+    "odd/sim/refit_table.csv", "odd/report.csv", "odd/report.json", "odd/fit.json",
+    "odd/resid.csv", "odd/fc/forecast.csv", "odd/fc/mase.csv", "odd/fc/mase_summary.json",
+    "odd/moran.csv", "odd/moran.json", "odd/lb.json", "odd/ar/ar.json",
+    "odd/ar/ar_forecast.csv", "odd/ar/ar_mase.json", "odd/daily.csv", "odd/diff.csv",
+    "odd/boxcox.csv",
+    # the library's own writers
+    "lib/graph.json", "lib/panel.csv",
+]
+HOLDS_NULL = {"odd/report.json", "odd/lb.json"}  # skipped candidates, NaN p-values
+
+
+@pytest.fixture(scope="module")
+def round_trip(tmp_path_factory):
+    from gnarlib.geo_graph import read_graph_json, write_graph_json
+
+    d = tmp_path_factory.mktemp("round_trip")
+    rng = np.random.default_rng(4)
+    with open(d / "odd_points.csv", "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["node", "lat", "lon"])
+        out.writerows([lbl, 52.5 + rng.uniform(-1, 1), -7.5 + rng.uniform(-1, 1)]
+                      for lbl in ODD_LABELS)
+    with open(d / "odd_long.csv", "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["date", "node", "value"])
+        out.writerows([f"2020-03-{day + 1:02d}", lbl, 1.0 + day * (k + 1)]
+                      for day in range(12) for k, lbl in enumerate(ODD_LABELS[:3]))
+    names = {"edges": irish_queen_edges_path(), "towns": irish_county_towns_path(),
+             "odd": d / "odd_points.csv", "odd_long": d / "odd_long.csv"}
+    old = os.umask(UMASK)
+    cwd = os.getcwd()
+    try:
+        os.chdir(d)
+        for command in ROUND_TRIP:
+            assert run([token.format(**names) for token in command.split(" ")]) == 0, command
+        g = read_graph_json("odd/g.json")
+        os.mkdir("lib")
+        write_graph_json(g, "lib/graph.json", meta={"note": "library writer"})
+        write_wide_csv(read_wide_csv("odd/sim/panel.csv"), "lib/panel.csv", ["note=library"])
+    finally:
+        os.chdir(cwd)
+        os.umask(old)
+    return d
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_outputs_parse_strictly(round_trip, name):
+    path = round_trip / name
+    data = path.read_bytes()
+    assert b"\r" not in data
+    if path.suffix == ".json":
+        json.loads(data.decode(), parse_constant=_reject_constant)
+        assert b"null" in data or name not in HOLDS_NULL
+    else:
+        lines = data.decode().splitlines(keepends=True)
+        body = "".join(itertools.dropwhile(lambda line: line.startswith("# "), lines))
+        header, *rows = csv.reader(io.StringIO(body, newline=""), strict=True)
+        assert rows and all(len(row) == len(header) for row in rows)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~UMASK
+
+
+def _crlf_rows(path, to):
+    """``path`` in the earlier wide layout: LF after '#' lines, CRLF after rows."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    Path(to).write_bytes(b"".join(line if line.startswith(b"#") else line[:-1] + b"\r\n"
+                                  for line in lines))
+
+
+def test_panels_in_the_crlf_layout_still_read(tmp_path, monkeypatch, queen_json, sim_panel):
+    from gnarlib.panel import TimeSeriesPanel
+
+    values = np.arange(12.0).reshape(3, 4)
+    values[1, 2] = np.nan
+    dates = tuple(datetime.date(2020, 1, 6) + datetime.timedelta(days=7 * k) for k in range(4))
+    panel = TimeSeriesPanel(labels=("a, b", 'c "d"', "e"), dates=dates, values=values)
+    write_wide_csv(panel, tmp_path / "new.csv", ["note=1"])
+    _crlf_rows(tmp_path / "new.csv", tmp_path / "old.csv")
+    assert b"\r\n" in (tmp_path / "old.csv").read_bytes()
+    new, old = read_wide_csv(tmp_path / "new.csv"), read_wide_csv(tmp_path / "old.csv")
+    assert (old.labels, old.dates) == (new.labels, new.dates) == (panel.labels, panel.dates)
+    assert np.array_equal(old.values, new.values, equal_nan=True)
+    assert np.array_equal(old.values, panel.values, equal_nan=True)
+
+    fits = {}
+    for layout in ("new", "old"):
+        (tmp_path / layout).mkdir()
+        if layout == "new":
+            (tmp_path / "new" / "panel.csv").write_bytes(Path(sim_panel).read_bytes())
+        else:
+            _crlf_rows(sim_panel, tmp_path / "old" / "panel.csv")
+        monkeypatch.chdir(tmp_path / layout)
+        assert run(["fit", "--panel", "panel.csv", "--graph", queen_json, "--p", "1",
+                    "--s", "1", "--out", "fit.json"]) == 0
+        fits[layout] = Path("fit.json").read_bytes()
+    assert fits["old"] == fits["new"]

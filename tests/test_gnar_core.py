@@ -2,6 +2,7 @@
 
 import datetime
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -614,6 +615,19 @@ def test_simulate_rejects_nonfinite_parameters(name, bad):
                 g=ring_graph(4), T=10, sigma=0.5, init_mean=0.0)
     with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
         simulate(spec_for(2, [1, 1]), **{**args, **bad})
+
+
+def test_simulate_explosive_model_names_the_overflowing_step():
+    # x_t = 10^t from x_0 = 1: 10^308 is finite, 10^309 overflows (step 310)
+    g = build_complete(["a", "b"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"overflows to \+-inf at step 310 of 400 "):
+            simulate(spec_for(1, [0]), np.array([10.0]), [np.array([])], g, T=400,
+                     sigma=0.0, init_mean=1.0)
+        with pytest.raises(InvalidInputError, match="at step 310 of 420 .burn-in included"):
+            simulate(spec_for(1, [0]), np.array([10.0]), [np.array([])], g, T=400,
+                     sigma=0.0, init_mean=1.0, burn_in=20)
 
 
 def test_simulate_rejects_empty_stage():
