@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+import types
 
 import numpy as np
 
@@ -154,10 +155,16 @@ def _cell(v) -> str:
 
 def _write_csv(path, header, rows, meta_lines=()) -> None:
     """Write ``# `` metadata lines, the header and the rows as CSV: a field
-    is quoted only where it must be, and every line ends in LF."""
+    is quoted only where it must be (a CR or LF in it is such a place), and
+    every line ends in LF.  A CR or LF in a metadata line is written as
+    ``\\r`` or ``\\n``, so that the line stays one line."""
     def write(fh):
-        fh.writelines(f"# {line}\n" for line in meta_lines)
-        out = csv.writer(fh, lineterminator="\n")
+        fh.writelines("# " + line.replace("\r", "\\r").replace("\n", "\\n") + "\n"
+                      for line in meta_lines)
+        # csv quotes a field that holds a character of the line terminator:
+        # ask for CRLF, so CR counts too, and end each row in LF instead
+        out = csv.writer(types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
+                         lineterminator="\r\n")
         out.writerow(header)
         out.writerows([_cell(v) for v in row] for row in rows)
     _write_atomic(path, write)

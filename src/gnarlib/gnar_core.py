@@ -21,13 +21,14 @@ a node-specific fit eliminates each node's own-lag block (one batched QR
 over nodes) and never forms the zero-filled N*p alpha columns.  Either
 solve gives the coefficients, the standard errors and a bound on the
 smallest singular value; a design whose rank is in doubt goes to one
-pivoted QR, which names the dependent columns.  The restriction matrix
-maps the M free parameters into the VAR blocks; estimated GLS whitens rows
-with a residual covariance estimate, one Cholesky factor per set of
-present nodes.  Simulation and both forecast modes apply [B_p ... B_1] to
-the stacked lag window, one matrix-vector product per step, and the same
-blocks give the exact companion spectral radius beside the sufficient
-stationarity margin.
+pivoted QR, which names the dependent columns.  A model search solves the
+candidates that share a lag order and a row mask from one QR of their
+widest design.  The restriction matrix maps the M free parameters into
+the VAR blocks; estimated GLS whitens rows with a residual covariance
+estimate, one Cholesky factor per set of present nodes.  Simulation and
+both forecast modes apply [B_p ... B_1] to the stacked lag window, one
+matrix-vector product per step, and the same blocks give the exact
+companion spectral radius beside the sufficient stationarity margin.
 
 Estimation assumes i.i.d. Gaussian errors with a single profiled variance;
 information criteria are reported under that convention (BIC =
@@ -290,7 +291,9 @@ def _validate_stages(order: GnarOrder, weights: WeightSet,
     if order.max_stage > weights.r_max:
         raise InvalidInputError(
             f"order uses stage {order.max_stage} but only {weights.r_max} computed")
-    nonempty = weights.stack.any(axis=2)
+    nonempty = weights.stack[:order.max_stage].any(axis=2)
+    if nonempty.all():
+        return
     for j, sj in enumerate(order.s, start=1):
         for r in range(1, sj + 1):
             if not nonempty[r - 1].all():
@@ -405,19 +408,23 @@ class NodeDesign:
                 + self.beta @ gamma[p * self.n:])
 
 
+def _lag_columns(order: GnarOrder) -> list[tuple[int, int]]:
+    """The design's (plane r, lag j) columns: own lags, then beta in (lag, stage) order."""
+    return [(0, j) for j in range(1, order.p + 1)] + [
+        (r, j) for j in range(1, order.p + 1) for r in range(1, order.s[j - 1] + 1)]
+
+
 def _design_from_planes(planes: np.ndarray, spec: GnarSpec
                         ) -> tuple[np.ndarray | NodeDesign, np.ndarray, np.ndarray]:
     """One order's stacked design: every column is a lag slice of a plane, and
     one mask keeps the rows whose response and regressors are all observed.
     Node-specific alphas come as a :class:`NodeDesign`.  The row index is an
     (n_rows, 2) array of (node, column) pairs."""
-    p, s = spec.order.p, spec.order.s
+    p = spec.order.p
     _, T, n = planes.shape
     if T <= p:
         raise InsufficientDataError(f"panel length {T} <= lag order {p}")
-    cols = [(0, j) for j in range(1, p + 1)] + [
-        (r, j) for j in range(1, p + 1) for r in range(1, s[j - 1] + 1)]
-    lagged = np.stack([planes[r, p - j:T - j] for r, j in cols])  # (K, T - p, N)
+    lagged = np.stack([planes[r, p - j:T - j] for r, j in _lag_columns(spec.order)])
     response = planes[0, p:]
     keep = ~np.isnan(response) & ~np.isnan(lagged).any(axis=0)
     t_off, nodes = np.nonzero(keep)
@@ -441,8 +448,8 @@ def build_design(panel: TimeSeriesPanel, spec: GnarSpec, weights: WeightSet,
     within a lag for node-specific alphas) followed by beta columns in
     (lag, stage) order.  The design is cut from regressor planes (the panel
     and its stage sums W_r X) by lag slicing and one row mask;
-    ``select_model`` builds the planes once and cuts every candidate from
-    them.  ``weights`` must come from ``stages``; empty stages are detected
+    ``select_model`` builds the planes once and cuts every design it needs
+    from them.  ``weights`` must come from ``stages``; empty stages are detected
     on the weights.  Returns (design, response, row_index) where row_index
     lists (node, column) pairs into the panel, t-major and node-minor.
     """
@@ -499,23 +506,20 @@ def _require_finite(values: np.ndarray) -> None:
         raise InvalidInputError("design or response holds non-finite values")
 
 
-def _rank_is_clear(cov_diag: np.ndarray, shape: tuple[int, int], col_norm2: float) -> bool:
+def _rank_is_clear(cov_diag: np.ndarray, shape: tuple[int, int], col_norm2):
     """Whether the pivoted QR would surely find full rank.  sum(cov_diag) is
     ||R^-1||_F^2 >= 1 / sigma_min^2, and the pivoted QR keeps every column
     whose R diagonal, itself >= sigma_min, exceeds max(shape) * eps times the
-    largest column norm."""
-    tol = _RANK_MARGIN * max(shape) * np.finfo(float).eps * math.sqrt(col_norm2)
-    return bool(cov_diag.sum() * tol * tol < 1.0)
+    largest column norm.  Stacked designs of one height give one answer each
+    (cov_diag zero-padded to a common width, one col_norm2 each)."""
+    tol = _RANK_MARGIN * max(shape) * np.finfo(float).eps * np.sqrt(col_norm2)
+    return cov_diag.sum(axis=-1) * tol * tol < 1.0
 
 
-def _dense_solve(design: np.ndarray, response: np.ndarray,
-                 names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares through one numpy QR of [D y]: its R holds the design's
-    R and Q'y, so R^-1 Q'y is gamma and the row norms of R^-1 give
-    diag((D'D)^-1).  A design taller than ``_QR_ROWS`` is factorised in row
-    blocks and the stacked block factors once more (the same R), so numpy's
-    working copies stay small.  Falls back to :func:`_qr_solve` unless the
-    rank is clear."""
+def _dense_r(design: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """The R of one numpy QR of [D y].  A design taller than ``_QR_ROWS`` is
+    factorised in row blocks and the stacked block factors once more (the
+    same R), so numpy's working copies stay small."""
     m = design.shape[1]
     factors = []
     for start in range(0, len(response), _QR_ROWS):
@@ -525,7 +529,17 @@ def _dense_solve(design: np.ndarray, response: np.ndarray,
         block[:, m] = response[rows]
         _require_finite(block)
         factors.append(np.linalg.qr(block, mode="r"))
-    r = factors[0] if len(factors) == 1 else np.linalg.qr(np.concatenate(factors), mode="r")
+    return factors[0] if len(factors) == 1 else np.linalg.qr(np.concatenate(factors), mode="r")
+
+
+def _dense_solve(design: np.ndarray, response: np.ndarray,
+                 names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares through one numpy QR of [D y] (:func:`_dense_r`): its R
+    holds the design's R and Q'y, so R^-1 Q'y is gamma and the row norms of
+    R^-1 give diag((D'D)^-1).  Falls back to :func:`_qr_solve` unless the
+    rank is clear."""
+    m = design.shape[1]
+    r = _dense_r(design, response)
     try:
         r_inv = np.linalg.inv(r[:m, :m])
     except np.linalg.LinAlgError:
@@ -537,20 +551,12 @@ def _dense_solve(design: np.ndarray, response: np.ndarray,
     return r_inv @ r[:m, m], cov_diag
 
 
-def _node_solve(design: NodeDesign, response: np.ndarray,
-                names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares for node-specific alpha by block elimination.
-
-    Each node's rows [A_i B_i y_i] (own lags, beta regressors, response),
+def _node_r(design: NodeDesign, response: np.ndarray):
+    """Each node's rows [A_i B_i y_i] (own lags, beta regressors, response),
     zero-padded to a common height, get one batched QR.  Its top p rows are
-    R_Ai, Q_i'B_i and Q_i'y_i; the rows below are [B_i y_i] projected off
-    A_i, and one QR of them stacked over nodes gives R_B and beta, after
-    which alpha_i = R_Ai^-1 (Q_i'y_i - Q_i'B_i beta).  The design's R
-    factor is [[R_A, Q_A'B], [0, R_B]], so diag((D'D)^-1) is the row norms
-    of R_A^-1 and R_A^-1 Q_A'B R_B^-1 for alpha and of R_B^-1 for beta.
-    Falls back to :func:`_qr_solve` on the wide design when a node has
-    fewer than p rows or the rank is not clear.
-    """
+    R_Ai, Q_i'B_i and Q_i'y_i, and the rows below are [B_i y_i] projected
+    off A_i, whose R stacked over nodes is the second factor returned.
+    None when a node has fewer than p rows."""
     own, other, nodes, n = design.own, design.beta, design.nodes, design.n
     p, k = own.shape[1], other.shape[1]
     # a node occurs at most once in each run of increasing node ids (one date
@@ -560,9 +566,27 @@ def _node_solve(design: NodeDesign, response: np.ndarray,
     blocks[nodes, slot] = np.column_stack([own, other, response])
     _require_finite(blocks)
     if np.bincount(nodes, minlength=n).min() < p:
-        return _qr_solve(design.wide(), response, names)
+        return None
     r = np.linalg.qr(blocks, mode="r")
-    r_b = np.linalg.qr(r[:, p:, p:].reshape(-1, k + 1), mode="r")
+    return r, np.linalg.qr(r[:, p:, p:].reshape(-1, k + 1), mode="r")
+
+
+def _node_solve(design: NodeDesign, response: np.ndarray,
+                names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares for node-specific alpha by block elimination.
+
+    :func:`_node_r` gives R_Ai, Q_i'B_i, Q_i'y_i and R_B; R_B gives beta,
+    after which alpha_i = R_Ai^-1 (Q_i'y_i - Q_i'B_i beta).  The design's R
+    factor is [[R_A, Q_A'B], [0, R_B]], so diag((D'D)^-1) is the row norms
+    of R_A^-1 and R_A^-1 Q_A'B R_B^-1 for alpha and of R_B^-1 for beta.
+    Falls back to :func:`_qr_solve` on the wide design when a node has
+    fewer than p rows or the rank is not clear.
+    """
+    factors = _node_r(design, response)
+    if factors is None:
+        return _qr_solve(design.wide(), response, names)
+    r, r_b = factors
+    p, k = design.own.shape[1], design.beta.shape[1]
     try:
         ra_inv = np.linalg.inv(r[:, :p, :p])
         rb_inv = np.linalg.inv(r_b[:k, :k])
@@ -579,6 +603,74 @@ def _node_solve(design: NodeDesign, response: np.ndarray,
     if not _rank_is_clear(cov_diag, design.shape, largest):
         return _qr_solve(design.wide(), response, names)
     return np.concatenate([alpha.T.ravel(), beta]), cov_diag
+
+
+def _group_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
+                 ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int]]:
+    """Least squares for orders of one lag p and one alpha mode that keep the
+    same stacked rows, each with more rows than parameters: all-subsets
+    regression in QR form.  Stage sets are prefixes, so the union of the
+    orders' beta columns is the design of their elementwise-largest stage
+    vector.  Its R (dense, or :func:`_node_r`'s R_B) is factorised once; as
+    the union's Q is orthonormal, an order's R is the QR of that R's columns
+    [cols y] and its RSS the last diagonal squared.  One stacked numpy QR
+    serves all orders: a narrower one is widened by unit columns on extra
+    rows, which add a unit block to R and change none of its own entries.
+    Gamma, diag((D'D)^-1) and the rank check follow as in the standalone
+    solves, with R_Ai^-1 shared.  Returns {order: (gamma, rss, n_obs, M)}
+    for the orders whose rank is clear; the rest take the standalone solve."""
+    p, global_alpha, n = specs[0].order.p, specs[0].global_alpha, planes.shape[2]
+    union = GnarOrder(p, tuple(map(max, zip(*(spec.order.s for spec in specs)))))
+    design, response, _ = _design_from_planes(planes, GnarSpec(union, global_alpha))
+    n_obs = len(response)
+    if global_alpha:
+        r = src = _dense_r(design, response)
+    elif (factors := _node_r(design, response)) is None:
+        return {}
+    else:
+        r, src = factors             # src: R_B, whose columns are the beta columns
+    index = {c: p + i for i, c in enumerate(_lag_columns(union)[p:])}
+    cols = [list(range(p)) + [index[c] for c in _lag_columns(spec.order)[p:]]
+            for spec in specs]       # each order's columns of the union design
+    subsets = [c if global_alpha else [j - p for j in c[p:]] for c in cols]
+    k, w = src.shape[0], max(map(len, subsets))
+    x = np.zeros((len(specs), k + w, w + 1))
+    for g, sub in enumerate(subsets):
+        x[g, :k, :len(sub)] = src[:, sub]
+        x[g, k + np.arange(len(sub), w), np.arange(len(sub), w)] = 1.0
+    x[:, :k, w] = src[:, -1]
+    small = np.linalg.qr(x, mode="r")
+    try:
+        r_inv = np.linalg.inv(small[:, :w, :w])
+        ra_inv = None if global_alpha else np.linalg.inv(r[:, :p, :p])
+    except np.linalg.LinAlgError:
+        return {}
+    coef = np.einsum("gij,gj->gi", r_inv, small[:, :w, w])
+    cov = np.einsum("gij,gij->gi", r_inv, r_inv)
+    if global_alpha:
+        norms = np.einsum("ij,ij->j", r[:, :-1], r[:, :-1])
+    else:  # alpha from the shared R_Ai^-1 and each order's columns of Q_i'B_i
+        qb = np.zeros((len(specs), n, p, w))
+        for g, c in enumerate(cols):
+            qb[g, :, :, :len(c) - p] = r[:, :p, c[p:]]
+        alpha = np.einsum("nij,gnj->gni", ra_inv,
+                          r[:, :p, -1] - np.einsum("gnij,gj->gni", qb, coef))
+        coupling = ra_inv @ qb @ r_inv[:, None]
+        cov_alpha = (np.einsum("nij,nij->ni", ra_inv, ra_inv)
+                     + np.einsum("gnij,gnij->gni", coupling, coupling))
+        norms = np.concatenate([np.einsum("nij,nij->nj", r[:, :, :p], r[:, :, :p]).max(axis=0),
+                                np.einsum("nij,nij->j", r[:, :, p:-1], r[:, :, p:-1])])
+    cov[np.arange(w) >= np.array(list(map(len, subsets)))[:, None]] = 0.0  # the unit block
+    if not global_alpha:
+        cov = np.concatenate([cov_alpha.reshape(len(specs), -1), cov], axis=1)
+    clear = _rank_is_clear(cov, (n_obs, w), np.array([norms[c].max() for c in cols]))
+    out = {}
+    for g in np.flatnonzero(clear):
+        gamma = coef[g, :len(subsets[g])]
+        if not global_alpha:
+            gamma = np.concatenate([alpha[g].T.ravel(), gamma])
+        out[specs[g].order] = (gamma, float(small[g, w, w] ** 2), n_obs, len(gamma))
+    return out
 
 
 def _gaussian_criteria(rss: float, n_obs: int, M: int) -> tuple[float, float, float, float]:
@@ -634,12 +726,35 @@ def fit_ols(design: np.ndarray | NodeDesign, response: np.ndarray, spec: GnarSpe
     naming the dependent columns.  ``row_index`` (node, column) pairs may be
     a list or an (n_rows, 2) array.
     """
+    design, response, names, gamma, cov_diag = _solve(design, response, spec, n, labels)
+    return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
+                   names, weight_set)
+
+
+def _solve(design, response, spec: GnarSpec, n: int, labels):
+    """fit_ols's checks and solve: (design, response, names, gamma, cov_diag)."""
     design, response = _checked_system(design, response, spec, n)
     names = coefficient_names(spec, _labels(labels, n))
     solve = _node_solve if isinstance(design, NodeDesign) else _dense_solve
-    gamma, cov_diag = solve(design, response, names)
-    return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
-                   names, weight_set)
+    return (design, response, names) + solve(design, response, names)
+
+
+def _solve_planes(planes: np.ndarray, spec: GnarSpec, labels
+                  ) -> tuple[np.ndarray, float, int, int]:
+    """(gamma, rss, n_obs, M) of the standalone OLS fit, without its report."""
+    design, response, _ = _design_from_planes(planes, spec)
+    design, response, _, gamma, _ = _solve(design, response, spec, planes.shape[2], labels)
+    resid = response - design @ gamma
+    return (gamma, float(resid @ resid)) + design.shape
+
+
+def _fit_planes(planes: np.ndarray, spec: GnarSpec, labels,
+                weight_set: Optional[WeightSet]) -> GnarFit:
+    """The standalone OLS fit of ``spec`` on regressor planes."""
+    design, response, rows = _design_from_planes(planes, spec)
+    _, T, n = planes.shape
+    return fit_ols(design, response, spec, n, T, row_index=rows, labels=labels,
+                   weight_set=weight_set)
 
 
 def _checked_system(design, response, spec: GnarSpec, n: int):
@@ -785,11 +900,10 @@ def fit(panel: TimeSeriesPanel, g: Graph, spec: GnarSpec,
     weights = compute_weights(g, stage_neighbourhoods(g, max(spec.order.max_stage, 1)),
                               spec.scheme)
     _validate_stages(spec.order, weights, panel.labels)
-    design, response, rows = _design_from_planes(
-        _stage_planes(panel.values, weights, spec.order.max_stage), spec)
+    planes = _stage_planes(panel.values, weights, spec.order.max_stage)
     if method == "ols":
-        return fit_ols(design, response, spec, panel.n_nodes, panel.n_times,
-                       row_index=rows, labels=panel.labels, weight_set=weights)
+        return _fit_planes(planes, spec, panel.labels, weights)
+    design, response, rows = _design_from_planes(planes, spec)
     if method == "egls":
         sigma = estimate_sigma(panel, spec.order.p)
         return fit_egls(_wide(design), response, spec, panel.n_nodes, panel.n_times,

@@ -16,9 +16,10 @@ network-vs-no-network comparison meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,11 +37,14 @@ from .gnar_core import (
     GnarSpec,
     WeightScheme,
     _design_from_planes,
+    _fit_planes,
     _gaussian_criteria,
+    _group_solve,
+    _lag_columns,
+    _solve_planes,
     _stage_planes,
     _validate_stages,
     compute_weights,
-    fit_ols,
 )
 from .panel import TimeSeriesPanel, _reject_infinite
 
@@ -89,7 +93,14 @@ class OrderGrid:
 
 @dataclass(frozen=True)
 class CandidateResult:
-    """One fitted (or skipped) candidate in a selection run."""
+    """One fitted (or skipped) candidate in a selection run.
+
+    The criteria come from the search's solve.  ``fit`` (None for a skipped
+    candidate) is the candidate's :class:`~gnarlib.gnar_core.GnarFit`, built
+    on first read by the standalone fit on the search's regressor planes, so
+    its estimates equal those of ``fit(panel, g, spec)``; a search itself
+    builds no fit.
+    """
 
     order: GnarOrder
     scheme_kind: str
@@ -101,7 +112,11 @@ class CandidateResult:
     loglik: float = math.nan
     M: int = 0
     n_obs: int = 0
-    fit: Optional[GnarFit] = None
+    _build: Optional[Callable[[], GnarFit]] = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def fit(self) -> Optional[GnarFit]:
+        return self._build() if self._build is not None else None
 
     def to_json(self) -> dict:
         return {
@@ -192,15 +207,17 @@ def select_model(panel: TimeSeriesPanel, g: Graph, scheme: WeightScheme,
     and too-short panels are recorded as skipped with their reason; the
     search only fails when nothing at all could be fitted.  Candidates with
     longer lags use fewer stacked rows and are compared on their own n_obs.
-    The regressor planes (the panel and its stage sums) are computed once
-    per call; each candidate's design is a lag slice and row mask of them.
-    Global-alpha candidates are solved by one numpy QR each; node-specific
-    ones stay compact (own lags, beta regressors and node ids, see
-    :class:`~gnarlib.gnar_core.NodeDesign`) and are solved by per-node block
-    elimination, with residuals computed from the blocks.  Only a candidate
-    whose rank is in doubt is widened for the pivoted QR that names its
-    dependent columns.  A non-finite panel value that reaches a design
-    raises InvalidInputError instead of skipping the candidate.
+    The regressor planes (the panel and its stage sums) and their NaN
+    pattern are computed once per call.  Candidates that share a lag order
+    and a row mask are column subsets of one design, the group's widest,
+    and one QR of it gives each one's RSS (see
+    :func:`~gnarlib.gnar_core._group_solve`).  A candidate alone in its
+    group, one with no more rows than parameters and one whose rank is in
+    doubt take the standalone solve of :func:`~gnarlib.gnar_core.fit_ols`,
+    whose pivoted QR names the dependent columns of a singular design.  No
+    fit object is built; a candidate's ``fit`` is built when first read.  A
+    non-finite panel value that reaches a design raises InvalidInputError
+    instead of skipping the candidate.
     """
     if criterion not in ("bic", "aic"):
         raise InvalidInputError("criterion must be 'bic' or 'aic'")
@@ -213,29 +230,57 @@ def select_model(panel: TimeSeriesPanel, g: Graph, scheme: WeightScheme,
     stages = stage_neighbourhoods(g, r_needed)
     weights = compute_weights(g, stages, scheme)
     planes = _stage_planes(panel.values, weights, r_needed)
+    _, T, n = planes.shape
+    # each plane's NaN pattern as one integer, bit t * N + i for cell (i, t)
+    nan_bits = [int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
+                for m in np.isnan(planes)]
 
-    results: list[CandidateResult] = []
+    def dropped_rows(order):
+        """The stacked rows of ``order`` that miss a value, as a bit mask."""
+        p = order.p
+        out = nan_bits[0] >> p * n
+        for r, j in _lag_columns(order):
+            out |= nan_bits[r] >> (p - j) * n
+        return out & ((1 << (T - p) * n) - 1)
+
+    def skipped(order, exc):
+        status = next(v for k, v in _SKIP_STATUS.items() if isinstance(exc, k))
+        return CandidateResult(order, scheme.kind, global_alpha, status, str(exc))
+
+    results: dict[GnarOrder, CandidateResult] = {}
+    groups: dict[object, list[GnarSpec]] = {}
     for order in grid:
-        spec = GnarSpec(order=order, global_alpha=global_alpha, scheme=scheme)
         try:
             _validate_stages(order, weights, panel.labels)
-            design, response, rows = _design_from_planes(planes, spec)
-            fit = fit_ols(design, response, spec, panel.n_nodes, panel.n_times,
-                          row_index=rows, labels=panel.labels, weight_set=weights)
-        except tuple(_SKIP_STATUS) as exc:
-            status = next(v for k, v in _SKIP_STATUS.items() if isinstance(exc, k))
-            results.append(CandidateResult(order, scheme.kind, global_alpha,
-                                           status, str(exc)))
+        except ModelInadmissibleError as exc:
+            results[order] = skipped(order, exc)
             continue
-        results.append(CandidateResult(
-            order, scheme.kind, global_alpha, "ok", "",
-            bic=fit.bic, aic=fit.aic, loglik=fit.loglik, M=fit.M,
-            n_obs=fit.n_obs, fit=fit))
+        spec = GnarSpec(order, global_alpha, scheme)
+        rows = (T - order.p) * n      # stacked rows before the mask
+        dropped = dropped_rows(order) if rows > 0 else 0
+        # a candidate with no more rows than parameters is left alone
+        key = (order.p, dropped) if rows - dropped.bit_count() > spec.n_params(n) else order
+        groups.setdefault(key, []).append(spec)
+    for specs in groups.values():
+        solved = _group_solve(planes, specs) if len(specs) > 1 else {}
+        for spec in specs:
+            order = spec.order
+            try:
+                _, rss, n_obs, M = (solved.get(order)
+                                    or _solve_planes(planes, spec, panel.labels))
+            except (SingularDesignError, InsufficientDataError) as exc:
+                results[order] = skipped(order, exc)
+                continue
+            _, loglik, bic, aic = _gaussian_criteria(rss, n_obs, M)
+            results[order] = CandidateResult(
+                order, scheme.kind, global_alpha, "ok", "", bic=bic, aic=aic,
+                loglik=loglik, M=M, n_obs=n_obs,
+                _build=functools.partial(_fit_planes, planes, spec, panel.labels, weights))
 
-    report = SelectionReport(candidates=tuple(results), criterion=criterion)
+    report = SelectionReport(candidates=tuple(results[o] for o in grid), criterion=criterion)
     if not report.ranked():
         reasons = "; ".join(f"{c.order.name()}: {c.status} ({c.reason})"
-                            for c in results)
+                            for c in report.candidates)
         raise SelectionFailedError(f"all candidates failed -- {reasons}")
     return report
 

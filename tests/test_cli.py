@@ -117,6 +117,17 @@ def test_data_pipeline_ingest_weekly_diff(tmp_path):
     assert p.n_times == 3  # 4 weekly points, one lost to differencing
 
 
+def test_line_break_in_out_path_keeps_metadata_lines_whole(tmp_path, monkeypatch, sim_panel):
+    # the '# command=' line echoes the argv; a CR or LF in it is escaped, so
+    # the written panel still reads as one
+    monkeypatch.chdir(tmp_path)
+    assert run(["data", "diff", "--panel", sim_panel, "--out", "d\nx.csv"]) == 0
+    text = (tmp_path / "d\nx.csv").read_text()
+    assert "# command=gnar data diff --panel " + sim_panel + " --out d\\nx.csv\n" in text
+    assert run(["diagnose", "ks", "--panel", "d\nx.csv", "--out", "ks.json"]) == 0
+    assert len(json.loads((tmp_path / "ks.json").read_text())["tests"]) == 26
+
+
 def test_data_phases_and_smooth(tmp_path, sim_panel):
     panel = read_wide_csv(sim_panel)
     spec = {"name": "x", "intervals": [

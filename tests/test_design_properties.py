@@ -5,6 +5,8 @@ global or node-specific alpha and uniform or distance weights; every
 vectorised path is checked against the loop oracles in ``oracles.py``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import make_panel, random_connected_graph
 from oracles import gnar_design_bruteforce, normal_equations_solve
 
+from gnarlib import selection
 from gnarlib.errors import (
     InsufficientDataError,
     ModelInadmissibleError,
@@ -35,6 +38,8 @@ from gnarlib.selection import order_grid, select_model
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 R_MAX = 2
+_SKIP_ERRORS = {"inadmissible": ModelInadmissibleError, "singular": SingularDesignError,
+                "insufficient": InsufficientDataError}
 
 
 @st.composite
@@ -133,6 +138,74 @@ def test_selection_candidates_equal_standalone_fits(case):
         np.testing.assert_allclose(c.fit.gamma, alone.gamma, rtol=1e-12, atol=1e-12)
         assert c.bic == pytest.approx(alone.bic, rel=1e-12, abs=1e-9)
         assert c.n_obs == alone.n_obs and c.M == alone.M
+
+
+@st.composite
+def missing_cell_panels(draw):
+    """A graph, a scheme and a panel whose missing cells differ between
+    stage sums, so that candidates of one lag order keep different rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 7))
+    g = random_connected_graph(n, rng, extra_edges=draw(st.integers(0, 3)))
+    T = draw(st.integers(8, 30))
+    values = rng.normal(size=(n, T))
+    values[rng.uniform(size=(n, T)) < draw(st.sampled_from([0.0, 0.02, 0.05, 0.1]))] = np.nan
+    for t in draw(st.lists(st.integers(0, T - 1), max_size=2)):
+        values[:, t] = np.nan
+    if draw(st.booleans()):
+        d = rng.uniform(10.0, 500.0, size=(n, n))
+        scheme = WeightScheme("idw", dist_km=(d + d.T) / 2.0)
+    else:
+        scheme = WeightScheme("uniform")
+    return g, make_panel(values, labels=g.labels), scheme
+
+
+@PROPERTY
+@given(missing_cell_panels())
+@pytest.mark.parametrize("global_alpha", [True, False])
+def test_grouped_selection_equals_standalone_fits_with_missing_cells(global_alpha, case):
+    g, panel, scheme = case
+    grid = order_grid(3, R_MAX)
+    grouped, real = {}, selection._group_solve
+
+    def spy(planes, specs):
+        out = real(planes, specs)
+        grouped.update(out)
+        return out
+
+    with mock.patch.object(selection, "_group_solve", spy):
+        try:
+            report = select_model(panel, g, scheme, grid, global_alpha=global_alpha)
+        except SelectionFailedError:
+            report = None
+    alone = {}
+    for order in grid:
+        try:
+            alone[order] = fit(panel, g, GnarSpec(order, global_alpha, scheme))
+        except (ModelInadmissibleError, SingularDesignError, InsufficientDataError) as exc:
+            alone[order] = exc
+    if report is None:
+        assert all(isinstance(a, Exception) for a in alone.values())
+        return
+    for c in report.candidates:
+        a = alone[c.order]
+        if c.status != "ok":
+            assert isinstance(a, _SKIP_ERRORS[c.status]) and str(a) == c.reason
+            continue
+        assert (c.M, c.n_obs) == (a.M, a.n_obs)
+        assert c.bic == pytest.approx(a.bic, rel=1e-12, abs=0)
+    standalone = sorted((a for a in alone.values() if not isinstance(a, Exception)),
+                        key=lambda a: (a.bic, a.M, (a.spec.order.p, a.spec.order.s)))
+    assert [c.order for c in report.ranked()] == [a.spec.order for a in standalone]
+    stages, weights = _weights(g, scheme)
+    for order, (gamma, _, _, _) in grouped.items():
+        a = alone[order]
+        scale = max(1.0, float(np.max(np.abs(a.gamma))))
+        assert np.max(np.abs(gamma - a.gamma)) <= 1e-12 * scale
+        D, y, _ = build_design(panel, a.spec, weights, stages)
+        if np.linalg.cond(D) <= 30.0:
+            oracle = normal_equations_solve(D, y)
+            assert np.max(np.abs(gamma - oracle)) <= 1e-12 * scale
 
 
 @PROPERTY

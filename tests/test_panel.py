@@ -382,3 +382,15 @@ def test_wide_csv_roundtrip(tmp_path):
     assert q.dates == p.dates
     assert np.array_equal(np.isnan(q.values), np.isnan(p.values))
     assert np.allclose(q.values[~np.isnan(q.values)], p.values[~np.isnan(p.values)])
+
+
+@pytest.mark.parametrize("label", ["a\rb", "a\nb", "a\r\nb"])
+def test_wide_csv_roundtrip_of_labels_with_line_breaks(tmp_path, label):
+    # csv quotes a field holding LF on its own; a bare CR must be quoted too
+    p = make_panel([[1.0, 2.0], [3.0, np.nan]], labels=(label, "c"))
+    path = tmp_path / "panel.csv"
+    write_wide_csv(p, path, meta_lines=["check=1"])
+    assert path.read_bytes().startswith(b'# check=1\ndate,"' + label.encode() + b'",c\n')
+    q = read_wide_csv(str(path))
+    assert q.labels == p.labels and q.dates == p.dates
+    assert np.array_equal(q.values, p.values, equal_nan=True)

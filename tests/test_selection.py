@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_panel, ring_graph
 
+from gnarlib import gnar_core
 from gnarlib.errors import InvalidInputError, SelectionFailedError
 from gnarlib.gnar_core import GnarOrder, GnarSpec, WeightScheme, fit, simulate
 from gnarlib.selection import (
@@ -137,6 +138,28 @@ def test_select_white_noise_coefficients_near_zero():
     best = report.best.fit
     for value, se in zip(best.gamma, best.gamma_se):
         assert abs(value) <= 3.0 * se
+
+
+@pytest.mark.parametrize("global_alpha", [True, False])
+def test_selection_builds_a_fit_only_when_it_is_read(monkeypatch, global_alpha):
+    g = ring_graph(8)
+    values = sim_panel(GnarOrder(2, (1, 0)), np.array([0.3, -0.2]),
+                       [np.array([0.3]), np.array([])], g, 80, 0.5, 13).values.copy()
+    values[2, [10, 31]] = values[5, 47] = np.nan  # masks differ within one lag order
+    panel = make_panel(values, labels=g.labels)
+    reports = []
+    real = gnar_core._report
+    monkeypatch.setattr(gnar_core, "_report", lambda *a, **k: reports.append(1) or real(*a, **k))
+    report = select_model(panel, g, WeightScheme("spl"), order_grid(3, 2),
+                          global_alpha=global_alpha)
+    assert reports == []
+    best = report.best.fit
+    assert len(reports) == 1 and best.residuals.shape == (8, 80)
+    assert report.best.fit is best and len(reports) == 1
+    alone = fit(panel, g, GnarSpec(report.best.order, global_alpha, WeightScheme("spl")))
+    assert np.array_equal(best.gamma, alone.gamma)
+    assert np.array_equal(best.residuals, alone.residuals, equal_nan=True)
+    assert (best.bic, best.n_obs, best.M) == (alone.bic, alone.n_obs, alone.M)
 
 
 def test_select_all_fail_raises():
