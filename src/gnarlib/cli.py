@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_dir.add_argument("--out-dir", default=".")
     order.add_argument("--p", type=int)
     order.add_argument("--s", type=_STAGES, help="comma-separated stages, e.g. 2,1,0")
-    model.add_argument("--scheme", default="spl", choices=gc.WEIGHT_KINDS,
+    model.add_argument("--scheme", default="spl", choices=errors.WEIGHT_KINDS,
                        help="idw and pb need --points")
     model.add_argument("--vertex-alpha", action="store_true",
                        help="node-specific own-lag coefficients")
@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma2", type=float, help="innovation variance")
     sim.add_argument("--init-mean", type=float, default=0.0)
     sim.add_argument("--burn-in", type=int, default=0)
-    sim.add_argument("--scheme", default="uniform", choices=gc.WEIGHT_KINDS)
+    sim.add_argument("--scheme", default="uniform", choices=errors.WEIGHT_KINDS)
     sim.add_argument("--refit", action="store_true",
                      help="refit the generating model and write a truth/estimate "
                           "table with 95%% CIs")

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedStatisticError, _check_seed
-from .geo_graph import Graph, shortest_path_lengths
+from . import geo_graph
 from .panel import TimeSeriesPanel, _reject_infinite
 
 
@@ -137,12 +137,12 @@ def mase(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray,
 # Spatial autocorrelation
 # ---------------------------------------------------------------------------
 
-def moran_weights(g: Graph) -> np.ndarray:
+def moran_weights(g: geo_graph.Graph) -> np.ndarray:
     """Exponential-decay weights w[i, j] = exp(-SPL(i, j)).
 
     The diagonal is zero, and so are unreachable pairs (exp(-inf)).
     """
-    spl = shortest_path_lengths(g)
+    spl = geo_graph.shortest_path_lengths(g)
     with np.errstate(over="ignore"):
         w = np.exp(-spl)
     np.fill_diagonal(w, 0.0)
@@ -185,7 +185,7 @@ def rank_transform(values: np.ndarray) -> np.ndarray:
     return np.full(x.size, np.nan) if np.isnan(x).any() else ranks
 
 
-def moran_permutation_test(panel: TimeSeriesPanel, g: Graph, R: int = 100,
+def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 100,
                            seed: int = 0, rank_based: bool = False) -> MoranResult:
     """Per-date permutation bands for the spatial autocorrelation.
 

@@ -12,6 +12,7 @@ atomically with the mode a plain ``open`` would give.
 """
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -19,6 +20,10 @@ import os
 import types
 
 import numpy as np
+
+# the weight schemes of ``gnar_core.WeightScheme``, here so that the command
+# parser offers them without running the model code
+WEIGHT_KINDS = ("spl", "uniform", "idw", "pb")
 
 
 class GnarError(Exception):
@@ -79,7 +84,8 @@ def _check_finite(**params) -> None:
 def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
     """Read a CSV path or text stream into ``(header, [parse(row, col), ...])``.
 
-    Lines starting with ``#`` and blank rows are skipped.  ``header_ok(header)``
+    Lines starting with ``#`` before the header (metadata) and blank rows
+    are skipped; after the header such a line is data.  ``header_ok(header)``
     must hold (``layout`` describes the header it expects), every data row
     must have as many fields as the header, and ``col`` maps each header name
     to its field index.  A ``parse`` that returns None folds the row itself
@@ -91,7 +97,7 @@ def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
             return _read_csv(fh, layout, header_ok, parse)
-    rows = csv.reader(line for line in source if not line.lstrip().startswith("#"))
+    rows = csv.reader(itertools.dropwhile(lambda line: line.lstrip().startswith("#"), source))
     k, out = -1, []  # k: data rows read so far, -1 while reading the header
     try:
         header = next(rows, [])

@@ -51,13 +51,12 @@ from .errors import (
     InvalidInputError,
     ModelInadmissibleError,
     SingularDesignError,
+    WEIGHT_KINDS,
     _check_finite,
     _check_seed,
 )
 from .geo_graph import Graph, StageNeighbourhoods, stage_neighbourhoods
 from .panel import TimeSeriesPanel
-
-WEIGHT_KINDS = ("spl", "uniform", "idw", "pb")
 
 
 # ---------------------------------------------------------------------------

@@ -761,6 +761,57 @@ def test_data_boxcox_loads_no_scipy(tmp_path, sim_panel):
         assert proc.stdout.strip().splitlines()[-1] == "[]", (argv, proc.stdout)
 
 
+def test_commands_run_only_the_submodules_they_call(tmp_path, towns, sim_panel):
+    # the package namespace is lazy: a submodule's code runs on first use, so
+    # a fresh gnar process runs only the submodules its command reaches
+    import subprocess
+    import sys
+
+    import gnarlib
+
+    src = str(Path(gnarlib.__file__).resolve().parents[1])
+    code = ("import sys, types; from gnarlib.cli import main; rc = main(sys.argv[1:]); "
+            "print(sorted(n for n in ('errors', 'geo_graph', 'panel', 'gnar_core', "
+            "'selection', 'diagnostics') if type(sys.modules['gnarlib.' + n]) "
+            "is types.ModuleType)); sys.exit(rc)")
+    long_csv = tmp_path / "long.csv"
+    long_csv.write_text("date,node,value\n" + "".join(
+        f"{datetime.date(2020, 3, 2) + datetime.timedelta(days=d)},{node},{d * (k + 1)}\n"
+        for d in range(21) for k, node in enumerate("ab")))
+    panel = read_wide_csv(sim_panel)
+    spec = tmp_path / "phases.json"
+    spec.write_text(json.dumps({"name": "x", "intervals": [
+        [panel.dates[0].isoformat(), panel.dates[9].isoformat()]]}))
+
+    def out(name):
+        return str(tmp_path / name)
+
+    data = [["ingest", "--csv", str(long_csv), "--out", out("wide.csv")],
+            ["weekly", "--panel", out("wide.csv"), "--out", out("weekly.csv")],
+            ["smooth", "--panel", sim_panel, "--window", "4", "--start",
+             panel.dates[5].isoformat(), "--end", panel.dates[20].isoformat(),
+             "--out", out("sm.csv")],
+            ["diff", "--panel", sim_panel, "--out", out("diff.csv")],
+            ["phases", "--panel", sim_panel, "--spec", str(spec), "--out", out("ph.csv")],
+            ["boxcox", "--panel", sim_panel, "--out", out("bc.csv")]]
+    network = [["build", "--kind", "knn", "--k", "3", "--points", towns, "--out", out("g.json")],
+               ["build", "--kind", "edgelist", "--edges", irish_queen_edges_path(),
+                "--points", towns, "--out", out("q.json")],
+               ["summarize", "--graph", out("q.json"), "--brg-samples", "5",
+                "--out", out("s.csv")]]
+    diagnose = [["ks", "--panel", sim_panel, "--out", out("ks.json")],
+                ["ljungbox", "--panel", sim_panel, "--out", out("lb.json")]]
+    commands = ([(["data", *argv], "['errors', 'panel']") for argv in data]
+                + [(["network", *argv], "['errors', 'geo_graph']") for argv in network]
+                + [(["diagnose", *argv], "['diagnostics', 'errors', 'panel']")
+                   for argv in diagnose])
+    for argv, ran in commands:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout.strip().splitlines()[-1] == ran, (argv, proc.stdout)
+
+
 @pytest.mark.parametrize("flag,value,expected", [
     ("--alpha", "x", "expected comma-separated numbers, got 'x'"),
     ("--beta", "0.1;y", "expected ';'-separated groups of numbers, got '0.1;y'"),

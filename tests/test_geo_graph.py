@@ -551,6 +551,13 @@ def test_edgelist_csv(tmp_path):
     assert read_edgelist_csv(str(path)) == [("a", "b"), ("b", "c")]
 
 
+def test_edgelist_row_starting_with_hash_is_an_edge(tmp_path):
+    # '#' marks a metadata line only before the header
+    path = tmp_path / "edges.csv"
+    path.write_text("# made by hand\nfrom,to\n#1,2\nb,c\n")
+    assert read_edgelist_csv(str(path)) == [("#1", "2"), ("b", "c")]
+
+
 def test_graph_json_roundtrip(tmp_path, queen_graph):
     from gnarlib.geo_graph import read_graph_json, write_graph_json
 

@@ -394,3 +394,14 @@ def test_wide_csv_roundtrip_of_labels_with_line_breaks(tmp_path, label):
     q = read_wide_csv(str(path))
     assert q.labels == p.labels and q.dates == p.dates
     assert np.array_equal(q.values, p.values, equal_nan=True)
+
+
+def test_wide_csv_roundtrip_of_a_label_whose_second_line_starts_with_hash(tmp_path):
+    # only the lines before the header are metadata: a quoted label's own
+    # line that starts with '#' is data
+    p = make_panel([[1.0, 2.0], [3.0, np.nan]], labels=("a\n#b", "c"))
+    path = tmp_path / "panel.csv"
+    write_wide_csv(p, path, meta_lines=["check=1"])
+    q = read_wide_csv(str(path))
+    assert q.labels == p.labels and q.dates == p.dates
+    assert np.array_equal(q.values, p.values, equal_nan=True)
