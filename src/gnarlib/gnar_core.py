@@ -16,15 +16,17 @@ B_j = diag(alpha_j) + sum_r beta[j, r] W_r.
 Estimation is restricted least squares on a stacked design with one row per
 (node, time) pair, cut by lag slicing and one row mask from regressor planes
 (the panel and its stage sums W_r X) that a model search shares across all
-candidates.  A global-alpha fit is one numpy QR of the design and response;
-a node-specific fit eliminates each node's own-lag block (one batched QR
-over nodes) and never forms the zero-filled N*p alpha columns.  Either
-solve gives the coefficients, the standard errors and a bound on the
-smallest singular value; a design whose rank is in doubt goes to one
-pivoted QR, which names the dependent columns.  A model search solves the
-candidates that share a lag order and a row mask from one QR of their
-widest design.  The restriction matrix maps the M free parameters into
-the VAR blocks; estimated GLS whitens rows with a residual covariance
+candidates.  Every fit reads its solution off an R factor in one subset
+solve.  The R comes from one numpy QR of the design and response, or, for
+node-specific alpha, from eliminating each node's own-lag block (one
+batched QR over nodes) without forming the zero-filled N*p alpha columns.
+A QR of column subsets of that R gives each subset's coefficients, standard
+errors, RSS and a bound on the smallest singular value.  A standalone fit
+is the all-columns subset; a model search solves the candidates that share
+a lag order and a row mask as subsets of their widest design.  A design
+whose rank is in doubt goes to one pivoted QR, which names the dependent
+columns.  The restriction matrix maps the M free parameters into the VAR
+blocks; estimated GLS whitens rows with a residual covariance
 estimate, one Cholesky factor per set of present nodes.  Simulation and
 both forecast modes apply [B_p ... B_1] to the stacked lag window, one
 matrix-vector product per step, and the same blocks give the exact
@@ -55,7 +57,7 @@ from .errors import (
     _check_finite,
     _check_seed,
 )
-from .geo_graph import Graph, StageNeighbourhoods, stage_neighbourhoods
+from . import geo_graph
 from .panel import TimeSeriesPanel
 
 
@@ -150,12 +152,14 @@ class WeightSet:
                      for i in range(self.stack.shape[1]))
 
     def stage_weights(self, node: int, r: int) -> dict[int, float]:
-        row = self.stack[r - 1, node]
+        row = self.matrix(r, self.stack.shape[1])[node]
         members = np.flatnonzero(row)
         return dict(zip(members.tolist(), row[members].tolist()))
 
     def matrix(self, r: int, n: int) -> np.ndarray:
         """Dense stage-r weight matrix W with W[l, m] = w[l, m]."""
+        if not 1 <= r <= self.r_max:
+            raise InvalidInputError(f"stage {r} outside computed range 1..{self.r_max}")
         return self.stack[r - 1]
 
 
@@ -238,7 +242,7 @@ class GnarFit:
 # Weights
 # ---------------------------------------------------------------------------
 
-def compute_weights(g: Graph, stages: StageNeighbourhoods,
+def compute_weights(g: geo_graph.Graph, stages: geo_graph.StageNeighbourhoods,
                     scheme: WeightScheme) -> WeightSet:
     """Normalised within-stage weights for every node and stage.
 
@@ -378,8 +382,8 @@ class NodeDesign:
 
     Row k of the wide design holds ``own[k]`` (its p own lags) in the alpha
     columns of node ``nodes[k]``, zeros in the other (N - 1) * p alpha
-    columns, and ``beta[k]`` in the beta columns.  :func:`fit_ols` solves
-    it by block elimination without forming those zeros; ``wide()`` gives
+    columns, and ``beta[k]`` in the beta columns.  :func:`_subset_solve`
+    solves it by block elimination without forming those zeros; ``wide()`` gives
     the full design and ``design @ gamma`` the fitted values.
     """
 
@@ -436,7 +440,7 @@ def _design_from_planes(planes: np.ndarray, spec: GnarSpec
 
 
 def build_design(panel: TimeSeriesPanel, spec: GnarSpec, weights: WeightSet,
-                 stages: StageNeighbourhoods
+                 stages: geo_graph.StageNeighbourhoods
                  ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Stacked regression design for the model.
 
@@ -509,8 +513,8 @@ def _rank_is_clear(cov_diag: np.ndarray, shape: tuple[int, int], col_norm2):
     """Whether the pivoted QR would surely find full rank.  sum(cov_diag) is
     ||R^-1||_F^2 >= 1 / sigma_min^2, and the pivoted QR keeps every column
     whose R diagonal, itself >= sigma_min, exceeds max(shape) * eps times the
-    largest column norm.  Stacked designs of one height give one answer each
-    (cov_diag zero-padded to a common width, one col_norm2 each)."""
+    largest column norm.  The subsets of :func:`_subset_solve` give one
+    answer each (cov_diag zero-padded to a common width, one col_norm2 each)."""
     tol = _RANK_MARGIN * max(shape) * np.finfo(float).eps * np.sqrt(col_norm2)
     return cov_diag.sum(axis=-1) * tol * tol < 1.0
 
@@ -529,25 +533,6 @@ def _dense_r(design: np.ndarray, response: np.ndarray) -> np.ndarray:
         _require_finite(block)
         factors.append(np.linalg.qr(block, mode="r"))
     return factors[0] if len(factors) == 1 else np.linalg.qr(np.concatenate(factors), mode="r")
-
-
-def _dense_solve(design: np.ndarray, response: np.ndarray,
-                 names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares through one numpy QR of [D y] (:func:`_dense_r`): its R
-    holds the design's R and Q'y, so R^-1 Q'y is gamma and the row norms of
-    R^-1 give diag((D'D)^-1).  Falls back to :func:`_qr_solve` unless the
-    rank is clear."""
-    m = design.shape[1]
-    r = _dense_r(design, response)
-    try:
-        r_inv = np.linalg.inv(r[:m, :m])
-    except np.linalg.LinAlgError:
-        return _qr_solve(design, response, names)
-    cov_diag = np.einsum("ij,ij->i", r_inv, r_inv)
-    col_norm2 = np.einsum("ij,ij->j", r[:, :m], r[:, :m]).max()
-    if not _rank_is_clear(cov_diag, design.shape, col_norm2):
-        return _qr_solve(design, response, names)
-    return r_inv @ r[:m, m], cov_diag
 
 
 def _node_r(design: NodeDesign, response: np.ndarray):
@@ -570,106 +555,101 @@ def _node_r(design: NodeDesign, response: np.ndarray):
     return r, np.linalg.qr(r[:, p:, p:].reshape(-1, k + 1), mode="r")
 
 
-def _node_solve(design: NodeDesign, response: np.ndarray,
-                names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares for node-specific alpha by block elimination.
-
-    :func:`_node_r` gives R_Ai, Q_i'B_i, Q_i'y_i and R_B; R_B gives beta,
-    after which alpha_i = R_Ai^-1 (Q_i'y_i - Q_i'B_i beta).  The design's R
-    factor is [[R_A, Q_A'B], [0, R_B]], so diag((D'D)^-1) is the row norms
-    of R_A^-1 and R_A^-1 Q_A'B R_B^-1 for alpha and of R_B^-1 for beta.
-    Falls back to :func:`_qr_solve` on the wide design when a node has
-    fewer than p rows or the rank is not clear.
-    """
-    factors = _node_r(design, response)
-    if factors is None:
-        return _qr_solve(design.wide(), response, names)
-    r, r_b = factors
-    p, k = design.own.shape[1], design.beta.shape[1]
-    try:
-        ra_inv = np.linalg.inv(r[:, :p, :p])
-        rb_inv = np.linalg.inv(r_b[:k, :k])
-    except np.linalg.LinAlgError:
-        return _qr_solve(design.wide(), response, names)
-    beta = rb_inv @ r_b[:k, k]
-    alpha = np.einsum("nij,nj->ni", ra_inv, r[:, :p, -1] - r[:, :p, p:-1] @ beta)
-    coupling = ra_inv @ r[:, :p, p:-1] @ rb_inv
-    cov_alpha = (np.einsum("nij,nij->ni", ra_inv, ra_inv)
-                 + np.einsum("nij,nij->ni", coupling, coupling))
-    cov_diag = np.concatenate([cov_alpha.T.ravel(), np.einsum("ij,ij->i", rb_inv, rb_inv)])
-    col_norm2 = np.einsum("nij,nij->nj", r[:, :, :-1], r[:, :, :-1])  # beta: sum over nodes
-    largest = max(col_norm2[:, :p].max(), col_norm2[:, p:].sum(axis=0).max(initial=0.0))
-    if not _rank_is_clear(cov_diag, design.shape, largest):
-        return _qr_solve(design.wide(), response, names)
-    return np.concatenate([alpha.T.ravel(), beta]), cov_diag
-
-
-def _group_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
-                 ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int]]:
-    """Least squares for orders of one lag p and one alpha mode that keep the
-    same stacked rows, each with more rows than parameters: all-subsets
-    regression in QR form.  Stage sets are prefixes, so the union of the
-    orders' beta columns is the design of their elementwise-largest stage
-    vector.  Its R (dense, or :func:`_node_r`'s R_B) is factorised once; as
-    the union's Q is orthonormal, an order's R is the QR of that R's columns
-    [cols y] and its RSS the last diagonal squared.  One stacked numpy QR
-    serves all orders: a narrower one is widened by unit columns on extra
-    rows, which add a unit block to R and change none of its own entries.
-    Gamma, diag((D'D)^-1) and the rank check follow as in the standalone
-    solves, with R_Ai^-1 shared.  Returns {order: (gamma, rss, n_obs, M)}
-    for the orders whose rank is clear; the rest take the standalone solve."""
-    p, global_alpha, n = specs[0].order.p, specs[0].global_alpha, planes.shape[2]
-    union = GnarOrder(p, tuple(map(max, zip(*(spec.order.s for spec in specs)))))
-    design, response, _ = _design_from_planes(planes, GnarSpec(union, global_alpha))
+def _subset_solve(design: np.ndarray | NodeDesign, response: np.ndarray,
+                  cols: Sequence[Optional[Sequence[int]]]
+                  ) -> list[Optional[tuple[np.ndarray, np.ndarray, float]]]:
+    """Least squares for column subsets of one design: all-subsets regression
+    in QR form.  The design's R (dense :func:`_dense_r`, or :func:`_node_r`'s
+    R_B) is factorised once; as its Q is orthonormal, a subset's R is the QR
+    of that R's columns [cols y] and its RSS the last diagonal squared.  One
+    stacked numpy QR serves all subsets: a narrower one is widened by unit
+    columns on extra rows, which add a unit block to R and change none of its
+    own entries.  R^-1 Q'y is gamma and the row norms of R^-1 give
+    diag((D'D)^-1).  A NodeDesign's subsets index its columns [own beta] and
+    keep all p own columns.  Its R is [[R_A, Q_A'B], [0, R_B]], so alpha_i =
+    R_Ai^-1 (Q_i'y_i - Q_i'B_i beta), with R_Ai^-1 shared by the subsets, and
+    diag((D'D)^-1) is the row norms of R_A^-1 and R_A^-1 Q_A'B R_B^-1 for
+    alpha and of R_B^-1 for beta.  A subset of None is all columns, the
+    standalone fit.  Returns (gamma, cov_diag, rss) per subset, or None
+    where the rank is not clear or a node has fewer than p rows."""
     n_obs = len(response)
-    if global_alpha:
-        r = src = _dense_r(design, response)
+    if not isinstance(design, NodeDesign):
+        p, r = 0, _dense_r(design, response)
+        src = r
     elif (factors := _node_r(design, response)) is None:
-        return {}
+        return [None] * len(cols)
     else:
-        r, src = factors             # src: R_B, whose columns are the beta columns
-    index = {c: p + i for i, c in enumerate(_lag_columns(union)[p:])}
-    cols = [list(range(p)) + [index[c] for c in _lag_columns(spec.order)[p:]]
-            for spec in specs]       # each order's columns of the union design
-    subsets = [c if global_alpha else [j - p for j in c[p:]] for c in cols]
-    k, w = src.shape[0], max(map(len, subsets))
-    x = np.zeros((len(specs), k + w, w + 1))
+        p, (r, src) = design.own.shape[1], factors   # src: R_B, on the beta columns
+    cols = [list(range(r.shape[-1] - 1)) if c is None else list(c) for c in cols]
+    subsets = [[j - p for j in c[p:]] for c in cols]    # each subset's columns of src
+    widths = np.array(list(map(len, subsets)))
+    k, w = src.shape[0], int(widths.max())
+    pad = np.arange(w) >= widths[:, None]               # the unit columns
+    x = np.zeros((len(cols), k + w, w + 1))
     for g, sub in enumerate(subsets):
         x[g, :k, :len(sub)] = src[:, sub]
-        x[g, k + np.arange(len(sub), w), np.arange(len(sub), w)] = 1.0
+    x[:, k + np.arange(w), np.arange(w)] = pad
     x[:, :k, w] = src[:, -1]
     small = np.linalg.qr(x, mode="r")
     try:
         r_inv = np.linalg.inv(small[:, :w, :w])
-        ra_inv = None if global_alpha else np.linalg.inv(r[:, :p, :p])
+        ra_inv = np.linalg.inv(r[:, :p, :p]) if p else None
     except np.linalg.LinAlgError:
-        return {}
-    coef = np.einsum("gij,gj->gi", r_inv, small[:, :w, w])
+        return [None] * len(cols)
+    coef = (r_inv @ small[:, :w, w:])[..., 0]
     cov = np.einsum("gij,gij->gi", r_inv, r_inv)
-    if global_alpha:
-        norms = np.einsum("ij,ij->j", r[:, :-1], r[:, :-1])
-    else:  # alpha from the shared R_Ai^-1 and each order's columns of Q_i'B_i
-        qb = np.zeros((len(specs), n, p, w))
+    cov[pad] = 0.0                                      # the unit block
+    if p:  # alpha from the shared R_Ai^-1 and each subset's columns of Q_i'B_i
+        qb = np.zeros((len(cols), design.n, p, w))
         for g, c in enumerate(cols):
             qb[g, :, :, :len(c) - p] = r[:, :p, c[p:]]
         alpha = np.einsum("nij,gnj->gni", ra_inv,
-                          r[:, :p, -1] - np.einsum("gnij,gj->gni", qb, coef))
+                          r[:, :p, -1] - (qb @ coef[:, None, :, None])[..., 0])
         coupling = ra_inv @ qb @ r_inv[:, None]
         cov_alpha = (np.einsum("nij,nij->ni", ra_inv, ra_inv)
                      + np.einsum("gnij,gnij->gni", coupling, coupling))
         norms = np.concatenate([np.einsum("nij,nij->nj", r[:, :, :p], r[:, :, :p]).max(axis=0),
                                 np.einsum("nij,nij->j", r[:, :, p:-1], r[:, :, p:-1])])
-    cov[np.arange(w) >= np.array(list(map(len, subsets)))[:, None]] = 0.0  # the unit block
-    if not global_alpha:
-        cov = np.concatenate([cov_alpha.reshape(len(specs), -1), cov], axis=1)
+    else:
+        alpha = cov_alpha = np.empty((len(cols), 0, 0))
+        norms = np.einsum("ij,ij->j", r[:, :-1], r[:, :-1])
+    # gamma's alpha block is lag-major, node-minor
+    alpha, cov_alpha = (a.transpose(0, 2, 1).reshape(len(cols), -1) for a in (alpha, cov_alpha))
+    cov = np.concatenate([cov_alpha, cov], axis=1)
     clear = _rank_is_clear(cov, (n_obs, w), np.array([norms[c].max() for c in cols]))
-    out = {}
-    for g in np.flatnonzero(clear):
-        gamma = coef[g, :len(subsets[g])]
-        if not global_alpha:
-            gamma = np.concatenate([alpha[g].T.ravel(), gamma])
-        out[specs[g].order] = (gamma, float(small[g, w, w] ** 2), n_obs, len(gamma))
-    return out
+    n_alpha = alpha.shape[1]
+    return [(np.concatenate([alpha[g], coef[g, :len(sub)]]), cov[g, :n_alpha + len(sub)],
+             float(small[g, w, w] ** 2)) if clear[g] else None
+            for g, sub in enumerate(subsets)]
+
+
+def _least_squares(design: np.ndarray | NodeDesign, response: np.ndarray,
+                   names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and diag((D'D)^-1): the all-columns case of :func:`_subset_solve`,
+    or :func:`_qr_solve` on the wide design when that finds the rank not
+    clear or a node with fewer than p rows."""
+    solved = _subset_solve(design, response, [None])[0]
+    return solved[:2] if solved is not None else _qr_solve(_wide(design), response, names)
+
+
+def _group_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
+                 ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int]]:
+    """Least squares for orders of one lag p and one alpha mode that keep the
+    same stacked rows, each with more rows than parameters.  Stage sets are
+    prefixes, so the union of the orders' beta columns is the design of
+    their elementwise-largest stage vector, and each order is a column
+    subset of it for :func:`_subset_solve`.  Returns {order: (gamma, rss,
+    n_obs, M)} for the orders whose rank is clear; the rest take the
+    standalone solve."""
+    p, global_alpha = specs[0].order.p, specs[0].global_alpha
+    union = GnarOrder(p, tuple(map(max, zip(*(spec.order.s for spec in specs)))))
+    design, response, _ = _design_from_planes(planes, GnarSpec(union, global_alpha))
+    index = {c: p + i for i, c in enumerate(_lag_columns(union)[p:])}
+    cols = [list(range(p)) + [index[c] for c in _lag_columns(spec.order)[p:]]
+            for spec in specs]       # each order's columns of the union design
+    solved = _subset_solve(design, response, cols)
+    return {spec.order: (s[0], s[2], len(response), len(s[0]))
+            for spec, s in zip(specs, solved) if s is not None}
 
 
 def _gaussian_criteria(rss: float, n_obs: int, M: int) -> tuple[float, float, float, float]:
@@ -715,15 +695,15 @@ def fit_ols(design: np.ndarray | NodeDesign, response: np.ndarray, spec: GnarSpe
     With errors i.i.d. across nodes and time, generalised least squares on
     the restricted parametrisation reduces to ordinary least squares on the
     stacked design.  The design must have full column rank and finite
-    values.  A wide design goes through one numpy QR of [design, response];
-    a :class:`NodeDesign` (node-specific alpha in compact form, as
-    :func:`fit` and ``select_model`` pass it) through per-node block
-    elimination.  Each gives gamma, the standard errors and a rank bound;
-    when a node has fewer than p rows or the smallest singular value comes
-    within a safety factor of the pivoted QR's tolerance, the wide design
-    goes through that pivoted QR instead, which raises SingularDesignError
-    naming the dependent columns.  ``row_index`` (node, column) pairs may be
-    a list or an (n_rows, 2) array.
+    values.  The solve is the all-columns case of :func:`_subset_solve`: one
+    numpy QR of [design, response] for a wide design, per-node block
+    elimination for a :class:`NodeDesign` (node-specific alpha in compact
+    form, as :func:`fit` and ``select_model`` pass it).  It gives gamma, the
+    standard errors and a rank bound; when a node has fewer than p rows or
+    the smallest singular value comes within a safety factor of the pivoted
+    QR's tolerance, the wide design goes through that pivoted QR instead,
+    which raises SingularDesignError naming the dependent columns.
+    ``row_index`` (node, column) pairs may be a list or an (n_rows, 2) array.
     """
     design, response, names, gamma, cov_diag = _solve(design, response, spec, n, labels)
     return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
@@ -734,8 +714,7 @@ def _solve(design, response, spec: GnarSpec, n: int, labels):
     """fit_ols's checks and solve: (design, response, names, gamma, cov_diag)."""
     design, response = _checked_system(design, response, spec, n)
     names = coefficient_names(spec, _labels(labels, n))
-    solve = _node_solve if isinstance(design, NodeDesign) else _dense_solve
-    return (design, response, names) + solve(design, response, names)
+    return (design, response, names) + _least_squares(design, response, names)
 
 
 def _solve_planes(planes: np.ndarray, spec: GnarSpec, labels
@@ -836,8 +815,8 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
     Rows are grouped by time point and whitened with the Cholesky factor of
     the covariance restricted to that time's present nodes, batched so that
     there is one factorisation per distinct set of present nodes.  Whitening
-    mixes nodes, so the whitened system always goes through the dense solve
-    of :func:`fit_ols` (one numpy QR, with the pivoted-QR fallback when the
+    mixes nodes, so the whitened system is a wide design for the solve of
+    :func:`fit_ols` (one numpy QR, with the pivoted-QR fallback when the
     rank is in doubt), and equals that fit when sigma is a multiple of the
     identity.  Residuals and criteria are reported on the original
     (unwhitened) scale under the pooled-variance convention, so criteria
@@ -878,12 +857,12 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
         white_response[start:stop] = (L_inv @ response[rows].T).T.ravel()
         start = stop
     names = coefficient_names(spec, _labels(labels, n))
-    gamma, cov_diag = _dense_solve(white_design, white_response, names)
+    gamma, cov_diag = _least_squares(white_design, white_response, names)
     return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
                    names, weight_set, sigma_full=sigma)
 
 
-def fit(panel: TimeSeriesPanel, g: Graph, spec: GnarSpec,
+def fit(panel: TimeSeriesPanel, g: geo_graph.Graph, spec: GnarSpec,
         method: str = "ols") -> GnarFit:
     """Convenience wrapper: stages -> weights -> design -> estimate.
 
@@ -896,7 +875,7 @@ def fit(panel: TimeSeriesPanel, g: Graph, spec: GnarSpec,
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError(
             "panel and graph label order differ; align them before fitting")
-    weights = compute_weights(g, stage_neighbourhoods(g, max(spec.order.max_stage, 1)),
+    weights = compute_weights(g, geo_graph.stage_neighbourhoods(g, max(spec.order.max_stage, 1)),
                               spec.scheme)
     _validate_stages(spec.order, weights, panel.labels)
     planes = _stage_planes(panel.values, weights, spec.order.max_stage)
@@ -936,7 +915,7 @@ def _lag_operator(alpha: np.ndarray, beta: Sequence[np.ndarray], weights: Weight
 
 
 def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
-             g: Graph, T: int, sigma: float, init_mean: float = 0.0,
+             g: geo_graph.Graph, T: int, sigma: float, init_mean: float = 0.0,
              burn_in: int = 0, seed: int = 0,
              start_date: Optional[datetime.date] = None,
              init_values: Optional[np.ndarray] = None) -> TimeSeriesPanel:
@@ -966,7 +945,7 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
         raise InvalidInputError("beta shapes do not match the order's stage counts")
     _check_finite(alpha=alpha, beta=np.concatenate(beta), sigma=sigma, init_mean=init_mean)
 
-    weights = compute_weights(g, stage_neighbourhoods(g, max(order.max_stage, 1)),
+    weights = compute_weights(g, geo_graph.stage_neighbourhoods(g, max(order.max_stage, 1)),
                               spec.scheme)
     _validate_stages(order, weights, g.labels)
     lag_op, support = _lag_operator(alpha, beta, weights, n)

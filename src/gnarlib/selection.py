@@ -30,7 +30,7 @@ from .errors import (
     SelectionFailedError,
     SingularDesignError,
 )
-from .geo_graph import Graph, stage_neighbourhoods
+from . import geo_graph
 from .gnar_core import (
     GnarFit,
     GnarOrder,
@@ -198,7 +198,7 @@ def order_grid(p_max: int, s_max: int) -> OrderGrid:
     return OrderGrid(candidates=candidates, p_max=p_max, s_max=s_max)
 
 
-def select_model(panel: TimeSeriesPanel, g: Graph, scheme: WeightScheme,
+def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightScheme,
                  grid: OrderGrid, criterion: str = "bic",
                  global_alpha: bool = True) -> SelectionReport:
     """Fit every admissible grid candidate and rank by the criterion.
@@ -210,11 +210,12 @@ def select_model(panel: TimeSeriesPanel, g: Graph, scheme: WeightScheme,
     The regressor planes (the panel and its stage sums) and their NaN
     pattern are computed once per call.  Candidates that share a lag order
     and a row mask are column subsets of one design, the group's widest,
-    and one QR of it gives each one's RSS (see
+    and one subset solve of it gives each one's RSS (see
     :func:`~gnarlib.gnar_core._group_solve`).  A candidate alone in its
     group, one with no more rows than parameters and one whose rank is in
-    doubt take the standalone solve of :func:`~gnarlib.gnar_core.fit_ols`,
-    whose pivoted QR names the dependent columns of a singular design.  No
+    doubt take the standalone fit of :func:`~gnarlib.gnar_core.fit_ols`,
+    the all-columns case of that solve, with its residuals' RSS and the
+    pivoted QR that names the dependent columns of a singular design.  No
     fit object is built; a candidate's ``fit`` is built when first read.  A
     non-finite panel value that reaches a design raises InvalidInputError
     instead of skipping the candidate.
@@ -227,7 +228,7 @@ def select_model(panel: TimeSeriesPanel, g: Graph, scheme: WeightScheme,
         raise InvalidInputError("panel and graph label order differ")
 
     r_needed = max(max(c.max_stage for c in grid), 1)
-    stages = stage_neighbourhoods(g, r_needed)
+    stages = geo_graph.stage_neighbourhoods(g, r_needed)
     weights = compute_weights(g, stages, scheme)
     planes = _stage_planes(panel.values, weights, r_needed)
     _, T, n = planes.shape

@@ -801,10 +801,14 @@ def test_commands_run_only_the_submodules_they_call(tmp_path, towns, sim_panel):
                 "--out", out("s.csv")]]
     diagnose = [["ks", "--panel", sim_panel, "--out", out("ks.json")],
                 ["ljungbox", "--panel", sim_panel, "--out", out("lb.json")]]
+    # the per-node AR baseline needs no network
+    baseline = ["baseline", "ar", "--panel", sim_panel, "--pmax", "3", "--holdout", "5",
+                "--out-dir", out("ar")]
     commands = ([(["data", *argv], "['errors', 'panel']") for argv in data]
                 + [(["network", *argv], "['errors', 'geo_graph']") for argv in network]
                 + [(["diagnose", *argv], "['diagnostics', 'errors', 'panel']")
-                   for argv in diagnose])
+                   for argv in diagnose]
+                + [(baseline, "['diagnostics', 'errors', 'gnar_core', 'panel', 'selection']")])
     for argv, ran in commands:
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src})

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_panel, random_connected_graph
+from conftest import make_panel, random_connected_graph, ring_graph
 from oracles import gnar_design_bruteforce, normal_equations_solve
 
 from gnarlib import selection
@@ -206,6 +206,25 @@ def test_grouped_selection_equals_standalone_fits_with_missing_cells(global_alph
         if np.linalg.cond(D) <= 30.0:
             oracle = normal_equations_solve(D, y)
             assert np.max(np.abs(gamma - oracle)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("global_alpha", [True, False])
+def test_group_solve_serves_every_grouped_candidate_of_a_clean_panel(global_alpha):
+    # a group whose stacked R came out singular would send every candidate to
+    # the standalone fit, and the search would still rank them the same
+    g = ring_graph(7)
+    panel = make_panel(np.random.default_rng(5).normal(size=(7, 40)), labels=g.labels)
+    calls, real = [], selection._group_solve
+
+    def spy(planes, specs):
+        out = real(planes, specs)
+        calls.append((set(out), {spec.order for spec in specs}))
+        return out
+
+    with mock.patch.object(selection, "_group_solve", spy):
+        select_model(panel, g, WeightScheme("uniform"), order_grid(3, R_MAX),
+                     global_alpha=global_alpha)
+    assert calls and all(served == grouped for served, grouped in calls)
 
 
 @PROPERTY

@@ -71,6 +71,18 @@ def test_weights_star_stage_one_uniform():
     assert w.stage_weights(0, 1) == {1: 1.0 / 3.0, 2: 1.0 / 3.0, 3: 1.0 / 3.0}
 
 
+@pytest.mark.parametrize("r", [0, -1, 3])
+def test_weights_reject_a_stage_outside_the_computed_range(r):
+    # stage 0 would read stage r_max's row through negative indexing
+    g = path_graph(3)
+    w = compute_weights(g, stage_neighbourhoods(g, 2), WeightScheme("spl"))
+    for call in (lambda: w.stage_weights(0, r), lambda: w.matrix(r, g.n)):
+        with pytest.raises(InvalidInputError, match=rf"stage {r} outside computed range 1\.\.2"):
+            call()
+    assert w.stage_weights(0, 2) == {2: 1.0}
+    assert np.array_equal(w.matrix(2, g.n), w.stack[1])
+
+
 def test_weights_spl_equals_uniform_on_random_graphs():
     rng = np.random.default_rng(17)
     for _ in range(30):
