@@ -295,6 +295,11 @@ def cmd_data_boxcox(args: argparse.Namespace) -> int:
     series = panel.row(args.node) if args.node else panel.values.ravel()
     if args.grid_steps < 1:
         raise InvalidInputError(f"--grid-steps must be >= 1, got {args.grid_steps}")
+    if args.grid_steps > 100_000:  # a thousand times the default grid
+        raise InvalidInputError(f"--grid-steps must be <= 100000, got {args.grid_steps}")
+    if not math.isfinite(args.grid_max - args.grid_min):
+        raise InvalidInputError("--grid-min..--grid-max must span a finite range, got "
+                                f"{args.grid_min}..{args.grid_max}")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     prof = pn.boxcox_profile(series[~np.isnan(series)], grid)
     summary = f"lambda_hat={prof.lambda_hat:g} shift={prof.shift:g}"
@@ -403,9 +408,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     panel = gc.simulate(spec, alpha, beta, g, T=args.T, sigma=sigma,
                         init_mean=args.init_mean, burn_in=args.burn_in,
                         seed=args.seed)
-    weights = gc.compute_weights(
-        g, gg.stage_neighbourhoods(g, max(order.max_stage, 1)), scheme)
-    stationarity = _stationarity(alpha, beta, weights, g.n)
+    stationarity = _stationarity(alpha, beta, gc._weight_stack(g, order.max_stage, scheme), g.n)
     pn.write_wide_csv(panel, _out_path(args, "panel.csv"), _meta_lines(args))
     sidecar = {
         "order": {"p": order.p, "s": list(order.s)},
@@ -549,9 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def leaf(within, name, help, func, required, *parents):
         """A subcommand's parser, its handler and the dests of its mandatory
-        options (or a function of the parsed args that returns them)."""
+        options (or a function of the parsed args that returns them); the
+        parser is recorded too, for reading a --config against it."""
         p = within.add_parser(name, parents=[common, *parents], help=help)
-        p.set_defaults(func=func, required=required)
+        p.set_defaults(func=func, required=required, parser=p)
         return p
 
     net = group("network", "net_cmd", "build or summarize networks")
@@ -681,11 +685,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             # config entries go right after the subcommand names, so that any
             # spelling of a flag on the command line comes later and wins
             k = next(i for i, token in enumerate(argv) if token.startswith("-"))
-            sub = parser
-            for name in argv[:k]:
-                sub = next(a for a in sub._actions
-                           if isinstance(a, argparse._SubParsersAction)).choices[name]
-            args = parser.parse_args(argv[:k] + _config_flags(args.config, sub) + argv[k:])
+            args = parser.parse_args(argv[:k] + _config_flags(args.config, args.parser) + argv[k:])
         args.argv = ["gnar", *argv]
         _require(args)
         return args.func(args)

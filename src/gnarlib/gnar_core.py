@@ -40,7 +40,6 @@ M*log(n_obs) - 2*loglik).
 from __future__ import annotations
 
 import datetime
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -284,6 +283,11 @@ def compute_weights(g: geo_graph.Graph, stages: geo_graph.StageNeighbourhoods,
     return WeightSet(stack=np.divide(raw, total, out=raw, where=total > 0))
 
 
+def _weight_stack(g: geo_graph.Graph, max_stage: int, scheme: WeightScheme) -> WeightSet:
+    """:func:`compute_weights` over stages 1..max(max_stage, 1) of ``g``."""
+    return compute_weights(g, geo_graph.stage_neighbourhoods(g, max(max_stage, 1)), scheme)
+
+
 # ---------------------------------------------------------------------------
 # Restriction matrix and design
 # ---------------------------------------------------------------------------
@@ -305,22 +309,12 @@ def _validate_stages(order: GnarOrder, weights: WeightSet,
 
 
 def coefficient_names(spec: GnarSpec, labels: Sequence[str]) -> tuple[str, ...]:
-    """Design column names: alpha block (lag-major) then beta block."""
-    return _column_names(spec.order, spec.global_alpha, tuple(labels))
-
-
-@functools.lru_cache(maxsize=512)
-def _column_names(order: GnarOrder, global_alpha: bool,
-                  labels: tuple[str, ...]) -> tuple[str, ...]:
-    names: list[str] = []
-    for j in range(1, order.p + 1):
-        if global_alpha:
-            names.append(f"alpha{j}")
-        else:
-            names.extend(f"alpha{j}[{lbl}]" for lbl in labels)
-    for j, sj in enumerate(order.s, start=1):
-        names.extend(f"beta{j}.{r}" for r in range(1, sj + 1))
-    return tuple(names)
+    """Design column names: alpha block (lag-major) then beta block, in the
+    column order of :func:`_lag_columns`."""
+    p = spec.order.p
+    suffixes = [""] if spec.global_alpha else [f"[{lbl}]" for lbl in labels]
+    return (*(f"alpha{j}{sfx}" for j in range(1, p + 1) for sfx in suffixes),
+            *(f"beta{j}.{r}" for r, j in _lag_columns(spec.order)[p:]))
 
 
 def restriction_matrix(spec: GnarSpec, weights: WeightSet, n: int,
@@ -332,7 +326,7 @@ def restriction_matrix(spec: GnarSpec, weights: WeightSet, n: int,
     equal to beta[j, r] * w[l, m] whenever m lies in stage r of l.  Column
     c is the vectorised VAR blocks of the unit coefficient vector e_c.
     """
-    labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
+    labels = _labels(labels, n)
     _validate_stages(spec.order, weights, labels)
     names = coefficient_names(spec, labels)
     R = np.empty((spec.order.p * n * n, len(names)))
@@ -635,7 +629,8 @@ def _least_squares(design: np.ndarray | NodeDesign, response: np.ndarray,
 def _group_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
                  ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int]]:
     """Least squares for orders of one lag p and one alpha mode that keep the
-    same stacked rows, each with more rows than parameters.  Stage sets are
+    same stacked rows, each with more rows than parameters, as every fit
+    needs.  Stage sets are
     prefixes, so the union of the orders' beta columns is the design of
     their elementwise-largest stage vector, and each order is a column
     subset of it for :func:`_subset_solve`.  Returns {order: (gamma, rss,
@@ -694,15 +689,17 @@ def fit_ols(design: np.ndarray | NodeDesign, response: np.ndarray, spec: GnarSpe
 
     With errors i.i.d. across nodes and time, generalised least squares on
     the restricted parametrisation reduces to ordinary least squares on the
-    stacked design.  The design must have full column rank and finite
-    values.  The solve is the all-columns case of :func:`_subset_solve`: one
-    numpy QR of [design, response] for a wide design, per-node block
-    elimination for a :class:`NodeDesign` (node-specific alpha in compact
-    form, as :func:`fit` and ``select_model`` pass it).  It gives gamma, the
-    standard errors and a rank bound; when a node has fewer than p rows or
-    the smallest singular value comes within a safety factor of the pivoted
-    QR's tolerance, the wide design goes through that pivoted QR instead,
-    which raises SingularDesignError naming the dependent columns.
+    stacked design.  The design must have full column rank, finite values
+    and more rows than columns (else InsufficientDataError: a saturated
+    fit's RSS is rounding noise).  The solve is the all-columns case
+    of :func:`_subset_solve`: one numpy QR of [design, response] for a wide
+    design, per-node block elimination for a :class:`NodeDesign`
+    (node-specific alpha in compact form, as :func:`fit` and
+    ``select_model`` pass it).  It gives gamma, the standard errors and a
+    rank bound; when a node has fewer than p rows or the smallest singular
+    value comes within a safety factor of the pivoted QR's tolerance, the
+    wide design goes through that pivoted QR instead, which raises
+    SingularDesignError naming the dependent columns.
     ``row_index`` (node, column) pairs may be a list or an (n_rows, 2) array.
     """
     design, response, names, gamma, cov_diag = _solve(design, response, spec, n, labels)
@@ -749,8 +746,8 @@ def _checked_system(design, response, spec: GnarSpec, n: int):
     if M != spec.n_params(n):
         raise InvalidInputError(
             f"design has {M} columns but spec implies {spec.n_params(n)}")
-    if n_obs < M:
-        raise InsufficientDataError(f"{n_obs} rows < {M} parameters")
+    if n_obs <= M:
+        raise InsufficientDataError(f"{n_obs} rows <= {M} parameters")
     return design, response
 
 
@@ -875,8 +872,7 @@ def fit(panel: TimeSeriesPanel, g: geo_graph.Graph, spec: GnarSpec,
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError(
             "panel and graph label order differ; align them before fitting")
-    weights = compute_weights(g, geo_graph.stage_neighbourhoods(g, max(spec.order.max_stage, 1)),
-                              spec.scheme)
+    weights = _weight_stack(g, spec.order.max_stage, spec.scheme)
     _validate_stages(spec.order, weights, panel.labels)
     planes = _stage_planes(panel.values, weights, spec.order.max_stage)
     if method == "ols":
@@ -945,8 +941,7 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
         raise InvalidInputError("beta shapes do not match the order's stage counts")
     _check_finite(alpha=alpha, beta=np.concatenate(beta), sigma=sigma, init_mean=init_mean)
 
-    weights = compute_weights(g, geo_graph.stage_neighbourhoods(g, max(order.max_stage, 1)),
-                              spec.scheme)
+    weights = _weight_stack(g, order.max_stage, spec.scheme)
     _validate_stages(order, weights, g.labels)
     lag_op, support = _lag_operator(alpha, beta, weights, n)
 

@@ -189,37 +189,21 @@ def weekly_from_cumulative(daily: TimeSeriesPanel,
 
     Real feeds contain downward corrections; a decrease beyond ``tolerance``
     (a number >= 0) emits a :class:`DataCorrectionWarning` per node and
-    week, and the value is kept as reported.
+    week, week by week and nodes in panel order, and the value is kept as
+    reported.
     """
     if not tolerance >= 0:  # also a NaN, which would silence every warning
         raise InvalidInputError(f"tolerance must be a number >= 0, got {tolerance}")
     if not daily.dates:
         raise InvalidInputError("the daily panel has no dates")
-    date_ix = {d: j for j, d in enumerate(daily.dates)}
-    first = daily.dates[0]
-    week_ends = []
-    d = first
-    while d <= daily.dates[-1]:
-        week_ends.append(d)
-        d = d + datetime.timedelta(days=7)
-    n = daily.n_nodes
-    out = np.full((n, len(week_ends)), np.nan)
-    for w, end in enumerate(week_ends):
-        col = daily.values[:, date_ix[end]] if end in date_ix else np.full(n, np.nan)
-        if w == 0:
-            out[:, 0] = col
-        else:
-            prev_end = week_ends[w - 1]
-            prev = (daily.values[:, date_ix[prev_end]]
-                    if prev_end in date_ix else np.full(n, np.nan))
-            out[:, w] = col - prev
-        for i in range(n):
-            if not math.isnan(out[i, w]) and out[i, w] < -tolerance:
-                warnings.warn(
-                    f"cumulative count for node {daily.labels[i]!r} decreased by "
-                    f"{-out[i, w]:g} in week ending {end.isoformat()}; kept as-is",
-                    DataCorrectionWarning, stacklevel=2)
-    return TimeSeriesPanel(labels=daily.labels, dates=tuple(week_ends), values=out)
+    week_ends = _date_grid(daily.dates[0], daily.dates[-1], 7)
+    out = np.diff(_columns(daily, week_ends), axis=1, prepend=0.0)
+    for w, i in zip(*np.nonzero(out.T < -tolerance)):
+        warnings.warn(
+            f"cumulative count for node {daily.labels[i]!r} decreased by "
+            f"{-out[i, w]:g} in week ending {week_ends[w].isoformat()}; kept as-is",
+            DataCorrectionWarning, stacklevel=2)
+    return TimeSeriesPanel(labels=daily.labels, dates=week_ends, values=out)
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +266,22 @@ def split_phases(panel: TimeSeriesPanel, spec: PhaseSpec) -> TimeSeriesPanel:
     if not inside:
         raise InvalidInputError(
             f"phase spec {spec.name!r} does not intersect panel dates")
-    step = _grid_step(panel.dates)
-    grid = []
-    d = inside[0]
-    while d <= inside[-1]:
-        grid.append(d)
-        d = d + datetime.timedelta(days=step)
-    date_ix = {d: j for j, d in enumerate(panel.dates)}
-    out = np.full((panel.n_nodes, len(grid)), np.nan)
-    for j, d in enumerate(grid):
-        if spec.contains(d) and d in date_ix:
-            out[:, j] = panel.values[:, date_ix[d]]
-    return TimeSeriesPanel(labels=panel.labels, dates=tuple(grid), values=out)
+    grid = _date_grid(inside[0], inside[-1], _grid_step(panel.dates))
+    out = np.where([spec.contains(d) for d in grid], _columns(panel, grid), np.nan)
+    return TimeSeriesPanel(labels=panel.labels, dates=grid, values=out)
+
+
+def _date_grid(first: datetime.date, last: datetime.date, step: int) -> tuple[datetime.date, ...]:
+    """first, first + step days, ... up to and including ``last``."""
+    return tuple(first + datetime.timedelta(days=k)
+                 for k in range(0, (last - first).days + 1, step))
+
+
+def _columns(panel: TimeSeriesPanel, dates: Sequence[datetime.date]) -> np.ndarray:
+    """The panel's columns at ``dates``; a date the panel lacks is an all-NaN column."""
+    at = {d: j for j, d in enumerate(panel.dates)}
+    padded = np.hstack([panel.values, np.full((panel.n_nodes, 1), np.nan)])
+    return padded[:, [at.get(d, -1) for d in dates]]
 
 
 def _grid_step(dates: Sequence[datetime.date]) -> int:

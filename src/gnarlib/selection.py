@@ -44,7 +44,7 @@ from .gnar_core import (
     _solve_planes,
     _stage_planes,
     _validate_stages,
-    compute_weights,
+    _weight_stack,
 )
 from .panel import TimeSeriesPanel, _reject_infinite
 
@@ -212,10 +212,12 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
     and a row mask are column subsets of one design, the group's widest,
     and one subset solve of it gives each one's RSS (see
     :func:`~gnarlib.gnar_core._group_solve`).  A candidate alone in its
-    group, one with no more rows than parameters and one whose rank is in
-    doubt take the standalone fit of :func:`~gnarlib.gnar_core.fit_ols`,
-    the all-columns case of that solve, with its residuals' RSS and the
-    pivoted QR that names the dependent columns of a singular design.  No
+    group and one whose rank is in doubt take the standalone fit of
+    :func:`~gnarlib.gnar_core.fit_ols`, the all-columns case of that solve,
+    with its residuals' RSS and the pivoted QR that names the dependent
+    columns of a singular design.  Every fit needs more rows than
+    parameters (a saturated fit's RSS is rounding noise and its BIC would
+    rank first), so a candidate with no more is skipped as insufficient.  No
     fit object is built; a candidate's ``fit`` is built when first read.  A
     non-finite panel value that reaches a design raises InvalidInputError
     instead of skipping the candidate.
@@ -227,10 +229,8 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError("panel and graph label order differ")
 
-    r_needed = max(max(c.max_stage for c in grid), 1)
-    stages = geo_graph.stage_neighbourhoods(g, r_needed)
-    weights = compute_weights(g, stages, scheme)
-    planes = _stage_planes(panel.values, weights, r_needed)
+    weights = _weight_stack(g, max(c.max_stage for c in grid), scheme)
+    planes = _stage_planes(panel.values, weights, weights.r_max)
     _, T, n = planes.shape
     # each plane's NaN pattern as one integer, bit t * N + i for cell (i, t)
     nan_bits = [int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
@@ -259,7 +259,7 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
         spec = GnarSpec(order, global_alpha, scheme)
         rows = (T - order.p) * n      # stacked rows before the mask
         dropped = dropped_rows(order) if rows > 0 else 0
-        # a candidate with no more rows than parameters is left alone
+        # with no more rows than parameters, the standalone fit skips it
         key = (order.p, dropped) if rows - dropped.bit_count() > spec.n_params(n) else order
         groups.setdefault(key, []).append(spec)
     for specs in groups.values():

@@ -391,3 +391,64 @@ def moran_permutation_bruteforce(panel, g, R: int = 100, seed: int = 0,
         median=median, upper=upper, outside=outside, tested=tested,
         skipped_reasons=tuple(reasons), n_m=n_m, R=R, seed=seed,
         rank_based=rank_based)
+
+
+def weekly_from_cumulative_loop(daily, tolerance: float = 0.0):
+    """Weekly incidence by walking the week-end dates one at a time and
+    testing every week and node, warning as it goes."""
+    import datetime
+    import warnings
+
+    from gnarlib.panel import DataCorrectionWarning, TimeSeriesPanel
+
+    date_ix = {d: j for j, d in enumerate(daily.dates)}
+    week_ends = []
+    d = daily.dates[0]
+    while d <= daily.dates[-1]:
+        week_ends.append(d)
+        d = d + datetime.timedelta(days=7)
+    n = daily.n_nodes
+    out = np.full((n, len(week_ends)), np.nan)
+    for w, end in enumerate(week_ends):
+        col = daily.values[:, date_ix[end]] if end in date_ix else np.full(n, np.nan)
+        if w == 0:
+            out[:, 0] = col
+        else:
+            prev_end = week_ends[w - 1]
+            prev = (daily.values[:, date_ix[prev_end]]
+                    if prev_end in date_ix else np.full(n, np.nan))
+            out[:, w] = col - prev
+        for i in range(n):
+            if not math.isnan(out[i, w]) and out[i, w] < -tolerance:
+                warnings.warn(
+                    f"cumulative count for node {daily.labels[i]!r} decreased by "
+                    f"{-out[i, w]:g} in week ending {end.isoformat()}; kept as-is",
+                    DataCorrectionWarning, stacklevel=2)
+    return TimeSeriesPanel(labels=daily.labels, dates=tuple(week_ends), values=out)
+
+
+def split_phases_loop(panel, spec):
+    """Phase restriction by walking the panel's most common day spacing from
+    the first to the last date inside the spec, one column at a time."""
+    import datetime
+
+    from gnarlib.panel import TimeSeriesPanel
+
+    inside = [d for d in panel.dates if spec.contains(d)]
+    step = 7
+    if len(panel.dates) >= 2:
+        counts: dict[int, int] = {}
+        for a, b in zip(panel.dates, panel.dates[1:]):
+            counts[(b - a).days] = counts.get((b - a).days, 0) + 1
+        step = max(counts, key=lambda s: (counts[s], -s))
+    grid = []
+    d = inside[0]
+    while d <= inside[-1]:
+        grid.append(d)
+        d = d + datetime.timedelta(days=step)
+    date_ix = {d: j for j, d in enumerate(panel.dates)}
+    out = np.full((panel.n_nodes, len(grid)), np.nan)
+    for j, d in enumerate(grid):
+        if spec.contains(d) and d in date_ix:
+            out[:, j] = panel.values[:, date_ix[d]]
+    return TimeSeriesPanel(labels=panel.labels, dates=tuple(grid), values=out)

@@ -600,6 +600,23 @@ def test_boxcox_empty_grid_is_an_error(tmp_path, sim_panel, capsys, steps):
     assert not (tmp_path / "b.csv").exists()
 
 
+@pytest.mark.parametrize("flags,needle", [
+    (["--grid-max", "inf"], "got -2.0..inf"),
+    (["--grid-min=-inf"], "got -inf..3.0"),
+    (["--grid-min=-1e308", "--grid-max=1e308"], "got -1e+308..1e+308"),
+    (["--grid-min", "nan"], "got nan..3.0"),
+    # one past the bound: refused before np.linspace allocates anything
+    (["--grid-steps", "100001"], "--grid-steps must be <= 100000, got 100001"),
+])
+def test_boxcox_hostile_grid_ends_in_one_error_line(tmp_path, sim_panel, capfd, flags, needle):
+    capfd.readouterr()
+    assert run(["data", "boxcox", "--panel", sim_panel, *flags,
+                "--out", str(tmp_path / "b.csv")]) == 1
+    out, err = capfd.readouterr()
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ") and needle in err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_boxcox_constant_node_is_an_error(tmp_path, capsys):
     panel = tmp_path / "flat.csv"
     panel.write_text("date,a,b\n2020-01-06,5,1\n2020-01-13,5,2\n2020-01-20,5,4\n")

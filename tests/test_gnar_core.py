@@ -299,6 +299,19 @@ def test_design_insufficient_data():
 # OLS
 # ---------------------------------------------------------------------------
 
+def test_fit_needs_more_rows_than_parameters():
+    g = ring_graph(4)
+    spec = spec_for(3, [1, 0, 0])
+    panel = make_panel(np.random.default_rng(0).normal(size=(4, 4)), labels=g.labels)
+    with pytest.raises(InsufficientDataError, match="4 rows <= 4 parameters"):
+        fit(panel, g, spec)
+    square = np.random.default_rng(1).normal(size=(4, 4))
+    with pytest.raises(InsufficientDataError, match="4 rows <= 4 parameters"):
+        fit_ols(square, np.ones(4), spec, 4, 4)
+    longer = make_panel(np.random.default_rng(0).normal(size=(4, 5)), labels=g.labels)
+    assert fit(longer, g, spec).n_obs == 8
+
+
 def test_ols_matches_normal_equations_oracle():
     rng = np.random.default_rng(43)
     g = path_graph(3)

@@ -3,11 +3,15 @@
 import datetime
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import EPOCH, make_panel, weekly_dates
+from oracles import split_phases_loop, weekly_from_cumulative_loop
 
 from gnarlib.errors import DataIntegrityError, InvalidInputError, UndefinedStatisticError
 from gnarlib.panel import (
@@ -273,6 +277,75 @@ def test_phases_empty_intersection():
     far = (datetime.date(1990, 1, 1), datetime.date(1990, 2, 1))
     with pytest.raises(InvalidInputError):
         split_phases(p, PhaseSpec(name="no", intervals=(far,)))
+
+
+# ---------------------------------------------------------------------------
+# the date grid of weekly aggregation and phase splitting
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def irregular_panels(draw):
+    """A cumulative-looking panel on irregularly spaced days: gaps that skip
+    week ends, NaN cells, downward corrections and signed zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, 6, 7, 7, 8, 14]), max_size=40))
+    start = EPOCH + datetime.timedelta(days=draw(st.integers(0, 6)))
+    dates = tuple(start + datetime.timedelta(days=int(k)) for k in np.cumsum([0, *steps]))
+    increments = rng.choice([-12.0, -1.0, 0.0, 2.0, 5.0, 9.0], size=(n, len(dates)))
+    values = np.cumsum(increments, axis=1)
+    values[rng.uniform(size=values.shape) < 0.1] = np.nan
+    values[rng.uniform(size=values.shape) < 0.1] = -0.0
+    values[rng.uniform(size=values.shape) < 0.1] = 0.0
+    return TimeSeriesPanel(labels=tuple(f"n{i}" for i in range(n)), dates=dates, values=values)
+
+
+def _recorded(func, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = func(*args)
+    return out, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+def _assert_bitwise_equal(got: TimeSeriesPanel, want: TimeSeriesPanel) -> None:
+    assert got.labels == want.labels and got.dates == want.dates
+    assert np.array_equal(got.values, want.values, equal_nan=True)
+    seen = ~np.isnan(want.values)
+    assert np.array_equal(np.signbit(got.values[seen]), np.signbit(want.values[seen]))
+
+
+@PROPERTY
+@given(daily=irregular_panels(), tolerance=st.sampled_from([0.0, 0.5, 3.0]))
+def test_weekly_from_cumulative_equals_the_loop_oracle(daily, tolerance):
+    got, got_warnings = _recorded(weekly_from_cumulative, daily, tolerance)
+    want, want_warnings = _recorded(weekly_from_cumulative_loop, daily, tolerance)
+    _assert_bitwise_equal(got, want)
+    assert got_warnings == want_warnings
+
+
+@PROPERTY
+@given(panel=irregular_panels(), permille=st.lists(st.integers(-20, 1020), max_size=6))
+def test_split_phases_equals_the_loop_oracle(panel, permille):
+    # interval ends at these thousandths of the panel's span, so that most
+    # specs hit some dates and leave gaps between their intervals
+    span = (panel.dates[-1] - panel.dates[0]).days
+    days = sorted({span * k // 1000 for k in permille})
+    intervals = tuple((panel.dates[0] + datetime.timedelta(days=a),
+                       panel.dates[0] + datetime.timedelta(days=b))
+                      for a, b in zip(days[::2], days[1::2]))
+    spec = PhaseSpec(name="p", intervals=intervals)
+    if not any(spec.contains(d) for d in panel.dates):
+        with pytest.raises(InvalidInputError, match="does not intersect"):
+            split_phases(panel, spec)
+        return
+    got, got_warnings = _recorded(split_phases, panel, spec)
+    want, _ = _recorded(split_phases_loop, panel, spec)
+    _assert_bitwise_equal(got, want)
+    assert got_warnings == []
 
 
 # ---------------------------------------------------------------------------

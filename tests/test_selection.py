@@ -171,6 +171,18 @@ def test_select_all_fail_raises():
         select_model(panel, g, WeightScheme("spl"), grid)
 
 
+def test_saturated_candidate_is_skipped_as_insufficient():
+    # GNAR(3,[1,0,0]) has as many rows as parameters on four dates: its RSS is
+    # rounding noise, and its BIC (about -269) would rank first
+    g = ring_graph(4)
+    panel = make_panel(np.random.default_rng(0).normal(size=(4, 4)), labels=g.labels)
+    report = select_model(panel, g, WeightScheme("uniform"), order_grid(3, 1))
+    saturated = next(c for c in report.candidates if c.order == GnarOrder(3, (1, 0, 0)))
+    assert (saturated.status, saturated.reason) == ("insufficient", "4 rows <= 4 parameters")
+    assert report.best.order == GnarOrder(2, (1, 0))
+    assert all(c.n_obs > c.M for c in report.ranked())
+
+
 # ---------------------------------------------------------------------------
 # AR baseline
 # ---------------------------------------------------------------------------
