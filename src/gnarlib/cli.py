@@ -333,6 +333,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     g, panel = _graph_and_panel(args)
     scheme = _load_scheme(args, g)
+    if args.pmax is not None and args.pmax >= panel.n_times:
+        # no lag at or beyond the panel length fits, and the grid grows with it
+        raise InvalidInputError(f"--pmax must be below the panel length {panel.n_times}, "
+                                f"got {args.pmax}")
     p_max = args.pmax if args.pmax is not None else sel.schwert_max_lag(panel.n_times)
     grid = sel.order_grid(p_max, args.smax)
     report = sel.select_model(panel, g, scheme, grid, criterion=args.criterion,
@@ -396,6 +400,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     g = gg.read_graph_json(args.graph)
+    cells = (args.T + args.burn_in) * g.n
+    if cells > 10**8:  # 800 MB of float64
+        raise InvalidInputError(f"(--T + --burn-in) x {g.n} nodes must be <= 10^8 cells, "
+                                f"got {cells}")
     order = gc.GnarOrder(p=args.p, s=args.s)
     alpha, beta = args.alpha, args.beta
     scheme = _load_scheme(args, g)
@@ -447,6 +455,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose_moran(args: argparse.Namespace) -> int:
+    if args.R > 10_000:  # a hundred times the default
+        raise InvalidInputError(f"--R must be <= 10000, got {args.R}")
     g, panel = _graph_and_panel(args)
     res = dg.moran_permutation_test(panel, g, R=args.R, seed=args.seed,
                                     rank_based=args.rank)

@@ -18,19 +18,20 @@ Estimation is restricted least squares on a stacked design with one row per
 (the panel and its stage sums W_r X) that a model search shares across all
 candidates.  Every fit reads its solution off an R factor in one subset
 solve.  The R comes from one numpy QR of the design and response, or, for
-node-specific alpha, from eliminating each node's own-lag block (one
-batched QR over nodes) without forming the zero-filled N*p alpha columns.
-A QR of column subsets of that R gives each subset's coefficients, standard
-errors, RSS and a bound on the smallest singular value.  A standalone fit
-is the all-columns subset; a model search solves the candidates that share
-a lag order and a row mask as subsets of their widest design.  A design
-whose rank is in doubt goes to one pivoted QR, which names the dependent
-columns.  The restriction matrix maps the M free parameters into the VAR
-blocks; estimated GLS whitens rows with a residual covariance
-estimate, one Cholesky factor per set of present nodes.  Simulation and
-both forecast modes apply [B_p ... B_1] to the stacked lag window, one
-matrix-vector product per step, and the same blocks give the exact
-companion spectral radius beside the sufficient stationarity margin.
+node-specific alpha, from eliminating each node's own-lag block (one batched
+QR over nodes) without forming the zero-filled N*p alpha columns.  A QR of
+column subsets of that R gives each subset's coefficients, standard errors,
+RSS and a bound on the smallest singular value.  A standalone fit is the
+all-columns subset, and a model search solves each candidate with more rows
+than parameters as a subset of its group's widest design (one lag order and
+row mask, a group of one included); the others, and those whose rank is in
+doubt, take the standalone fit.  A design whose rank is in doubt goes to one
+pivoted QR, which names the dependent columns.  The restriction matrix maps
+the M free parameters into the VAR blocks; estimated GLS whitens rows with a
+residual covariance estimate, one Cholesky factor per set of present nodes.
+Simulation and both forecast modes apply [B_p ... B_1] to the stacked lag
+window, one matrix-vector product per step, and the same blocks give the
+exact companion spectral radius beside the sufficient stationarity margin.
 
 Estimation assumes i.i.d. Gaussian errors with a single profiled variance;
 information criteria are reported under that convention (BIC =
@@ -630,12 +631,11 @@ def _group_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
                  ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int]]:
     """Least squares for orders of one lag p and one alpha mode that keep the
     same stacked rows, each with more rows than parameters, as every fit
-    needs.  Stage sets are
-    prefixes, so the union of the orders' beta columns is the design of
-    their elementwise-largest stage vector, and each order is a column
-    subset of it for :func:`_subset_solve`.  Returns {order: (gamma, rss,
-    n_obs, M)} for the orders whose rank is clear; the rest take the
-    standalone solve."""
+    needs; a single order is its own union.  Stage sets are prefixes, so
+    the union of the orders' beta columns is the design of their
+    elementwise-largest stage vector, and each order is a column subset of
+    it for :func:`_subset_solve`.  Returns {order: (gamma, rss, n_obs, M)}
+    for the orders whose rank is clear; the rest take the standalone fit."""
     p, global_alpha = specs[0].order.p, specs[0].global_alpha
     union = GnarOrder(p, tuple(map(max, zip(*(spec.order.s for spec in specs)))))
     design, response, _ = _design_from_planes(planes, GnarSpec(union, global_alpha))
@@ -702,25 +702,11 @@ def fit_ols(design: np.ndarray | NodeDesign, response: np.ndarray, spec: GnarSpe
     SingularDesignError naming the dependent columns.
     ``row_index`` (node, column) pairs may be a list or an (n_rows, 2) array.
     """
-    design, response, names, gamma, cov_diag = _solve(design, response, spec, n, labels)
-    return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
-                   names, weight_set)
-
-
-def _solve(design, response, spec: GnarSpec, n: int, labels):
-    """fit_ols's checks and solve: (design, response, names, gamma, cov_diag)."""
     design, response = _checked_system(design, response, spec, n)
     names = coefficient_names(spec, _labels(labels, n))
-    return (design, response, names) + _least_squares(design, response, names)
-
-
-def _solve_planes(planes: np.ndarray, spec: GnarSpec, labels
-                  ) -> tuple[np.ndarray, float, int, int]:
-    """(gamma, rss, n_obs, M) of the standalone OLS fit, without its report."""
-    design, response, _ = _design_from_planes(planes, spec)
-    design, response, _, gamma, _ = _solve(design, response, spec, planes.shape[2], labels)
-    resid = response - design @ gamma
-    return (gamma, float(resid @ resid)) + design.shape
+    gamma, cov_diag = _least_squares(design, response, names)
+    return _report(design, response, gamma, cov_diag, spec, n, T, row_index, labels,
+                   names, weight_set)
 
 
 def _fit_planes(planes: np.ndarray, spec: GnarSpec, labels,

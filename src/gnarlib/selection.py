@@ -41,7 +41,6 @@ from .gnar_core import (
     _gaussian_criteria,
     _group_solve,
     _lag_columns,
-    _solve_planes,
     _stage_planes,
     _validate_stages,
     _weight_stack,
@@ -96,10 +95,10 @@ class CandidateResult:
     """One fitted (or skipped) candidate in a selection run.
 
     The criteria come from the search's solve.  ``fit`` (None for a skipped
-    candidate) is the candidate's :class:`~gnarlib.gnar_core.GnarFit`, built
-    on first read by the standalone fit on the search's regressor planes, so
-    its estimates equal those of ``fit(panel, g, spec)``; a search itself
-    builds no fit.
+    candidate) is the candidate's :class:`~gnarlib.gnar_core.GnarFit`: the
+    standalone fit on the search's regressor planes, so its estimates equal
+    those of ``fit(panel, g, spec)``, built on first read unless the search
+    needed it (a candidate its group solve did not serve).
     """
 
     order: GnarOrder
@@ -208,17 +207,16 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
     search only fails when nothing at all could be fitted.  Candidates with
     longer lags use fewer stacked rows and are compared on their own n_obs.
     The regressor planes (the panel and its stage sums) and their NaN
-    pattern are computed once per call.  Candidates that share a lag order
-    and a row mask are column subsets of one design, the group's widest,
-    and one subset solve of it gives each one's RSS (see
-    :func:`~gnarlib.gnar_core._group_solve`).  A candidate alone in its
-    group and one whose rank is in doubt take the standalone fit of
-    :func:`~gnarlib.gnar_core.fit_ols`, the all-columns case of that solve,
-    with its residuals' RSS and the pivoted QR that names the dependent
-    columns of a singular design.  Every fit needs more rows than
-    parameters (a saturated fit's RSS is rounding noise and its BIC would
-    rank first), so a candidate with no more is skipped as insufficient.  No
-    fit object is built; a candidate's ``fit`` is built when first read.  A
+    pattern are computed once per call.  Every candidate with more rows
+    than parameters is solved in its group: the candidates that share its
+    lag order and row mask, a group of one included, are column subsets of
+    the group's widest design, and one subset solve of it gives each one's
+    RSS (see :func:`~gnarlib.gnar_core._group_solve`).  A candidate whose
+    rank is in doubt, or with no more rows than parameters, takes the
+    standalone fit, which names the dependent columns of a singular design
+    and skips a saturated one as insufficient (its RSS is rounding noise
+    and its BIC would rank first); its criteria and ``fit`` come from that
+    fit.  A grouped candidate's ``fit`` is built when first read.  A
     non-finite panel value that reaches a design raises InvalidInputError
     instead of skipping the candidate.
     """
@@ -249,34 +247,40 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
         return CandidateResult(order, scheme.kind, global_alpha, status, str(exc))
 
     results: dict[GnarOrder, CandidateResult] = {}
-    groups: dict[object, list[GnarSpec]] = {}
+    specs: list[GnarSpec] = []
+    groups: dict[tuple[int, int], list[GnarSpec]] = {}
     for order in grid:
         try:
             _validate_stages(order, weights, panel.labels)
         except ModelInadmissibleError as exc:
             results[order] = skipped(order, exc)
             continue
-        spec = GnarSpec(order, global_alpha, scheme)
+        specs.append(spec := GnarSpec(order, global_alpha, scheme))
         rows = (T - order.p) * n      # stacked rows before the mask
         dropped = dropped_rows(order) if rows > 0 else 0
-        # with no more rows than parameters, the standalone fit skips it
-        key = (order.p, dropped) if rows - dropped.bit_count() > spec.n_params(n) else order
-        groups.setdefault(key, []).append(spec)
-    for specs in groups.values():
-        solved = _group_solve(planes, specs) if len(specs) > 1 else {}
-        for spec in specs:
-            order = spec.order
+        if rows - dropped.bit_count() > spec.n_params(n):
+            groups.setdefault((order.p, dropped), []).append(spec)
+    solved = {}
+    for group in groups.values():
+        solved.update(_group_solve(planes, group))
+    for spec in specs:
+        order = spec.order
+        build = functools.partial(_fit_planes, planes, spec, panel.labels, weights)
+        if order in solved:
+            _, rss, n_obs, M = solved[order]
+            _, loglik, bic, aic = _gaussian_criteria(rss, n_obs, M)
+        else:   # rank in doubt or too few rows: the standalone fit decides
             try:
-                _, rss, n_obs, M = (solved.get(order)
-                                    or _solve_planes(planes, spec, panel.labels))
+                fitted = build()
             except (SingularDesignError, InsufficientDataError) as exc:
                 results[order] = skipped(order, exc)
                 continue
-            _, loglik, bic, aic = _gaussian_criteria(rss, n_obs, M)
-            results[order] = CandidateResult(
-                order, scheme.kind, global_alpha, "ok", "", bic=bic, aic=aic,
-                loglik=loglik, M=M, n_obs=n_obs,
-                _build=functools.partial(_fit_planes, planes, spec, panel.labels, weights))
+            loglik, bic, aic, M, n_obs = (fitted.loglik, fitted.bic, fitted.aic,
+                                          fitted.M, fitted.n_obs)
+            build = lambda fitted=fitted: fitted
+        results[order] = CandidateResult(
+            order, scheme.kind, global_alpha, "ok", "", bic=bic, aic=aic,
+            loglik=loglik, M=M, n_obs=n_obs, _build=build)
 
     report = SelectionReport(candidates=tuple(results[o] for o in grid), criterion=criterion)
     if not report.ranked():

@@ -617,6 +617,31 @@ def test_boxcox_hostile_grid_ends_in_one_error_line(tmp_path, sim_panel, capfd, 
     assert not (tmp_path / "b.csv").exists()
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["select", "--panel", "{panel}", "--graph", "{queen}", "--pmax", "80", "--out", "{out}"],
+     "--pmax must be below the panel length 80, got 80"),
+    (["diagnose", "moran", "--panel", "{panel}", "--graph", "{queen}", "--R", "10001",
+      "--out", "{out}"],
+     "--R must be <= 10000, got 10001"),
+    # 17 x (5882350 + 3) = 10^8 + 1 cells
+    (["simulate", "--graph", "{k17}", "--p", "1", "--s", "1", "--alpha", "0.3", "--beta", "0.4",
+      "--T", "5882350", "--burn-in", "3", "--sigma", "0.5", "--out-dir", "{out}"],
+     "(--T + --burn-in) x 17 nodes must be <= 10^8 cells, got 100000001"),
+])
+def test_size_flags_past_their_bounds_end_in_one_error_line(tmp_path, queen_json, sim_panel,
+                                                            capfd, argv, needle):
+    # one past each bound: refused before the search grid, the permutation
+    # seeds or the simulated panel are allocated
+    k17 = str(tmp_path / "k17.json")
+    assert run(["network", "build", "--kind", "complete", "--n", "17", "--out", k17]) == 0
+    capfd.readouterr()
+    out = tmp_path / "out"
+    assert run([a.format(panel=sim_panel, queen=queen_json, k17=k17, out=out) for a in argv]) == 1
+    _, err = capfd.readouterr()
+    assert err.splitlines() == [err.strip()] and err == f"error: {needle}\n"
+    assert not any(tmp_path.glob("out*"))
+
+
 def test_boxcox_constant_node_is_an_error(tmp_path, capsys):
     panel = tmp_path / "flat.csv"
     panel.write_text("date,a,b\n2020-01-06,5,1\n2020-01-13,5,2\n2020-01-20,5,4\n")

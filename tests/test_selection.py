@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_panel, ring_graph
 
-from gnarlib import gnar_core
+from gnarlib import gnar_core, selection
 from gnarlib.errors import InvalidInputError, SelectionFailedError
 from gnarlib.gnar_core import GnarOrder, GnarSpec, WeightScheme, fit, simulate
 from gnarlib.selection import (
@@ -181,6 +181,52 @@ def test_saturated_candidate_is_skipped_as_insufficient():
     assert (saturated.status, saturated.reason) == ("insufficient", "4 rows <= 4 parameters")
     assert report.best.order == GnarOrder(2, (1, 0))
     assert all(c.n_obs > c.M for c in report.ranked())
+
+
+def spy_search(monkeypatch):
+    """Record each group passed to the group solve (its orders and the ones
+    it served) and each order the standalone fit runs for."""
+    groups, fits = [], []
+
+    def group_solve(planes, specs):
+        solved = gnar_core._group_solve(planes, specs)
+        groups.append(([spec.order for spec in specs], set(solved)))
+        return solved
+
+    def fit_planes(planes, spec, *args):
+        fits.append(spec.order)
+        return gnar_core._fit_planes(planes, spec, *args)
+
+    monkeypatch.setattr(selection, "_group_solve", group_solve)
+    monkeypatch.setattr(selection, "_fit_planes", fit_planes)
+    return groups, fits
+
+
+@pytest.mark.parametrize("global_alpha", [True, False])
+def test_every_candidate_with_enough_rows_is_solved_in_its_group(monkeypatch, global_alpha):
+    groups, fits = spy_search(monkeypatch)
+    g = ring_graph(6)
+    panel = sim_panel(GnarOrder(1, (1,)), np.array([0.3]), [np.array([0.3])], g, 60, 0.5, 4)
+    report = select_model(panel, g, WeightScheme("spl"), order_grid(3, 1),
+                          global_alpha=global_alpha)
+    single = GnarOrder(1, (1,))       # alone in its lag order
+    assert ([single], {single}) in groups
+    served = set().union(*(orders for _, orders in groups))
+    assert {c.order for c in report.ranked()} <= served
+    assert len(report.ranked()) == len(report.candidates) == 6
+    assert fits == []
+    best = report.best.fit
+    assert fits == [report.best.order] and best.bic == pytest.approx(report.best.bic, rel=1e-14)
+
+    # on the saturated-fit reproducer, only the insufficient candidates take the standalone fit
+    groups.clear()
+    fits.clear()
+    panel = make_panel(np.random.default_rng(0).normal(size=(4, 4)), labels=ring_graph(4).labels)
+    report = select_model(panel, ring_graph(4), WeightScheme("uniform"), order_grid(3, 1),
+                          global_alpha=global_alpha)
+    insufficient = [c.order for c in report.candidates if c.status == "insufficient"]
+    assert insufficient and fits == insufficient
+    assert {c.order for c in report.ranked()} <= set().union(*(o for _, o in groups))
 
 
 # ---------------------------------------------------------------------------
