@@ -249,6 +249,8 @@ def cmd_network_build(args: argparse.Namespace) -> int:
 
 
 def cmd_network_summarize(args: argparse.Namespace) -> int:
+    if args.brg_samples > 10_000:  # a hundred times the default
+        raise InvalidInputError(f"--brg-samples must be <= 10000, got {args.brg_samples}")
     g = gg.read_graph_json(args.graph)
     s = gg.network_summary(g, brg_samples=args.brg_samples, seed=args.seed)
     row = {"n": g.n, "n_edges": g.n_edges, **dataclasses.asdict(s)}

@@ -9,13 +9,17 @@ cap itself usually comes from Schwert's rule.
 The search fits every admissible candidate on the same panel and ranks by
 BIC (or AIC); candidates whose stages are empty somewhere, or whose designs
 are singular or too short, are recorded as skipped rather than failing the
-whole search.  The AR baseline fits each node's series independently with
-the same least-squares and criterion conventions, which keeps the
-network-vs-no-network comparison meaningful.
+whole search.  The AR baseline is the no-network case, node-specific
+GNAR(p, [0, ..., 0]): each node's series is fitted on its own lags only,
+through the same ``fit_ols`` under the same rows > parameters rule, rank
+rule and criteria, which keeps the network-vs-no-network comparison
+meaningful.  It takes one fit of all nodes per lag order; a node is fitted
+alone only when that fit is refused.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -36,7 +40,6 @@ from .gnar_core import (
     GnarOrder,
     GnarSpec,
     WeightScheme,
-    _design_from_planes,
     _fit_planes,
     _gaussian_criteria,
     _group_solve,
@@ -322,45 +325,48 @@ def fit_ar_baseline(panel: TimeSeriesPanel, p_max: int) -> dict[str, ArNodeResul
     """Per-node AR(p) fits with BIC order choice, 1 <= p <= p_max.
 
     Each node is fitted on its own series only, with no intercept and the
-    same Gaussian-likelihood BIC convention as the network model: the
-    design is the GNAR(p, [0, ..., 0]) design of the node's one-row plane.
-    Nodes with a constant series or too few observations are flagged
-    degenerate and the rest proceed; an infinite value is an error.
+    same Gaussian-likelihood BIC convention as the network model.  The AR(p)
+    fits of all nodes are the node-specific GNAR(p, [0, ..., 0]) model, whose
+    design is block-diagonal, so each lag order takes one
+    :func:`~gnarlib.gnar_core.fit_ols` fit on the plane of the usable nodes,
+    under its rows > parameters rule and its rank rule; each node's RSS and
+    n_obs come from its row of the residual panel.  Only when that fit is
+    refused (a node with no more rows than p, or collinear lags) is each
+    node fitted alone, so a refused node loses only its own order.  Nodes
+    with a constant series or too few observations are flagged degenerate
+    and the rest proceed; an infinite value is an error.
     """
     if p_max < 1:
         raise InvalidInputError("p_max must be >= 1")
     _reject_infinite(zip(panel.labels, panel.values))
-    out: dict[str, ArNodeResult] = {}
-    for i, label in enumerate(panel.labels):
-        x = panel.values[i]
-        observed = x[~np.isnan(x)]
-        if observed.size <= p_max + 1 or np.nanstd(x) == 0.0:
-            out[label] = ArNodeResult(label=label, status="degenerate")
-            continue
-        best: Optional[tuple[float, int, np.ndarray, float, int]] = None
-        for p in range(1, p_max + 1):
-            spec = GnarSpec(order=GnarOrder(p=p, s=(0,) * p))
-            try:
-                design, y, _ = _design_from_planes(x[None, :, None], spec)
-            except InsufficientDataError:
-                continue
-            if design.shape[0] <= p:
-                continue
-            coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-            if rank < p:
-                continue
-            resid = y - design @ coef
-            sigma2, _, bic, _ = _gaussian_criteria(float(resid @ resid), y.size, p)
-            if best is None or bic < best[0]:
-                best = (bic, p, coef, sigma2, y.size)
-        if best is None:
-            out[label] = ArNodeResult(label=label, status="degenerate")
-            continue
-        bic, p, coef, sigma2, n_obs = best
-        out[label] = ArNodeResult(
-            label=label, status="ok", order=p,
-            coefficients=tuple(float(c) for c in coef),
-            sigma2=sigma2, bic=bic, n_obs=n_obs)
+    usable = [i for i, x in enumerate(panel.values)
+              if np.count_nonzero(~np.isnan(x)) > p_max + 1 and np.nanstd(x) != 0.0]
+    planes = panel.values[usable].T[None]
+    best: dict[int, tuple[float, int, np.ndarray, float, int]] = {}
+    # a usable node has more than p_max + 1 values, so the loop stops below
+    # the panel length minus 1; with none usable it does not run
+    for p in range(1, p_max + 1 if usable else 1):
+        spec = GnarSpec(GnarOrder(p, (0,) * p), global_alpha=False)
+        try:
+            fits = [(_fit_planes(planes, spec, None, None), usable)]
+        except (InsufficientDataError, SingularDesignError):   # fit each node alone
+            fits = []
+            for k, i in enumerate(usable):
+                with contextlib.suppress(InsufficientDataError, SingularDesignError):
+                    fits.append((_fit_planes(planes[:, :, [k]], spec, None, None), [i]))
+        for fitted, nodes in fits:
+            for i, coef, resid in zip(nodes, fitted.alpha, fitted.residuals):
+                resid = resid[~np.isnan(resid)]
+                if resid.size <= p:    # a saturated node's RSS is rounding noise
+                    continue
+                sigma2, _, bic, _ = _gaussian_criteria(float(resid @ resid), resid.size, p)
+                if i not in best or bic < best[i][0]:
+                    best[i] = (bic, p, coef, sigma2, resid.size)
+    out = {label: ArNodeResult(label=label, status="degenerate") for label in panel.labels}
+    for i, (bic, p, coef, sigma2, n_obs) in best.items():
+        out[panel.labels[i]] = ArNodeResult(
+            label=panel.labels[i], status="ok", order=p,
+            coefficients=tuple(float(c) for c in coef), sigma2=sigma2, bic=bic, n_obs=n_obs)
     return out
 
 
@@ -370,8 +376,12 @@ def ar_rolling_forecast(result: ArNodeResult, history: np.ndarray,
     using a fitted AR node result and the true preceding values."""
     if result.status != "ok":
         raise InvalidInputError(f"node {result.label!r} has no usable AR fit")
+    if horizon < 1:
+        raise InvalidInputError("horizon must be >= 1")
     p = result.order
     x = np.asarray(history, dtype=float)
+    if x.ndim != 1:
+        raise InvalidInputError(f"history must be a 1-D array, got {x.ndim} dimensions")
     if x.size < p + horizon:
         raise InvalidInputError("history too short for the requested horizon")
     coef = np.asarray(result.coefficients)

@@ -452,3 +452,52 @@ def split_phases_loop(panel, spec):
         if spec.contains(d) and d in date_ix:
             out[:, j] = panel.values[:, date_ix[d]]
     return TimeSeriesPanel(labels=panel.labels, dates=tuple(grid), values=out)
+
+
+def ar_baseline_loop(panel, p_max: int):
+    """The per-node AR baseline as one ``np.linalg.lstsq`` per (node, p):
+    each node's GNAR(p, [0, ..., 0]) design is cut from its one-row plane,
+    an order is refused when it has no more rows than p or an SVD rank
+    below p, and the lowest BIC wins (the smaller p on a tie)."""
+    from typing import Optional
+
+    from gnarlib.errors import InsufficientDataError, InvalidInputError
+    from gnarlib.gnar_core import GnarOrder, GnarSpec, _design_from_planes, _gaussian_criteria
+    from gnarlib.panel import _reject_infinite
+    from gnarlib.selection import ArNodeResult
+
+    if p_max < 1:
+        raise InvalidInputError("p_max must be >= 1")
+    _reject_infinite(zip(panel.labels, panel.values))
+    out: dict[str, ArNodeResult] = {}
+    for i, label in enumerate(panel.labels):
+        x = panel.values[i]
+        observed = x[~np.isnan(x)]
+        if observed.size <= p_max + 1 or np.nanstd(x) == 0.0:
+            out[label] = ArNodeResult(label=label, status="degenerate")
+            continue
+        best: Optional[tuple[float, int, np.ndarray, float, int]] = None
+        for p in range(1, p_max + 1):
+            spec = GnarSpec(order=GnarOrder(p=p, s=(0,) * p))
+            try:
+                design, y, _ = _design_from_planes(x[None, :, None], spec)
+            except InsufficientDataError:
+                continue
+            if design.shape[0] <= p:
+                continue
+            coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+            if rank < p:
+                continue
+            resid = y - design @ coef
+            sigma2, _, bic, _ = _gaussian_criteria(float(resid @ resid), y.size, p)
+            if best is None or bic < best[0]:
+                best = (bic, p, coef, sigma2, y.size)
+        if best is None:
+            out[label] = ArNodeResult(label=label, status="degenerate")
+            continue
+        bic, p, coef, sigma2, n_obs = best
+        out[label] = ArNodeResult(
+            label=label, status="ok", order=p,
+            coefficients=tuple(float(c) for c in coef),
+            sigma2=sigma2, bic=bic, n_obs=n_obs)
+    return out

@@ -627,6 +627,8 @@ def test_boxcox_hostile_grid_ends_in_one_error_line(tmp_path, sim_panel, capfd, 
     (["simulate", "--graph", "{k17}", "--p", "1", "--s", "1", "--alpha", "0.3", "--beta", "0.4",
       "--T", "5882350", "--burn-in", "3", "--sigma", "0.5", "--out-dir", "{out}"],
      "(--T + --burn-in) x 17 nodes must be <= 10^8 cells, got 100000001"),
+    (["network", "summarize", "--graph", "{queen}", "--brg-samples", "10001", "--out", "{out}"],
+     "--brg-samples must be <= 10000, got 10001"),
 ])
 def test_size_flags_past_their_bounds_end_in_one_error_line(tmp_path, queen_json, sim_panel,
                                                             capfd, argv, needle):

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_panel, ring_graph
+from oracles import ar_baseline_loop
 
 from gnarlib import gnar_core, selection
-from gnarlib.errors import InvalidInputError, SelectionFailedError
+from gnarlib.errors import InvalidInputError, SelectionFailedError, SingularDesignError
 from gnarlib.gnar_core import GnarOrder, GnarSpec, WeightScheme, fit, simulate
 from gnarlib.selection import (
     BETA_CATALOGUE,
@@ -293,6 +296,99 @@ def test_ar_rolling_forecast_hand_check():
     history = np.array([1.0, 2.0, 4.0, 8.0])
     preds = ar_rolling_forecast(res, history, 2)
     assert list(preds) == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("history, horizon, match", [
+    (np.arange(6.0), 0, "horizon must be >= 1"),
+    (np.arange(6.0), -1, "horizon must be >= 1"),
+    (np.arange(12.0).reshape(2, 6), 2, "history must be a 1-D array"),
+    (np.float64(3.0), 1, "history must be a 1-D array"),
+], ids=["horizon-0", "horizon-negative", "history-2d", "history-0d"])
+def test_ar_rolling_forecast_rejects_bad_input(history, horizon, match):
+    from gnarlib.selection import ArNodeResult
+
+    res = ArNodeResult(label="x", status="ok", order=1, coefficients=(0.5,),
+                       sigma2=1.0, bic=0.0, n_obs=10)
+    with pytest.raises(InvalidInputError, match=match):
+        ar_rolling_forecast(res, history, horizon)
+
+
+@st.composite
+def ar_panels(draw):
+    """A panel with random NaN cells and an all-NaN block of dates, maybe one
+    constant node (an integer, so that its standard deviation is exactly 0)
+    and maybe one short node (observed on its last few dates only)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, T = draw(st.integers(1, 8)), draw(st.integers(3, 40))
+    values = rng.normal(size=(n, T))
+    values[rng.uniform(size=(n, T)) < draw(st.sampled_from([0.0, 0.05, 0.2]))] = np.nan
+    start = draw(st.integers(0, T - 1))
+    values[:, start:start + draw(st.integers(1, 4))] = np.nan
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        values[i] = np.where(np.isnan(values[i]), np.nan, draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n - 1)), :-draw(st.integers(1, 8))] = np.nan
+    return make_panel(values), draw(st.integers(1, 5))
+
+
+def assert_ar_equals_oracle(got, want):
+    assert list(got) == list(want)
+    for label, w in want.items():
+        g = got[label]
+        assert (g.status, g.order, g.n_obs) == (w.status, w.order, w.n_obs), label
+        np.testing.assert_allclose(g.coefficients, w.coefficients, rtol=1e-12,
+                                   atol=1e-12 * np.abs(w.coefficients, dtype=float).max(initial=0))
+        assert g.sigma2 == pytest.approx(w.sigma2, rel=1e-12, nan_ok=True)
+        assert g.bic == pytest.approx(w.bic, rel=1e-12, nan_ok=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ar_panels())
+def test_ar_baseline_equals_the_loop_oracle(case):
+    panel, p_max = case
+    assert_ar_equals_oracle(fit_ar_baseline(panel, p_max), ar_baseline_loop(panel, p_max))
+
+
+def test_ar_baseline_takes_one_fit_per_lag_order(monkeypatch):
+    """One fit of all nodes per lag order, through the same solve as every
+    GNAR fit and never lstsq; only an order whose fit is refused fits each
+    node alone, and only the node that refuses it loses that order."""
+    x = np.random.default_rng(5).normal(size=(26, 60))
+    x[7] = 0.5 ** np.arange(60)    # x[t-2] = 2 x[t-1] exactly: collinear lags from p = 2
+    clean, geometric = make_panel(np.delete(x, 7, axis=0)), make_panel(x)
+    want_clean, want_geometric = ar_baseline_loop(clean, 3), ar_baseline_loop(geometric, 3)
+    calls, refused = [], []
+
+    def fit_planes(planes, spec, *args):
+        nodes = ("all" if planes.shape[2] > 1
+                 else int(np.flatnonzero((x == planes[0, :, 0]).all(axis=1))[0]))
+        calls.append((spec.order.p, nodes))
+        try:
+            return gnar_core._fit_planes(planes, spec, *args)
+        except SingularDesignError:
+            refused.append((spec.order.p, nodes))
+            raise
+
+    monkeypatch.setattr(selection, "_fit_planes", fit_planes)
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: pytest.fail("lstsq was called"))
+
+    assert_ar_equals_oracle(fit_ar_baseline(clean, 3), want_clean)
+    assert calls == [(1, "all"), (2, "all"), (3, "all")] and refused == []
+
+    calls.clear()
+    got = fit_ar_baseline(geometric, 3)
+    assert calls == [(1, "all")] + [c for p in (2, 3) for c in [(p, "all")]
+                                    + [(p, i) for i in range(26)]]
+    assert refused == [(2, "all"), (2, 7), (3, "all"), (3, 7)]
+    assert ([(r.status, r.order, r.n_obs) for r in got.values()]
+            == [(r.status, r.order, r.n_obs) for r in want_geometric.values()])
+    assert got["n07"].order == 1
+
+    calls.clear()
+    assert {r.status for r in fit_ar_baseline(geometric, 10**9).values()} == {"degenerate"}
+    assert calls == []
 
 
 def test_gnar_beats_ar_when_network_effect_exists():
