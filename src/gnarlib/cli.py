@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from . import errors
-from .errors import GnarError, InvalidInputError, _read_json
+from .errors import GnarError, InvalidInputError, UndefinedStatisticError, _read_json
 from . import geo_graph as gg
 from . import panel as pn
 from . import gnar_core as gc
@@ -305,6 +305,10 @@ def cmd_data_boxcox(args: argparse.Namespace) -> int:
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     prof = pn.boxcox_profile(series[~np.isnan(series)], grid)
     summary = f"lambda_hat={prof.lambda_hat:g} shift={prof.shift:g}"
+    bad = [lmb for lmb, ll in zip(prof.lambda_grid, prof.loglik) if not math.isfinite(ll)]
+    if bad:     # e^(lambda log x) overflows for a huge lambda; the file would hold blanks
+        raise UndefinedStatisticError(
+            f"the Box-Cox log-likelihood is not finite at lambda={bad[0]:g}; narrow the grid")
     rows = [[lmb, ll] for lmb, ll in zip(prof.lambda_grid, prof.loglik)]
     _write_csv(args.out, ["lambda", "loglik"], rows, args)
     print(summary)

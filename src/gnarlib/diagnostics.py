@@ -10,11 +10,14 @@ whiteness test.
 The permutation test draws one permutation per (seed, date index,
 replicate), that of ``np.random.default_rng([seed, t, r])``, so results do
 not depend on evaluation order.  All generator states of a call are replayed
-together from numpy's seeding and numpy's shuffle draws from each; a check
-against ``default_rng`` once per call falls back to one generator per
-replicate should numpy's seeding change.  Note the band comparison is
-descriptive: the per-date tests are dependent over time, so no familywise
-p-value is attached.
+together from numpy's seeding.  Dates with the same number of observed nodes
+are shuffled together: below 48 nodes PCG64 and numpy's shuffle run as array
+steps over every (date, replicate) lane, from 48 on numpy's shuffle draws
+from each state in turn.  A check against ``default_rng`` once per call
+falls back to one generator per replicate should numpy's seeding or shuffle
+change.  The quantiles of all dates come from one ``np.quantile`` call.
+Note the band comparison is descriptive: the per-date tests are dependent
+over time, so no familywise p-value is attached.
 """
 
 from __future__ import annotations
@@ -228,34 +231,41 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 
 
     w_full = moran_weights(g)
     ts = np.flatnonzero(tested)
+    present = ~np.isnan(panel.values[:, ts].T)        # tested date x node
+    counts = present.sum(axis=1)
     seeds = _stream_seeds(seed, ts, R)
+    perms = np.empty((ts.size, R))
     gen = np.random.Generator(np.random.PCG64())
-    emulate = True
-    for k, t in enumerate(ts):              # pass 2: one date at a time
-        present = ~np.isnan(panel.values[:, t])
-        x = panel.values[present, t]
-        if rank_based:
-            x = rank_transform(x)
-        w = w_full[np.ix_(present, present)]
-        observed[t] = morans_i(x, w)
-        if emulate:
-            P = _shuffled(gen, seeds[:, k], x.size)
-            # once per call: numpy must still seed the way _stream_seeds replays it
-            emulate = k > 0 or np.array_equal(
-                P[0], np.random.default_rng([seed, t, 0]).permutation(x.size))
-        if not emulate:
-            P = np.stack([np.random.default_rng([seed, t, r]).permutation(x.size)
-                          for r in range(R)])
-        # numpy sends each stacked item to the gemv and dot of the 1-D @,
-        # so each replicate equals its own loop evaluation bit for bit
-        Xc = x[P]
-        Xc -= Xc.mean(axis=1, keepdims=True)
-        num = (Xc[:, None, :] @ (w @ Xc[:, :, None])).ravel()
-        den = (Xc[:, None, :] @ Xc[:, :, None]).ravel()
-        perms = num / (float(w.sum()) * (den / x.size))   # diag(w) is zero
-        lower[t], median[t], upper[t] = np.quantile(perms, [0.025, 0.5, 0.975])
-        outside[t] = bool(observed[t] < lower[t] or observed[t] > upper[t])
-        del w   # free this block before the next cut, so that one reuses it
+    emulate = None
+    for m in np.unique(counts):             # pass 2: one shuffle per node count and block
+        ks = np.flatnonzero(counts == m)
+        step = max(1, _MORAN_CELLS // (R * m))
+        for kb in np.split(ks, range(step, ks.size, step)):
+            if emulate is not False:
+                P = _shuffled(gen, seeds[:, kb].reshape(4, -1), m)
+                if emulate is None:     # once per call: numpy must still seed this way
+                    emulate = np.array_equal(
+                        P[0], np.random.default_rng([seed, ts[kb[0]], 0]).permutation(m))
+            if not emulate:
+                P = np.stack([np.random.default_rng([seed, ts[k], r]).permutation(m)
+                              for k in kb for r in range(R)])
+            # each date's R rows stay C-contiguous: numpy sends each stacked
+            # item to the gemv and dot of the 1-D @, so each replicate equals
+            # its own loop evaluation bit for bit
+            for k, Pk in zip(kb, P.reshape(kb.size, R, m)):
+                x = panel.values[present[k], ts[k]]
+                if rank_based:
+                    x = rank_transform(x)
+                w = w_full[np.ix_(present[k], present[k])]
+                observed[ts[k]] = morans_i(x, w)
+                Xc = x[Pk]
+                Xc -= Xc.mean(axis=1, keepdims=True)
+                num = (Xc[:, None, :] @ (w @ Xc[:, :, None])).ravel()
+                den = (Xc[:, None, :] @ Xc[:, :, None]).ravel()
+                perms[k] = num / (float(w.sum()) * (den / m))   # diag(w) is zero
+                del w   # free this block before the next cut, so that one reuses it
+    lower[ts], median[ts], upper[ts] = np.quantile(perms, [0.025, 0.5, 0.975], axis=1)
+    outside[ts] = (observed[ts] < lower[ts]) | (observed[ts] > upper[ts])
 
     n_m = float(outside[tested].mean())
     return MoranResult(
@@ -266,20 +276,71 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 
 
 
 _PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1   # pcg64.h
+_MORAN_CELLS = 1 << 18      # (lane, node) cells per shuffle call, or one date's R lanes
+_LANE_SHUFFLE_N = 48        # measured crossover: from it on, numpy's shuffle per lane is faster
+_OUTPUTS_PER_NODE = 1.0     # outputs drawn ahead per node; a shuffle takes ~1.3 n draws
 
 
 def _shuffled(gen: np.random.Generator, seeds: np.ndarray, n: int) -> np.ndarray:
-    """R x n: row r is numpy's shuffle of ``arange(n)`` by ``gen`` in the PCG64
-    state seeded from ``seeds[:, r]`` (``seeds`` is 4 x R, from _stream_seeds)."""
-    bitgen = gen.bit_generator
-    P = np.tile(np.arange(n), (seeds.shape[1], 1))
-    for row, s_hi, s_lo, q_hi, q_lo in zip(P, *seeds.tolist()):
-        # pcg64_set_seed: srandom(initstate = s_hi:s_lo, initseq = q_hi:q_lo)
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        gen.shuffle(row)
+    """L x n: row l is numpy's shuffle of ``arange(n)`` by ``gen`` in the PCG64
+    state seeded from ``seeds[:, l]`` (``seeds`` is 4 x L, from _stream_seeds).
+
+    Below ``_LANE_SHUFFLE_N`` nodes every lane runs at once: PCG64's 128-bit
+    LCG and XSL-RR output (O'Neill 2014) on uint64 hi/lo halves, each output
+    split into its low then its high 32-bit draw as ``pcg64_next32`` buffers
+    them, and Fisher-Yates for i = n-1 .. 1 with ``random_interval``'s masked
+    rejection, where only the lanes that rejected a draw read another.
+    """
+    L = seeds.shape[1]
+    P = np.tile(np.arange(n), (L, 1))
+    if n >= _LANE_SHUFFLE_N:
+        bitgen = gen.bit_generator
+        for row, s_hi, s_lo, q_hi, q_lo in zip(P, *seeds.tolist()):
+            # pcg64_set_seed: srandom(initstate = s_hi:s_lo, initseq = q_hi:q_lo)
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            gen.shuffle(row)
+        return P
+    # uint64 operands only: products wrap mod 2^64, and numpy 1.x would take
+    # a signed operand to float
+    u64, m32, c32 = np.uint64, np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_hi, m_lo = u64(_PCG64_MULT >> 64), u64(_PCG64_MULT & 0xFFFFFFFFFFFFFFFF)
+    s_hi, s_lo, q_hi, q_lo = seeds
+    inc_hi, inc_lo = q_hi << u64(1) | q_lo >> u64(63), q_lo << u64(1) | u64(1)
+    lo = s_lo + inc_lo                       # srandom: initstate + inc, then two steps
+    hi = s_hi + inc_hi + (lo < inc_lo)
+
+    def output():   # state = state * MULT + inc mod 2^128, then XSL-RR
+        nonlocal hi, lo
+        a0, a1 = lo & m32, lo >> c32         # mulhi(lo, m_lo) from 32-bit halves
+        mid = a1 * (m_lo & m32) + (a0 * (m_lo & m32) >> c32)
+        mid2 = a0 * (m_lo >> c32) + (mid & m32)
+        hi = a1 * (m_lo >> c32) + (mid >> c32) + (mid2 >> c32) + lo * m_hi + hi * m_lo + inc_hi
+        lo = lo * m_lo + inc_lo
+        hi += lo < inc_lo
+        x, rot = hi ^ lo, hi >> u64(58)
+        return x >> rot | x << (-rot & u64(63))
+
+    def draws(k):   # k more outputs of each lane: draw d of lane l at d L + l
+        out, d = np.array([output() for _ in range(k)]), np.empty((k, 2, L), np.uint32)
+        d[:, 0], d[:, 1] = out, out >> c32   # uint32 keeps the low half
+        return d.ravel()
+
+    output()
+    buf, pos = draws(max(1, round(n * _OUTPUTS_PER_NODE))), np.arange(L)
+    flat, row0 = P.ravel(), np.arange(0, L * n, n)
+    for i in range(n - 1, 0, -1):            # random_interval(i)
+        mask, redo = np.uint32((1 << i.bit_length()) - 1), np.arange(L)
+        while redo.size:                     # pos: each lane's next draw
+            at = pos[redo]
+            while at.max() >= buf.size:
+                buf = np.concatenate((buf, draws(max(1, n // 8))))
+            pos[redo] = at + L
+            redo = redo[buf[at] & mask > i]
+        j = row0 + (buf[pos - L] & mask)
+        flat[j], P[:, i] = P[:, i], flat[j]  # flat[j] is a copy
     return P
 
 

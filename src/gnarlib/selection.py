@@ -340,7 +340,7 @@ def fit_ar_baseline(panel: TimeSeriesPanel, p_max: int) -> dict[str, ArNodeResul
         raise InvalidInputError("p_max must be >= 1")
     _reject_infinite(zip(panel.labels, panel.values))
     usable = [i for i, x in enumerate(panel.values)
-              if np.count_nonzero(~np.isnan(x)) > p_max + 1 and np.nanstd(x) != 0.0]
+              if np.count_nonzero(~np.isnan(x)) > p_max + 1 and np.nanmax(x) != np.nanmin(x)]
     planes = panel.values[usable].T[None]
     best: dict[int, tuple[float, int, np.ndarray, float, int]] = {}
     # a usable node has more than p_max + 1 values, so the loop stops below

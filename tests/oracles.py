@@ -473,7 +473,7 @@ def ar_baseline_loop(panel, p_max: int):
     for i, label in enumerate(panel.labels):
         x = panel.values[i]
         observed = x[~np.isnan(x)]
-        if observed.size <= p_max + 1 or np.nanstd(x) == 0.0:
+        if observed.size <= p_max + 1 or np.nanmax(x) == np.nanmin(x):
             out[label] = ArNodeResult(label=label, status="degenerate")
             continue
         best: Optional[tuple[float, int, np.ndarray, float, int]] = None

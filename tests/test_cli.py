@@ -1188,6 +1188,17 @@ def test_boxcox_without_a_finite_loglik_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_boxcox_overflowing_grid_is_an_error(tmp_path, sim_panel, capfd):
+    # e^(lambda log x) overflows for lambda = 5e299 and 1e300: NaN log-likelihoods
+    capfd.readouterr()
+    assert run(["data", "boxcox", "--panel", sim_panel, "--grid-min=-1e300",
+                "--grid-max=1e300", "--grid-steps", "5", "--out", str(tmp_path / "b.csv")]) == 1
+    _, err = capfd.readouterr()
+    assert err == ("error: the Box-Cox log-likelihood is not finite at lambda=5e+299; "
+                   "narrow the grid\n")
+    assert not (tmp_path / "b.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # an explosive simulation ends in one error line
 # ---------------------------------------------------------------------------

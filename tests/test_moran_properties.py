@@ -84,6 +84,56 @@ def test_replayed_streams_equal_default_rng(seed, t, n, R):
         assert np.array_equal(P[r], np.random.default_rng([seed, t, r]).permutation(n))
 
 
+# the lane shuffle runs below the crossover: 2, 3 and both sides of each power of 2
+LANE_NS = sorted({2, 3, *(m for k in range(1, 6) for m in (2**k, 2**k + 1))}
+                 & set(range(2, diagnostics._LANE_SHUFFLE_N)))
+
+
+@PROPERTY
+@given(SEEDS, st.lists(st.integers(0, 10**6), min_size=1, max_size=8, unique=True),
+       st.integers(20, 60), st.sampled_from(LANE_NS), st.sampled_from([0.02, 0.3, 1.0]))
+def test_lane_shuffles_equal_default_rng(seed, ts, R, n, ahead):
+    # hundreds of lanes; a short first draw buffer makes lanes run past it
+    gen = np.random.Generator(np.random.PCG64())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "_OUTPUTS_PER_NODE", ahead)
+        P = diagnostics._shuffled(gen, diagnostics._stream_seeds(seed, ts, R).reshape(4, -1), n)
+    assert P.shape == (len(ts) * R, n)
+    for lane, row in enumerate(P):
+        t, r = divmod(lane, R)
+        assert np.array_equal(row, np.random.default_rng([seed, ts[t], r]).permutation(n))
+
+
+def _spied_shuffles(monkeypatch, values, R):
+    calls = []
+    real = diagnostics._shuffled
+
+    def spy(gen, seeds, n):
+        calls.append((seeds.shape[1], n))
+        return real(gen, seeds, n)
+
+    monkeypatch.setattr(diagnostics, "_shuffled", spy)
+    g = random_connected_graph(values.shape[0], np.random.default_rng(2))
+    panel = make_panel(values, labels=g.labels)
+    _assert_same(moran_permutation_test(panel, g, R=R, seed=9),
+                 moran_permutation_bruteforce(panel, g, R=R, seed=9))
+    return calls
+
+
+def test_full_panel_takes_one_shuffle_call(monkeypatch):
+    values = np.random.default_rng(5).normal(size=(26, 30))
+    assert _spied_shuffles(monkeypatch, values, 40) == [(30 * 40, 26)]
+
+
+def test_gapped_panel_takes_one_shuffle_call_per_node_count_and_block(monkeypatch):
+    values = np.random.default_rng(6).normal(size=(26, 12))
+    values[3, [1, 4, 5]] = np.nan          # three dates with 25 nodes
+    values[[0, 7], 9] = np.nan             # one date with 24
+    monkeypatch.setattr(diagnostics, "_MORAN_CELLS", 4 * 20 * 26)   # four full dates a block
+    assert _spied_shuffles(monkeypatch, values, 20) == [
+        (20, 24), (3 * 20, 25), (4 * 20, 26), (4 * 20, 26)]
+
+
 def test_wrong_replayed_seeds_fall_back_to_default_rng(monkeypatch):
     rng = np.random.default_rng(8)
     g = random_connected_graph(12, rng)

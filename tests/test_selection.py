@@ -261,6 +261,17 @@ def test_ar_baseline_constant_series_flagged():
     assert res["n01"].status == "ok"
 
 
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 5.0])
+def test_ar_baseline_non_integer_constant_is_degenerate(value):
+    # the standard deviation of 50 copies of 0.1 or 1/3 is a rounding residue,
+    # not 0; a constant series must still be flagged, not fitted as AR(1)
+    panel = make_panel(np.vstack([np.full(50, value), np.random.default_rng(4).normal(size=50)]))
+    res = fit_ar_baseline(panel, 3)
+    assert res["n00"].status == "degenerate"
+    assert res["n01"].status == "ok"
+    assert ar_baseline_loop(panel, 3)["n00"].status == "degenerate"
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_ar_baseline_rejects_infinite_values(value, capfd):
     x = np.random.default_rng(3).normal(size=(3, 40))
@@ -316,8 +327,7 @@ def test_ar_rolling_forecast_rejects_bad_input(history, horizon, match):
 @st.composite
 def ar_panels(draw):
     """A panel with random NaN cells and an all-NaN block of dates, maybe one
-    constant node (an integer, so that its standard deviation is exactly 0)
-    and maybe one short node (observed on its last few dates only)."""
+    constant node and maybe one short node (observed on its last few dates only)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, T = draw(st.integers(1, 8)), draw(st.integers(3, 40))
     values = rng.normal(size=(n, T))
