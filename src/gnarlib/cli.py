@@ -72,12 +72,14 @@ def _write_csv(path: str, header: Sequence[str], rows, args: argparse.Namespace)
 
 
 def _write_forecast(path: str, panel: pn.TimeSeriesPanel, preds: np.ndarray,
-                    args: argparse.Namespace) -> None:
-    """Predictions against the panel's last ``preds.shape[1]`` columns."""
+                    args: argparse.Namespace) -> dg.MaseResult:
+    """Predictions against the panel's last ``preds.shape[1]`` columns; returns their MASE."""
     h = preds.shape[1]
+    result = dg.mase(panel.values[:, -h:], preds, panel.values, labels=panel.labels)
     rows = [[d.isoformat(), lbl, panel.values[i, j - h], preds[i, j]]
             for j, d in enumerate(panel.dates[-h:]) for i, lbl in enumerate(panel.labels)]
     _write_csv(path, ["date", "node", "actual", "predicted"], rows, args)
+    return result
 
 
 def _out_path(args: argparse.Namespace, name: str) -> str:
@@ -99,15 +101,26 @@ def _stationarity(alpha, beta, weights: gc.WeightSet, n: int) -> dict:
     return {"stationarity_margin": margin, "spectral_radius": radius}
 
 
+# The constant upper bounds of size flags, by dest: each is a hundred times
+# its default, a thousand for the Box-Cox grid, and a complete graph of
+# 10,000 nodes has 49,995,000 edges (800 MB of int64 index pairs).
+_AT_MOST = {"brg_samples": 10_000, "R": 10_000, "grid_steps": 100_000, "n": 10_000}
+
+
 def _require(args: argparse.Namespace) -> None:
-    """Every mandatory option of the invoked subcommand is set: ``required``
-    names their dests, or is a function of ``args`` that returns them."""
+    """Every mandatory option of the invoked subcommand is set (``required``
+    names their dests, or is a function of ``args`` that returns them), and
+    no size flag exceeds its ``_AT_MOST`` bound."""
     names = args.required(args) if callable(args.required) else args.required
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise InvalidInputError(f"missing required option(s): {flags} "
                                 "(set on the command line or in --config)")
+    for name, bound in _AT_MOST.items():
+        value = getattr(args, name, None)
+        if value is not None and value > bound:
+            raise InvalidInputError(f"--{name.replace('_', '-')} must be <= {bound}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +182,7 @@ _ISO_DATE = _arg_type(datetime.date.fromisoformat, "an ISO date")
 
 def _spec_from_args(args: argparse.Namespace, g: gg.Graph) -> gc.GnarSpec:
     order = gc.GnarOrder(p=args.p, s=args.s)
-    return gc.GnarSpec(order=order, global_alpha=not args.vertex_alpha,
+    return gc.GnarSpec(order=order, global_alpha=not getattr(args, "vertex_alpha", False),
                        scheme=_load_scheme(args, g))
 
 
@@ -249,8 +262,6 @@ def cmd_network_build(args: argparse.Namespace) -> int:
 
 
 def cmd_network_summarize(args: argparse.Namespace) -> int:
-    if args.brg_samples > 10_000:  # a hundred times the default
-        raise InvalidInputError(f"--brg-samples must be <= 10000, got {args.brg_samples}")
     g = gg.read_graph_json(args.graph)
     s = gg.network_summary(g, brg_samples=args.brg_samples, seed=args.seed)
     row = {"n": g.n, "n_edges": g.n_edges, **dataclasses.asdict(s)}
@@ -297,8 +308,6 @@ def cmd_data_boxcox(args: argparse.Namespace) -> int:
     series = panel.row(args.node) if args.node else panel.values.ravel()
     if args.grid_steps < 1:
         raise InvalidInputError(f"--grid-steps must be >= 1, got {args.grid_steps}")
-    if args.grid_steps > 100_000:  # a thousand times the default grid
-        raise InvalidInputError(f"--grid-steps must be <= 100000, got {args.grid_steps}")
     if not math.isfinite(args.grid_max - args.grid_min):
         raise InvalidInputError("--grid-min..--grid-max must span a finite range, got "
                                 f"{args.grid_min}..{args.grid_max}")
@@ -381,12 +390,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         preds = gc.forecast(fit, panel, h, mode="rolling_one_step")
     else:
         preds = gc.forecast(fit, train, h, mode="recursive")
-    _write_forecast(_out_path(args, "forecast.csv"), panel, preds, args)
-    result = dg.mase(panel.values[:, -h:], preds, panel.values, labels=panel.labels)
-    rows = []
-    for i, lbl in enumerate(panel.labels):
-        for j, d in enumerate(panel.dates[-h:]):
-            rows.append([lbl, d.isoformat(), result.entries[i, j]])
+    result = _write_forecast(_out_path(args, "forecast.csv"), panel, preds, args)
+    rows = [[lbl, d.isoformat(), result.entries[i, j]]
+            for i, lbl in enumerate(panel.labels) for j, d in enumerate(panel.dates[-h:])]
     _write_csv(_out_path(args, "mase.csv"),
                ["node", "date", "scaled_error"], rows, args)
     _write_json(_out_path(args, "mase_summary.json"), {
@@ -410,10 +416,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cells > 10**8:  # 800 MB of float64
         raise InvalidInputError(f"(--T + --burn-in) x {g.n} nodes must be <= 10^8 cells, "
                                 f"got {cells}")
-    order = gc.GnarOrder(p=args.p, s=args.s)
-    alpha, beta = args.alpha, args.beta
-    scheme = _load_scheme(args, g)
-    spec = gc.GnarSpec(order=order, global_alpha=True, scheme=scheme)
+    spec = _spec_from_args(args, g)
+    order, scheme, alpha, beta = spec.order, spec.scheme, args.alpha, args.beta
     if args.sigma2 is not None and args.sigma2 < 0:
         raise InvalidInputError(f"sigma2 must be >= 0, got {args.sigma2}")
     sigma = math.sqrt(args.sigma2) if args.sigma2 is not None else args.sigma
@@ -422,6 +426,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     panel = gc.simulate(spec, alpha, beta, g, T=args.T, sigma=sigma,
                         init_mean=args.init_mean, burn_in=args.burn_in,
                         seed=args.seed)
+    fit = gc.fit(panel, g, spec, method="ols") if args.refit else None   # before any write
     stationarity = _stationarity(alpha, beta, gc._weight_stack(g, order.max_stage, scheme), g.n)
     pn.write_wide_csv(panel, _out_path(args, "panel.csv"), _meta_lines(args))
     sidecar = {
@@ -439,8 +444,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_json(_out_path(args, "params.json"), sidecar, args)
     written = ["panel.csv", "params.json"]
 
-    if args.refit:
-        fit = gc.fit(panel, g, spec, method="ols")
+    if fit is not None:
         truth = dict(zip(fit.column_names, np.concatenate([alpha, *beta])))
         est = dict(zip(fit.column_names, zip(fit.gamma, fit.gamma_se)))
         rows = []
@@ -461,8 +465,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose_moran(args: argparse.Namespace) -> int:
-    if args.R > 10_000:  # a hundred times the default
-        raise InvalidInputError(f"--R must be <= 10000, got {args.R}")
     g, panel = _graph_and_panel(args)
     res = dg.moran_permutation_test(panel, g, R=args.R, seed=args.seed,
                                     rank_based=args.rank)
@@ -526,8 +528,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             r = results[lbl]
             if r.status == "ok":
                 preds[i] = sel.ar_rolling_forecast(r, panel.values[i], h)
-        _write_forecast(_out_path(args, "ar_forecast.csv"), panel, preds, args)
-        res = dg.mase(panel.values[:, -h:], preds, panel.values, labels=panel.labels)
+        res = _write_forecast(_out_path(args, "ar_forecast.csv"), panel, preds, args)
         _write_json(_out_path(args, "ar_mase.json"), _mase_means(res), args)
         written += ["ar_forecast.csv", "ar_mase.json"]
     print(f"wrote {', '.join(written)}")

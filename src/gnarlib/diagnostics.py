@@ -275,7 +275,7 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 
         rank_based=rank_based)
 
 
-_PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1   # pcg64.h
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # pcg64.h
 _MORAN_CELLS = 1 << 18      # (lane, node) cells per shuffle call, or one date's R lanes
 _LANE_SHUFFLE_N = 48        # measured crossover: from it on, numpy's shuffle per lane is faster
 _OUTPUTS_PER_NODE = 1.0     # outputs drawn ahead per node; a shuffle takes ~1.3 n draws
@@ -285,24 +285,17 @@ def _shuffled(gen: np.random.Generator, seeds: np.ndarray, n: int) -> np.ndarray
     """L x n: row l is numpy's shuffle of ``arange(n)`` by ``gen`` in the PCG64
     state seeded from ``seeds[:, l]`` (``seeds`` is 4 x L, from _stream_seeds).
 
-    Below ``_LANE_SHUFFLE_N`` nodes every lane runs at once: PCG64's 128-bit
-    LCG and XSL-RR output (O'Neill 2014) on uint64 hi/lo halves, each output
-    split into its low then its high 32-bit draw as ``pcg64_next32`` buffers
-    them, and Fisher-Yates for i = n-1 .. 1 with ``random_interval``'s masked
-    rejection, where only the lanes that rejected a draw read another.
+    Every lane is seeded at once, as ``pcg64_set_seed`` seeds one: PCG64's
+    128-bit LCG (O'Neill 2014) on uint64 hi/lo halves.  From
+    ``_LANE_SHUFFLE_N`` nodes on, numpy's shuffle draws from each lane's
+    state in turn.  Below it every lane runs at once: the LCG and its XSL-RR
+    output, each output split into its low then its high 32-bit draw as
+    ``pcg64_next32`` buffers them, and Fisher-Yates for i = n-1 .. 1 with
+    ``random_interval``'s masked rejection, where only the lanes that
+    rejected a draw read another.
     """
     L = seeds.shape[1]
     P = np.tile(np.arange(n), (L, 1))
-    if n >= _LANE_SHUFFLE_N:
-        bitgen = gen.bit_generator
-        for row, s_hi, s_lo, q_hi, q_lo in zip(P, *seeds.tolist()):
-            # pcg64_set_seed: srandom(initstate = s_hi:s_lo, initseq = q_hi:q_lo)
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            gen.shuffle(row)
-        return P
     # uint64 operands only: products wrap mod 2^64, and numpy 1.x would take
     # a signed operand to float
     u64, m32, c32 = np.uint64, np.uint64(0xFFFFFFFF), np.uint64(32)
@@ -323,12 +316,21 @@ def _shuffled(gen: np.random.Generator, seeds: np.ndarray, n: int) -> np.ndarray
         x, rot = hi ^ lo, hi >> u64(58)
         return x >> rot | x << (-rot & u64(63))
 
+    output()        # the second srandom step: hi:lo is now each lane's seeded state
+    if n >= _LANE_SHUFFLE_N:
+        bitgen = gen.bit_generator
+        lanes = zip(P, hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+        for row, st_hi, st_lo, in_hi, in_lo in lanes:
+            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                            "state": {"state": st_hi << 64 | st_lo, "inc": in_hi << 64 | in_lo}}
+            gen.shuffle(row)
+        return P
+
     def draws(k):   # k more outputs of each lane: draw d of lane l at d L + l
         out, d = np.array([output() for _ in range(k)]), np.empty((k, 2, L), np.uint32)
         d[:, 0], d[:, 1] = out, out >> c32   # uint32 keeps the low half
         return d.ravel()
 
-    output()
     buf, pos = draws(max(1, round(n * _OUTPUTS_PER_NODE))), np.arange(L)
     flat, row0 = P.ravel(), np.arange(0, L * n, n)
     for i in range(n - 1, 0, -1):            # random_interval(i)

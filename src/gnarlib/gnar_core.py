@@ -26,9 +26,10 @@ all-columns subset, and a model search solves each candidate with more rows
 than parameters as a subset of its group's widest design (one lag order and
 row mask, a group of one included); the others, and those whose rank is in
 doubt, take the standalone fit.  A design whose rank is in doubt goes to one
-pivoted QR, which names the dependent columns.  The restriction matrix maps
-the M free parameters into the VAR blocks; estimated GLS whitens rows with a
-residual covariance estimate, one Cholesky factor per set of present nodes.
+pivoted QR, which names the dependent columns; it is the only step that
+loads ``scipy.linalg``.  The restriction matrix maps the M free parameters
+into the VAR blocks; estimated GLS whitens rows with a residual covariance
+estimate, one Cholesky factor per set of present nodes.
 Simulation and both forecast modes apply [B_p ... B_1] to the stacked lag
 window, one matrix-vector product per step, and the same blocks give the
 exact companion spectral radius beside the sufficient stationarity margin.
@@ -648,6 +649,8 @@ def _group_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
 
 
 def _gaussian_criteria(rss: float, n_obs: int, M: int) -> tuple[float, float, float, float]:
+    if not math.isfinite(rss):
+        raise InvalidInputError("the residual sum of squares overflows; rescale the data")
     sigma2 = rss / n_obs
     if sigma2 <= 0:
         sigma2 = np.finfo(float).tiny  # exact fit; keep loglik finite
@@ -749,7 +752,8 @@ def _report(design: np.ndarray | NodeDesign, response: np.ndarray, gamma: np.nda
     sigma2 unless ``sigma_full`` already whitened them."""
     resid = response - design @ gamma
     n_obs, M = design.shape
-    sigma2, loglik, bic, aic = _gaussian_criteria(float(resid @ resid), n_obs, M)
+    with np.errstate(over="ignore"):    # _gaussian_criteria refuses an RSS that overflows
+        sigma2, loglik, bic, aic = _gaussian_criteria(float(resid @ resid), n_obs, M)
     gamma_se = np.sqrt(cov_diag * (sigma2 if sigma_full is None else 1.0))
     alpha, beta = _unstack_gamma(gamma, spec, n)
     residuals = (_residual_panel((n, T), row_index, resid)
@@ -795,15 +799,15 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
              weight_set: Optional[WeightSet] = None) -> GnarFit:
     """Estimated generalised least squares with covariance ``sigma``.
 
-    Rows are grouped by time point and whitened with the Cholesky factor of
-    the covariance restricted to that time's present nodes, batched so that
-    there is one factorisation per distinct set of present nodes.  Whitening
-    mixes nodes, so the whitened system is a wide design for the solve of
-    :func:`fit_ols` (one numpy QR, with the pivoted-QR fallback when the
-    rank is in doubt), and equals that fit when sigma is a multiple of the
-    identity.  Residuals and criteria are reported on the original
-    (unwhitened) scale under the pooled-variance convention, so criteria
-    stay comparable with OLS fits.
+    Rows are grouped by time point and whitened with the inverse Cholesky
+    factor of the covariance restricted to that time's present nodes, one
+    factorisation per distinct set of present nodes (numpy's ``cholesky``
+    and ``inv``; scipy is not loaded).  Whitening mixes nodes, so the
+    whitened system is a wide design for the solve of :func:`fit_ols` (one
+    numpy QR, with the pivoted-QR fallback when the rank is in doubt), and
+    equals that fit when sigma is a multiple of the identity.  Residuals and
+    criteria are reported on the original (unwhitened) scale under the
+    pooled-variance convention, so criteria stay comparable with OLS fits.
     """
     design, response = _checked_system(np.asarray(design, dtype=float), response, spec, n)
     sigma = np.asarray(sigma, dtype=float)
@@ -813,8 +817,6 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
         raise InvalidInputError("fit_egls needs a row_index aligned with the design")
     _require_finite(design)
     _require_finite(response)
-
-    from scipy.linalg import solve_triangular
 
     nodes, times = np.asarray(row_index, dtype=np.intp).reshape(-1, 2).T
     order = np.lexsort((nodes, times))
@@ -833,7 +835,7 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
             raise InvalidInputError(
                 "sigma is not positive definite; regularise it (e.g. keep only "
                 "the diagonal) before EGLS") from exc
-        L_inv = solve_triangular(L, np.eye(len(present)), lower=True)
+        L_inv = np.linalg.inv(L)
         rows = np.stack(blocks)                       # (time points, present nodes)
         stop = start + rows.size
         np.matmul(L_inv, design[rows], out=white_design[start:stop].reshape(rows.shape + (M,)))
@@ -855,6 +857,8 @@ def fit(panel: TimeSeriesPanel, g: geo_graph.Graph, spec: GnarSpec,
     is only feasible when the panel is long enough (see
     :func:`estimate_sigma`).
     """
+    if method not in ("ols", "egls"):
+        raise InvalidInputError(f"unknown method {method!r}; expected 'ols' or 'egls'")
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError(
             "panel and graph label order differ; align them before fitting")
@@ -864,11 +868,9 @@ def fit(panel: TimeSeriesPanel, g: geo_graph.Graph, spec: GnarSpec,
     if method == "ols":
         return _fit_planes(planes, spec, panel.labels, weights)
     design, response, rows = _design_from_planes(planes, spec)
-    if method == "egls":
-        sigma = estimate_sigma(panel, spec.order.p)
-        return fit_egls(_wide(design), response, spec, panel.n_nodes, panel.n_times,
-                        sigma, rows, labels=panel.labels, weight_set=weights)
-    raise InvalidInputError(f"unknown method {method!r}; expected 'ols' or 'egls'")
+    sigma = estimate_sigma(panel, spec.order.p)
+    return fit_egls(_wide(design), response, spec, panel.n_nodes, panel.n_times,
+                    sigma, rows, labels=panel.labels, weight_set=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -908,14 +910,16 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
     follow the model recursion with i.i.d. N(0, sigma^2) innovations.
     ``burn_in`` extra leading columns are generated and discarded.  Output
     is deterministic given the seed.  ``sigma`` is a standard deviation;
-    sigma=0 gives the deterministic recursion.  alpha, beta, sigma and
-    init_mean must be finite, and an explosive model whose recursion
-    overflows to +-inf raises InvalidInputError naming the first such step.
+    sigma=0 (or -0.0) gives the deterministic recursion.  alpha, beta, sigma
+    and init_mean must be finite, and a run that overflows to +-inf (an
+    explosive recursion, or initial draws past the float range) raises
+    InvalidInputError naming the first such step.
     """
     order = spec.order
     p = order.p
     if sigma < 0:
         raise InvalidInputError("sigma must be >= 0")
+    sigma = abs(sigma)      # -0.0 is 0: numpy's normal refuses a scale with the sign bit set
     if T <= p:
         raise InvalidInputError(f"T={T} must exceed the lag order p={p}")
     if burn_in < 0:
@@ -945,10 +949,10 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
         for t in range(p, total):
             mean = _poisoned_sums(lag_op, support, Xt[t - p:t].ravel())
             Xt[t] = mean + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)
-    overflow = np.flatnonzero(np.isinf(Xt[p:]).any(axis=1))
+    overflow = np.flatnonzero(np.isinf(Xt).any(axis=1))    # the initial draws too
     if overflow.size:
         raise InvalidInputError(
-            f"the simulation overflows to +-inf at step {p + overflow[0] + 1} of {total} "
+            f"the simulation overflows to +-inf at step {overflow[0] + 1} of {total} "
             "(burn-in included): the model is explosive")
 
     X = np.ascontiguousarray(Xt[burn_in:].T)

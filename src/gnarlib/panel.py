@@ -357,7 +357,7 @@ def _boxcox_loglik(lam: np.ndarray, logx: np.ndarray, var) -> np.ndarray:
             logdev = _row_logdiffexp(y, logmean)
             two_log_lam = np.array([2 * math.log(abs(v)) for v in lam[rows].tolist()])
             logvar[rows] = _row_logsumexp(2 * logdev)[:, 0] - log_n - two_log_lam
-    return (lam - 1) * np.sum(logx) - n / 2 * logvar
+        return (lam - 1) * np.sum(logx) - n / 2 * logvar
 
 
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import stat
+import sys
 import warnings
 from pathlib import Path
 
@@ -231,6 +232,108 @@ def test_end_to_end_selection_on_known_order(tmp_path):
                 "--pmax", "3", "--smax", "2", "--out", str(out)]) == 0
     obj = json.loads((tmp_path / "report.json").read_text())
     assert obj["best"]["order"] == {"p": 2, "s": [1, 0]}
+
+
+def _library_scheme(kind, towns, g):
+    """The WeightScheme that ``--scheme kind --points towns`` names on ``g``."""
+    from gnarlib import geo_graph as gg
+    from gnarlib.gnar_core import WeightScheme
+
+    by_id = {p.node_id: p for p in gg.read_points_csv(towns)}
+    ordered = [by_id[lbl] for lbl in g.labels]
+    pops = {"populations": np.array([p.population for p in ordered], dtype=float)}
+    return WeightScheme(kind, dist_km=gg.distance_matrix(ordered), **(pops if kind == "pb" else {}))
+
+
+@pytest.mark.parametrize("kind", ["idw", "pb"])
+def test_fit_and_select_weigh_by_points(tmp_path, towns, queen_json, sim_panel, kind):
+    from gnarlib import gnar_core as gc
+    from gnarlib import selection as sel
+    from gnarlib.geo_graph import read_graph_json
+
+    g, panel = read_graph_json(queen_json), read_wide_csv(sim_panel)
+    scheme = _library_scheme(kind, towns, g)
+    model = ["--panel", sim_panel, "--graph", queen_json, "--scheme", kind, "--points", towns]
+    assert run(["fit", *model, "--p", "1", "--s", "1", "--out", str(tmp_path / "f.json")]) == 0
+    ref = gc.fit(panel, g, gc.GnarSpec(gc.GnarOrder(1, (1,)), True, scheme))
+    assert json.loads((tmp_path / "f.json").read_text())["gamma"] == ref.gamma.tolist()
+    assert run(["select", *model, "--pmax", "2", "--smax", "1", "--out", str(tmp_path / "r")]) == 0
+    got = json.loads((tmp_path / "r.json").read_text())
+    best = sel.select_model(panel, g, scheme, sel.order_grid(2, 1)).best
+    assert {c["scheme"] for c in got["candidates"]} == {kind}
+    assert (got["best"]["name"], got["best"]["bic"]) == (best.order.name(), best.bic)
+
+
+def test_distance_schemes_need_usable_points(tmp_path, capsys, towns, queen_json, sim_panel):
+    rows = Path(towns).read_text().splitlines()
+    some = tmp_path / "some.csv"                 # Carlow and Cavan only
+    some.write_text("\n".join(rows[:3]) + "\n")
+    no_pops = tmp_path / "no_pops.csv"
+    no_pops.write_text("".join(",".join(r.split(",")[:3]) + "\n" for r in rows))
+    base = ["fit", "--panel", sim_panel, "--graph", queen_json, "--p", "1", "--s", "1",
+            "--out", str(tmp_path / "f.json")]
+    for flags, needle in [(["--scheme", "idw"], "scheme 'idw' needs --points for distances"),
+                          (["--scheme", "pb", "--points", str(some)],
+                           "points file lacks coordinates for ['Clare', "),
+                          (["--scheme", "pb", "--points", str(no_pops)],
+                           "scheme 'pb' needs a population column in --points")]:
+        assert run([*base, *flags]) == 1
+        _single_error(capsys, needle)
+    assert not (tmp_path / "f.json").exists()
+    # idw reads no population
+    assert run([*base, "--scheme", "idw", "--points", str(no_pops)]) == 0
+
+
+def test_recursive_forecast_predicts_from_the_training_part(tmp_path, queen_json, sim_panel):
+    from gnarlib import gnar_core as gc
+    from gnarlib.geo_graph import read_graph_json
+    from gnarlib.panel import TimeSeriesPanel
+
+    out_dir = tmp_path / "fc"
+    assert run(["forecast", "--panel", sim_panel, "--graph", queen_json, "--p", "1",
+                "--s", "1", "--holdout", "4", "--mode", "recursive",
+                "--out-dir", str(out_dir)]) == 0
+    g, panel = read_graph_json(queen_json), read_wide_csv(sim_panel)
+    train = TimeSeriesPanel(labels=panel.labels, dates=panel.dates[:-4],
+                            values=panel.values[:, :-4])
+    fit = gc.fit(train, g, gc.GnarSpec(gc.GnarOrder(1, (1,))))
+    preds = gc.forecast(fit, train, 4, mode="recursive")
+    lines = [line for line in (out_dir / "forecast.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    got = [float(row[3]) for row in csv.reader(lines[1:])]
+    assert got == preds.T.ravel().tolist()       # date-major rows
+    summary = json.loads((out_dir / "mase_summary.json").read_text())
+    assert (summary["mode"], summary["holdout"]) == ("recursive", 4)
+
+
+def test_panel_columns_are_aligned_to_the_graph(tmp_path, capsys, queen_json, sim_panel):
+    from gnarlib.panel import TimeSeriesPanel
+
+    panel = read_wide_csv(sim_panel)
+    shuffled = tmp_path / "shuffled.csv"
+    order = np.random.default_rng(0).permutation(panel.n_nodes)
+    write_wide_csv(TimeSeriesPanel(labels=tuple(panel.labels[i] for i in order),
+                                   dates=panel.dates, values=panel.values[order]), shuffled)
+    fits = {}
+    for name, path in (("given", sim_panel), ("shuffled", str(shuffled))):
+        assert run(["fit", "--panel", path, "--graph", queen_json, "--p", "1", "--s", "1",
+                    "--residuals-out", str(tmp_path / f"{name}_r.csv"),
+                    "--out", str(tmp_path / f"{name}.json")]) == 0
+        obj = json.loads((tmp_path / f"{name}.json").read_text())
+        del obj["meta"]
+        fits[name] = obj
+    assert fits["given"] == fits["shuffled"]
+    resid = [read_wide_csv(tmp_path / f"{name}_r.csv") for name in ("given", "shuffled")]
+    assert resid[0].labels == resid[1].labels == panel.labels
+    assert np.array_equal(resid[0].values, resid[1].values, equal_nan=True)
+
+    fewer = tmp_path / "fewer.csv"
+    write_wide_csv(TimeSeriesPanel(labels=panel.labels[1:], dates=panel.dates,
+                                   values=panel.values[1:]), fewer)
+    assert run(["fit", "--panel", str(fewer), "--graph", queen_json, "--p", "1", "--s", "1",
+                "--out", str(tmp_path / "fewer.json")]) == 1
+    _single_error(capsys, "panel and graph node sets differ; cannot align them")
+    assert not (tmp_path / "fewer.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +695,17 @@ def test_boxcox_unknown_node_is_an_error(tmp_path, sim_panel, capsys):
     _single_error(capsys, "'Atlantis'")
 
 
+def _run_showing_warnings(argv):
+    """``run(argv)``, printing each warning it raises to stderr as a
+    ``gnar`` process would; pytest would otherwise record it silently."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    for w in caught:
+        sys.stderr.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return code
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_boxcox_empty_grid_is_an_error(tmp_path, sim_panel, capsys, steps):
     assert run(["data", "boxcox", "--panel", sim_panel, "--grid-steps", steps,
@@ -607,11 +721,14 @@ def test_boxcox_empty_grid_is_an_error(tmp_path, sim_panel, capsys, steps):
     (["--grid-min", "nan"], "got nan..3.0"),
     # one past the bound: refused before np.linspace allocates anything
     (["--grid-steps", "100001"], "--grid-steps must be <= 100000, got 100001"),
+    # (lambda - 1) * sum(log x) overflows, with no RuntimeWarning
+    (["--grid-min=1e308"], "not finite at lambda=1e+308; narrow the grid"),
+    (["--grid-max=1e308"], "not finite at lambda=1e+306; narrow the grid"),
 ])
 def test_boxcox_hostile_grid_ends_in_one_error_line(tmp_path, sim_panel, capfd, flags, needle):
     capfd.readouterr()
-    assert run(["data", "boxcox", "--panel", sim_panel, *flags,
-                "--out", str(tmp_path / "b.csv")]) == 1
+    assert _run_showing_warnings(["data", "boxcox", "--panel", sim_panel, *flags,
+                                  "--out", str(tmp_path / "b.csv")]) == 1
     out, err = capfd.readouterr()
     assert err.splitlines() == [err.strip()] and err.startswith("error: ") and needle in err
     assert not (tmp_path / "b.csv").exists()
@@ -642,6 +759,19 @@ def test_size_flags_past_their_bounds_end_in_one_error_line(tmp_path, queen_json
     _, err = capfd.readouterr()
     assert err.splitlines() == [err.strip()] and err == f"error: {needle}\n"
     assert not any(tmp_path.glob("out*"))
+
+
+def test_complete_graph_node_count_is_bounded(tmp_path, capfd, monkeypatch):
+    # one past the bound: refused before a label or an index pair is made
+    from gnarlib import geo_graph
+
+    monkeypatch.setattr(geo_graph, "build_complete", lambda labels: pytest.fail("built"))
+    capfd.readouterr()
+    assert run(["network", "build", "--kind", "complete", "--n", "10001",
+                "--out", str(tmp_path / "g.json")]) == 1
+    _, err = capfd.readouterr()
+    assert err == "error: --n must be <= 10000, got 10001\n"
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_boxcox_constant_node_is_an_error(tmp_path, capsys):
@@ -750,8 +880,9 @@ def test_residual_commands_load_no_scipy_stats(tmp_path, queen_json, sim_panel):
 
 
 def test_model_commands_load_no_scipy_linalg(tmp_path, queen_json, sim_panel):
-    # fits of clear rank run on numpy's QR, so fit, select and forecast on
-    # clean data never import scipy.linalg; EGLS may, and still works
+    # fits of clear rank run on numpy's QR and EGLS whitens with numpy's
+    # inverse, so no model command on clean data imports any scipy module;
+    # only the pivoted QR of a design whose rank is in doubt loads scipy.linalg
     import os
     import subprocess
     import sys
@@ -760,28 +891,32 @@ def test_model_commands_load_no_scipy_linalg(tmp_path, queen_json, sim_panel):
 
     src = str(Path(gnarlib.__file__).resolve().parents[1])
     code = ("import sys; from gnarlib.cli import main; rc = main(sys.argv[1:]); "
-            "print('scipy.linalg' in sys.modules); sys.exit(rc)")
+            "print('scipy.linalg' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(rc)")
     model = ["--panel", sim_panel, "--graph", queen_json]
     commands = [
-        (["fit", *model, "--p", "2", "--s", "1,1", "--out", str(tmp_path / "f.json")],
-         "False"),
-        (["fit", *model, "--p", "1", "--s", "1", "--vertex-alpha",
-          "--out", str(tmp_path / "fv.json")], "False"),
-        (["select", *model, "--pmax", "3", "--smax", "2", "--out", str(tmp_path / "s")],
-         "False"),
-        (["select", *model, "--pmax", "3", "--smax", "2", "--vertex-alpha",
-          "--out", str(tmp_path / "sv")], "False"),
-        (["forecast", *model, "--p", "1", "--s", "1", "--holdout", "5",
-          "--out-dir", str(tmp_path / "fc")], "False"),
-        (["fit", *model, "--p", "1", "--s", "1", "--method", "egls",
-          "--out", str(tmp_path / "e.json")], None),
+        ["fit", *model, "--p", "2", "--s", "1,1", "--out", str(tmp_path / "f.json")],
+        ["fit", *model, "--p", "1", "--s", "1", "--vertex-alpha",
+         "--out", str(tmp_path / "fv.json")],
+        ["select", *model, "--pmax", "3", "--smax", "2", "--out", str(tmp_path / "s")],
+        ["select", *model, "--pmax", "3", "--smax", "2", "--vertex-alpha",
+         "--out", str(tmp_path / "sv")],
+        ["forecast", *model, "--p", "1", "--s", "1", "--holdout", "5",
+         "--out-dir", str(tmp_path / "fc")],
+        ["fit", *model, "--p", "1", "--s", "1", "--method", "egls",
+         "--out", str(tmp_path / "e.json")],
+        ["simulate", "--graph", queen_json, "--p", "1", "--s", "1", "--alpha", "0.3",
+         "--beta", "0.2", "--T", "60", "--sigma", "1", "--refit",
+         "--out-dir", str(tmp_path / "sim")],
+        ["baseline", "ar", "--panel", sim_panel, "--pmax", "3", "--holdout", "5",
+         "--out-dir", str(tmp_path / "ar")],
+        ["diagnose", "moran", *model, "--R", "20", "--out", str(tmp_path / "moran")],
     ]
-    for argv, loaded in commands:
+    for argv in commands:
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, (argv, proc.stderr)
-        if loaded is not None:
-            assert proc.stdout.strip().splitlines()[-1] == loaded, (argv, proc.stdout)
+        assert proc.stdout.strip().splitlines()[-1] == "False []", (argv, proc.stdout)
 
 
 def test_data_boxcox_loads_no_scipy(tmp_path, sim_panel):
@@ -1168,6 +1303,19 @@ def test_simulate_nonfinite_parameter_is_an_error(tmp_path, capsys, command, fla
     assert run([*command("simulate"), flag, value]) == 1
     _single_error(capsys, message)
     assert not list(tmp_path.glob("o*/*"))
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--sigma2"])
+def test_simulate_negative_zero_sigma_is_the_deterministic_recursion(tmp_path, capfd, command,
+                                                                      flag):
+    # -0.0 passes the sign checks, and numpy's normal refuses its sign bit
+    argv = _without(command("simulate"), ["--sigma", "--out-dir"])
+    assert run([*argv, "--sigma", "0", "--out-dir", str(tmp_path / "zero")]) == 0
+    capfd.readouterr()
+    assert run([*argv, flag, "-0.0", "--out-dir", str(tmp_path / "neg")]) == 0
+    assert capfd.readouterr().err == ""
+    panels = [read_wide_csv(tmp_path / d / "panel.csv").values for d in ("zero", "neg")]
+    assert np.array_equal(*panels) and np.all(panels[0][:, 0] == 0.0)
 
 
 def test_weekly_negative_tolerance_is_an_error(tmp_path, capsys, command):

@@ -299,6 +299,27 @@ def test_design_insufficient_data():
 # OLS
 # ---------------------------------------------------------------------------
 
+def test_fit_checks_the_method_before_the_spec():
+    # stage 2 is empty on a complete graph: the method is still named first
+    g = build_complete(["a", "b", "c"])
+    panel = make_panel(np.random.default_rng(3).normal(size=(3, 20)), labels=g.labels)
+    with pytest.raises(InvalidInputError, match="unknown method 'bogus'; expected 'ols' or 'egls'"):
+        fit(panel, g, spec_for(1, [2]), method="bogus")
+    with pytest.raises(ModelInadmissibleError, match="stage 2"):
+        fit(panel, g, spec_for(1, [2]), method="egls")
+
+
+def test_fit_refuses_a_residual_sum_of_squares_that_overflows():
+    # values near 1e160 are finite, and their squares are not
+    g = ring_graph(5)
+    panel = make_panel(np.random.default_rng(4).normal(size=(5, 30)) * 1e160, labels=g.labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for global_alpha in (True, False):
+            with pytest.raises(InvalidInputError, match="residual sum of squares overflows"):
+                fit(panel, g, spec_for(1, [1], global_alpha=global_alpha))
+
+
 def test_fit_needs_more_rows_than_parameters():
     g = ring_graph(4)
     spec = spec_for(3, [1, 0, 0])
@@ -536,6 +557,32 @@ def test_egls_requires_positive_definite_sigma():
         fit_egls(D, y, spec, 3, 15, singular, rows)
 
 
+def test_egls_full_sigma_matches_gls_normal_equations():
+    # a dense covariance and missing cells, so that dates whiten with
+    # different present-node sets: gamma = (D' S^-1 D)^-1 D' S^-1 y, where S
+    # is block diagonal over dates with sigma restricted to each date's rows
+    rng = np.random.default_rng(55)
+    g = ring_graph(5)
+    values = rng.normal(size=(5, 60))
+    values[1, [7, 30]] = np.nan
+    values[3, 44] = np.nan
+    panel = make_panel(values, labels=g.labels)
+    spec = spec_for(1, [1])
+    stages = stage_neighbourhoods(g, 1)
+    w = compute_weights(g, stages, WeightScheme("spl"))
+    D, y, rows = build_design(panel, spec, w, stages)
+    A = rng.normal(size=(5, 5))
+    sigma = A @ A.T + 5 * np.eye(5)
+    f = fit_egls(D, y, spec, 5, 60, sigma, rows, labels=g.labels)
+    nodes, times = np.asarray(rows).T
+    precision = np.zeros((len(y), len(y)))
+    for t in np.unique(times):
+        at = np.flatnonzero(times == t)
+        precision[np.ix_(at, at)] = np.linalg.inv(sigma[np.ix_(nodes[at], nodes[at])])
+    oracle = np.linalg.solve(D.T @ precision @ D, D.T @ precision @ y)
+    assert np.max(np.abs(f.gamma - oracle)) < 1e-12
+
+
 @pytest.mark.parametrize("case", ["spec", "response"])
 def test_egls_checks_its_arguments_as_ols_does(case):
     # e.g. a GNAR(1, [1]) design under a GNAR(2, [1, 0]) spec: both fits refuse it
@@ -577,6 +624,15 @@ def test_simulate_deterministic_recursion():
     expected = [10.0 * 0.5 ** k for k in range(6)]
     assert list(panel.values[0]) == pytest.approx(expected)
     assert list(panel.values[1]) == pytest.approx(expected)
+
+
+def test_simulate_negative_zero_sigma_is_the_deterministic_recursion():
+    # -0.0 passes the sign check, and numpy's normal refuses its sign bit
+    g = ring_graph(4)
+    args = dict(alpha=np.array([0.5]), beta=[np.array([0.2])], g=g, T=8, init_mean=3.0, seed=2)
+    zero = simulate(spec_for(1, [1]), sigma=0.0, **args)
+    assert np.array_equal(simulate(spec_for(1, [1]), sigma=-0.0, **args).values, zero.values)
+    assert np.all(zero.values[:, 0] == 3.0)
 
 
 def test_simulate_seeded_determinism():
@@ -653,6 +709,13 @@ def test_simulate_explosive_model_names_the_overflowing_step():
         with pytest.raises(InvalidInputError, match="at step 310 of 420 .burn-in included"):
             simulate(spec_for(1, [0]), np.array([10.0]), [np.array([])], g, T=400,
                      sigma=0.0, init_mean=1.0, burn_in=20)
+
+
+def test_simulate_initial_draws_that_overflow_are_refused():
+    # N(1.5e308, 1e308) draws overflow to +-inf, and inf - inf is NaN after them
+    with pytest.raises(InvalidInputError, match=r"overflows to \+-inf at step 1 of 30 "):
+        simulate(spec_for(1, [1]), np.array([0.3]), [np.array([-0.9])], ring_graph(8), T=30,
+                 sigma=1e308, init_mean=1.5e308, seed=2)
 
 
 def test_simulate_rejects_empty_stage():

@@ -232,6 +232,30 @@ def test_every_candidate_with_enough_rows_is_solved_in_its_group(monkeypatch, gl
     assert {c.order for c in report.ranked()} <= set().union(*(o for _, o in groups))
 
 
+@pytest.mark.parametrize("global_alpha", [True, False])
+def test_candidates_whose_grouped_rank_is_in_doubt_keep_their_standalone_fit(monkeypatch,
+                                                                             global_alpha):
+    # a huge margin puts every group solve in doubt: each candidate then takes
+    # the standalone fit (and its pivoted QR), which must rank them alike
+    g = ring_graph(6)
+    values = sim_panel(GnarOrder(2, (1, 0)), np.array([0.3, -0.2]),
+                       [np.array([0.3]), np.array([])], g, 60, 0.5, 8).values.copy()
+    values[1, [9, 30]] = np.nan
+    panel = make_panel(values, labels=g.labels)
+    args = (panel, g, WeightScheme("spl"), order_grid(3, 1))
+    grouped = select_model(*args, global_alpha=global_alpha)
+    groups, fits = spy_search(monkeypatch)
+    monkeypatch.setattr(gnar_core, "_RANK_MARGIN", 1e30)
+    doubted = select_model(*args, global_alpha=global_alpha)
+    assert groups and all(served == set() for _, served in groups)
+    assert sorted(fits, key=str) == sorted((c.order for c in grouped.candidates), key=str)
+    assert [c.order for c in doubted.ranked()] == [c.order for c in grouped.ranked()]
+    assert len(grouped.ranked()) == len(grouped.candidates) == 6
+    for a, b in zip(doubted.candidates, grouped.candidates):
+        assert (a.order, a.status, a.M, a.n_obs) == (b.order, b.status, b.M, b.n_obs)
+        assert a.bic == pytest.approx(b.bic, rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # AR baseline
 # ---------------------------------------------------------------------------
