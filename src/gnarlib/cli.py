@@ -143,7 +143,7 @@ def _load_scheme(args: argparse.Namespace, g: gg.Graph) -> gc.WeightScheme:
     if missing:
         raise InvalidInputError(f"points file lacks coordinates for {missing}")
     ordered = [by_id[lbl] for lbl in g.labels]
-    dist = gg.distance_matrix(ordered)
+    dist = gg._distances(ordered)    # read-only; the weights only read it
     if kind == "idw":
         return gc.WeightScheme("idw", dist_km=dist)
     pops = [p.population for p in ordered]
@@ -423,6 +423,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sigma = math.sqrt(args.sigma2) if args.sigma2 is not None else args.sigma
     if sigma is None:
         raise InvalidInputError("provide --sigma2 or --sigma")
+    sigma += 0.0    # -0.0 + 0.0 is 0.0: params.json records the 0 the run used
     panel = gc.simulate(spec, alpha, beta, g, T=args.T, sigma=sigma,
                         init_mean=args.init_mean, burn_in=args.burn_in,
                         seed=args.seed)

@@ -145,11 +145,8 @@ def moran_weights(g: geo_graph.Graph) -> np.ndarray:
 
     The diagonal is zero, and so are unreachable pairs (exp(-inf)).
     """
-    spl = geo_graph.shortest_path_lengths(g)
-    with np.errstate(over="ignore"):
-        w = np.exp(-spl)
+    w = np.exp(-geo_graph.shortest_path_lengths(g))
     np.fill_diagonal(w, 0.0)
-    w[~np.isfinite(spl)] = 0.0
     return w
 
 
@@ -236,9 +233,10 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 
     seeds = _stream_seeds(seed, ts, R)
     perms = np.empty((ts.size, R))
     gen = np.random.Generator(np.random.PCG64())
-    emulate = None
+    emulate = cut = None
     for m in np.unique(counts):             # pass 2: one shuffle per node count and block
         ks = np.flatnonzero(counts == m)
+        ks = ks[np.lexsort(present[ks].T)]  # dates that miss the same nodes run together
         step = max(1, _MORAN_CELLS // (R * m))
         for kb in np.split(ks, range(step, ks.size, step)):
             if emulate is not False:
@@ -256,14 +254,16 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 
                 x = panel.values[present[k], ts[k]]
                 if rank_based:
                     x = rank_transform(x)
-                w = w_full[np.ix_(present[k], present[k])]
+                if cut is None or not np.array_equal(cut, present[k]):
+                    cut, w = present[k], None   # free the last cut, so the next reuses it
+                    w = w_full if cut.all() else w_full[np.ix_(cut, cut)]
+                    w0 = float(w.sum())
                 observed[ts[k]] = morans_i(x, w)
                 Xc = x[Pk]
                 Xc -= Xc.mean(axis=1, keepdims=True)
                 num = (Xc[:, None, :] @ (w @ Xc[:, :, None])).ravel()
                 den = (Xc[:, None, :] @ Xc[:, :, None]).ravel()
-                perms[k] = num / (float(w.sum()) * (den / m))   # diag(w) is zero
-                del w   # free this block before the next cut, so that one reuses it
+                perms[k] = num / (w0 * (den / m))   # diag(w) is zero
     lower[ts], median[ts], upper[ts] = np.quantile(perms, [0.025, 0.5, 0.975], axis=1)
     outside[ts] = (observed[ts] < lower[ts]) | (observed[ts] > upper[ts])
 

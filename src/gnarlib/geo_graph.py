@@ -88,7 +88,8 @@ class Graph:
     (E, 2) array of them, indices into ``labels``.  The graph keeps them as
     one sorted, deduplicated, read-only (E, 2) intp array, ``edge_array``,
     ordered by the key i * n + j; ``edges`` is a frozenset view of it, built
-    on first use.  Instances are immutable.
+    on first use.  Instances are immutable; each keeps the deepest hop
+    matrix computed on it (see :func:`_hops`).
     """
 
     def __init__(self, labels: Sequence[str], edges) -> None:
@@ -239,9 +240,25 @@ def distance_matrix(points: Sequence[GeoPoint],
                     radius_km: float = EARTH_RADIUS_KM) -> np.ndarray:
     """Symmetric matrix of pairwise great-circle distances (km), equal bit
     for bit to ``great_circle_distance`` on every pair."""
-    i, j = np.triu_indices(len(points), 1)
-    d = np.zeros((len(points), len(points)))
-    d[i, j] = d[j, i] = _pair_distances(points, i, j, radius_km)
+    return _distances(points, radius_km).copy()
+
+
+# The last point set's key ((lat, lon) bytes, radius_km) and distance matrix,
+# as one tuple: a reader takes both in one step, so no thread sees a mixed pair.
+_DISTANCES: list = [(None, None)]
+
+
+def _distances(points: Sequence[GeoPoint], radius_km: float = EARTH_RADIUS_KM) -> np.ndarray:
+    """:func:`distance_matrix`, read-only and shared: a one-entry memo keyed
+    by the exact coordinates, in order, and the radius."""
+    key = (np.array([(p.lat_deg, p.lon_deg) for p in points], dtype=float).tobytes(), radius_km)
+    last, d = _DISTANCES[0]
+    if last != key:
+        i, j = np.triu_indices(len(points), 1)
+        d = np.zeros((len(points), len(points)))
+        d[i, j] = d[j, i] = _pair_distances(points, i, j, radius_km)
+        d.flags.writeable = False
+        _DISTANCES[0] = key, d
     return d
 
 
@@ -312,7 +329,7 @@ def build_dnn(points: Sequence[GeoPoint], d_max: float) -> Graph:
     _check_points(points)
     if not d_max > 0:
         raise InvalidInputError("d_max must be positive")
-    d = distance_matrix(points)
+    d = _distances(points)
     return Graph([p.node_id for p in points],
                  np.argwhere(np.triu((d > 0.0) & (d <= d_max), 1)))
 
@@ -487,8 +504,9 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def _hop_matrix(n: int, edges: np.ndarray, r_max: Optional[int] = None) -> np.ndarray:
-    """Hop distances by breadth-first search from every source at once, for
-    at most ``r_max`` steps when given; pairs not reached hold inf.
+    """Hop counts by breadth-first search from every source at once, for at
+    most ``r_max`` steps when given, in the smallest integer type that holds
+    n; pairs not reached hold n.
 
     Bit s of ``frontier[v]`` is set when v is exactly r hops from source s.
     The next frontier of v is the OR of its neighbours' rows, one
@@ -519,8 +537,22 @@ def _hop_matrix(n: int, edges: np.ndarray, r_max: Optional[int] = None) -> np.nd
         count += _unpack(unreached, n)
         r += 1
         unreached ^= nxt
-    hops = count.astype(float)
-    hops[_unpack(unreached, n)] = np.inf
+    count[_unpack(unreached, n)] = n
+    return count
+
+
+def _hops(g: Graph, r_max: int) -> np.ndarray:
+    """``g``'s hop distances up to ``r_max`` hops, inf beyond, as a new array.
+    The graph keeps the deepest :func:`_hop_matrix` computed, read-only.  A
+    shallower request masks it, which equals the shallower search, and a
+    deeper one replaces it."""
+    depth, counts = g.__dict__.get("_hops", (-math.inf, None))
+    if r_max > depth:
+        counts = _hop_matrix(g.n, g.edge_array, r_max)
+        counts.flags.writeable = False
+        g.__dict__["_hops"] = r_max, counts
+    hops = counts.astype(float)
+    hops[counts > min(r_max, g.n - 1)] = np.inf    # n, where not reached, too
     return hops
 
 
@@ -529,26 +561,27 @@ def stage_neighbourhoods(g: Graph, r_max: int) -> StageNeighbourhoods:
     _check_integer("r_max", r_max)
     if r_max < 1:
         raise InvalidInputError("r_max must be >= 1")
-    return StageNeighbourhoods(r_max=r_max, hops=_hop_matrix(g.n, g.edge_array, r_max))
+    return StageNeighbourhoods(r_max=r_max, hops=_hops(g, r_max))
 
 
 def shortest_path_lengths(g: Graph) -> np.ndarray:
     """All-pairs shortest path lengths in hops; np.inf for unreachable."""
-    return _hop_matrix(g.n, g.edge_array)
+    return _hops(g, g.n - 1)    # no path is longer
 
 
 # ---------------------------------------------------------------------------
 # Summaries
 # ---------------------------------------------------------------------------
 
-def _avg_spl_and_disconnected(spl: np.ndarray) -> tuple[float, float]:
-    n = spl.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    finite = np.isfinite(spl) & off
-    n_pairs = int(off.sum())
+def _avg_spl_and_disconnected(hops: np.ndarray) -> tuple[float, float]:
+    """Mean hop count over the connected ordered pairs (exact: the sum is
+    an integer in float64 whether ``hops`` holds floats or counts) and the
+    share of pairs not connected, where ``hops`` holds inf or n."""
+    n = len(hops)
+    finite = (hops < n) & ~np.eye(n, dtype=bool)
     n_conn = int(finite.sum())
-    avg = float(spl[finite].mean()) if n_conn else math.nan
-    return avg, 1.0 - n_conn / n_pairs
+    avg = float(hops[finite].mean()) if n_conn else math.nan
+    return avg, 1.0 - n_conn / (n * (n - 1))
 
 
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -606,7 +639,7 @@ def network_summary(g: Graph, brg_samples: int = 100, seed: int = 0) -> NetworkS
     n, m = g.n, g.n_edges
     if n < 2:
         raise InvalidInputError(f"network summary needs at least 2 nodes, got {n}")
-    avg_spl, disc = _avg_spl_and_disconnected(_hop_matrix(n, g.edge_array))
+    avg_spl, disc = _avg_spl_and_disconnected(shortest_path_lengths(g))
     clust = _avg_local_clustering(n, g.edge_array)
 
     rng = np.random.default_rng(seed)

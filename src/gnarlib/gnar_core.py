@@ -567,7 +567,8 @@ def _subset_solve(design: np.ndarray | NodeDesign, response: np.ndarray,
     diag((D'D)^-1) is the row norms of R_A^-1 and R_A^-1 Q_A'B R_B^-1 for
     alpha and of R_B^-1 for beta.  A subset of None is all columns, the
     standalone fit.  Returns (gamma, cov_diag, rss) per subset, or None
-    where the rank is not clear or a node has fewer than p rows."""
+    where the rank is not clear or a node has fewer than p rows; an RSS
+    that overflows is refused (InvalidInputError)."""
     n_obs = len(response)
     if not isinstance(design, NodeDesign):
         p, r = 0, _dense_r(design, response)
@@ -587,6 +588,10 @@ def _subset_solve(design: np.ndarray | NodeDesign, response: np.ndarray,
     x[:, k + np.arange(w), np.arange(w)] = pad
     x[:, :k, w] = src[:, -1]
     small = np.linalg.qr(x, mode="r")
+    with np.errstate(over="ignore"):
+        rss = small[:, w, w] ** 2
+    if not np.isfinite(rss).all():      # refused before the pivoted QR can load scipy
+        raise InvalidInputError(_OVERFLOW)
     try:
         r_inv = np.linalg.inv(small[:, :w, :w])
         ra_inv = np.linalg.inv(r[:, :p, :p]) if p else None
@@ -615,7 +620,7 @@ def _subset_solve(design: np.ndarray | NodeDesign, response: np.ndarray,
     clear = _rank_is_clear(cov, (n_obs, w), np.array([norms[c].max() for c in cols]))
     n_alpha = alpha.shape[1]
     return [(np.concatenate([alpha[g], coef[g, :len(sub)]]), cov[g, :n_alpha + len(sub)],
-             float(small[g, w, w] ** 2)) if clear[g] else None
+             float(rss[g])) if clear[g] else None
             for g, sub in enumerate(subsets)]
 
 
@@ -648,9 +653,12 @@ def _group_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
             for spec, s in zip(specs, solved) if s is not None}
 
 
+_OVERFLOW = "the residual sum of squares overflows; rescale the data"
+
+
 def _gaussian_criteria(rss: float, n_obs: int, M: int) -> tuple[float, float, float, float]:
     if not math.isfinite(rss):
-        raise InvalidInputError("the residual sum of squares overflows; rescale the data")
+        raise InvalidInputError(_OVERFLOW)
     sigma2 = rss / n_obs
     if sigma2 <= 0:
         sigma2 = np.finfo(float).tiny  # exact fit; keep loglik finite

@@ -506,6 +506,18 @@ def test_simulate_nonstationary_model_warns(tmp_path, queen_json, capsys):
         pytest.approx(1.1)
 
 
+def test_simulate_sigma_minus_zero_records_zero(tmp_path, queen_json):
+    # the flag as given and math.sqrt(-0.0) both keep the sign bit
+    for flag in ("--sigma", "--sigma2"):
+        out_dir = tmp_path / flag.strip("-")
+        assert run(["simulate", "--graph", queen_json, "--p", "1", "--s", "1",
+                    "--alpha", "0.3", "--beta", "0.2", "--T", "10", flag, "-0.0",
+                    "--out-dir", str(out_dir)]) == 0
+        sigma = json.loads((out_dir / "params.json").read_text())["sigma"]
+        assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0, flag
+        assert '"sigma": 0.0,' in (out_dir / "params.json").read_text()
+
+
 def test_fit_json_reports_spectral_radius(tmp_path, queen_json, sim_panel):
     out = tmp_path / "fit.json"
     assert run(["fit", "--panel", sim_panel, "--graph", queen_json, "--p", "1",

@@ -2,7 +2,11 @@
 
 import datetime
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from oracles import (
     simulate_gnar_bruteforce,
 )
 
+import gnarlib
 from gnarlib.errors import (
     FeasibilityError,
     InsufficientDataError,
@@ -318,6 +323,35 @@ def test_fit_refuses_a_residual_sum_of_squares_that_overflows():
         for global_alpha in (True, False):
             with pytest.raises(InvalidInputError, match="residual sum of squares overflows"):
                 fit(panel, g, spec_for(1, [1], global_alpha=global_alpha))
+
+
+def test_an_overflowing_fit_is_refused_before_scipy_loads():
+    # the subset solve's own RSS refuses it; the pivoted QR is never reached
+    code = ("import sys, numpy as np; from conftest import make_panel, ring_graph; "
+            "from gnarlib.gnar_core import GnarOrder, GnarSpec, WeightScheme, fit\n"
+            "panel = make_panel(np.random.default_rng(4).normal(size=(5, 30)) * 1e160)\n"
+            "for ga in (True, False):\n"
+            "    try: fit(panel, ring_graph(5), GnarSpec(GnarOrder(1, (1,)), ga, "
+            "WeightScheme('uniform')))\n"
+            "    except Exception as exc: print(type(exc).__name__, exc)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(gnarlib.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])})
+    assert proc.returncode == 0, proc.stderr
+    refused = "InvalidInputError the residual sum of squares overflows; rescale the data"
+    assert proc.stdout.splitlines() == [refused, refused, "[]"]
+
+
+def test_a_huge_first_value_still_fits():
+    # only the lagged regressor holds 1e160: its squared norm overflows, and
+    # the RSS does not, so the pivoted QR still fits it
+    g = ring_graph(5)
+    values = np.random.default_rng(0).normal(size=(5, 30))
+    values[:, 0] *= 1e160
+    result = fit(make_panel(values, labels=g.labels), g, spec_for(1, [1]))
+    assert np.isfinite(result.sigma2) and result.sigma2 > 0
 
 
 def test_fit_needs_more_rows_than_parameters():
