@@ -15,7 +15,9 @@ are shuffled together: below 48 nodes PCG64 and numpy's shuffle run as array
 steps over every (date, replicate) lane, from 48 on numpy's shuffle draws
 from each state in turn.  A check against ``default_rng`` once per call
 falls back to one generator per replicate should numpy's seeding or shuffle
-change.  The quantiles of all dates come from one ``np.quantile`` call.
+change.  Each date's observed statistic is lane 0, the identity permutation,
+of the same stacked product as its replicates.  The quantiles of all dates
+come from one ``np.quantile`` call.
 Note the band comparison is descriptive: the per-date tests are dependent
 over time, so no familywise p-value is attached.
 """
@@ -258,12 +260,16 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 
                     cut, w = present[k], None   # free the last cut, so the next reuses it
                     w = w_full if cut.all() else w_full[np.ix_(cut, cut)]
                     w0 = float(w.sum())
-                observed[ts[k]] = morans_i(x, w)
-                Xc = x[Pk]
+                    if w0 == 0.0:
+                        raise UndefinedStatisticError("all weights are zero")
+                Xc = x[np.vstack([np.arange(m), Pk])]   # lane 0 is the observed order
                 Xc -= Xc.mean(axis=1, keepdims=True)
                 num = (Xc[:, None, :] @ (w @ Xc[:, :, None])).ravel()
                 den = (Xc[:, None, :] @ Xc[:, :, None]).ravel()
-                perms[k] = num / (w0 * (den / m))   # diag(w) is zero
+                if den[0] == 0.0:                   # the squared deviations underflow
+                    raise UndefinedStatisticError("constant cross-section; statistic undefined")
+                stat = num / (w0 * (den / m))       # diag(w) is zero
+                observed[ts[k]], perms[k] = stat[0], stat[1:]
     lower[ts], median[ts], upper[ts] = np.quantile(perms, [0.025, 0.5, 0.975], axis=1)
     outside[ts] = (observed[ts] < lower[ts]) | (observed[ts] > upper[ts])
 

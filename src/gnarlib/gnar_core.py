@@ -27,9 +27,13 @@ than parameters as a subset of its group's widest design (one lag order and
 row mask, a group of one included); the others, and those whose rank is in
 doubt, take the standalone fit.  A design whose rank is in doubt goes to one
 pivoted QR, which names the dependent columns; it is the only step that
-loads ``scipy.linalg``.  The restriction matrix maps the M free parameters
+loads ``scipy.linalg``, and the rank rule is one function for every
+least-squares problem.  The restriction matrix maps the M free parameters
 into the VAR blocks; estimated GLS whitens rows with a residual covariance
-estimate, one Cholesky factor per set of present nodes.
+estimate, one Cholesky factor per set of present nodes.  That estimate is
+the R22' R22 / T' of one numpy QR of the unrestricted VAR(p) lag window and
+responses, under the same rank rule (a rank-deficient lag window raises
+FeasibilityError naming its dependent columns), so no ``lstsq`` is used.
 Simulation and both forecast modes apply [B_p ... B_1] to the stacked lag
 window, one matrix-vector product per step, and the same blocks give the
 exact companion spectral radius beside the sufficient stationarity margin.
@@ -477,24 +481,31 @@ _RANK_MARGIN = 1e6
 _QR_ROWS = 4096
 
 
+def _rank_deficiency(r_fac: np.ndarray, piv: np.ndarray, shape: tuple[int, int],
+                     names: Sequence[str]) -> Optional[str]:
+    """The one rank rule for a design whose rank is in doubt, read off its
+    pivoted QR, D P = Q R: a column is dependent when its |diag(R)| is at most
+    max(shape) * eps times the largest.  None at full rank, else the rank and
+    the dependent columns by name."""
+    diag = np.abs(np.diag(r_fac))
+    tol = max(shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    rank = int(np.sum(diag > tol))
+    return (f"rank deficient ({rank}/{shape[1]}); dependent columns: "
+            f"{sorted(names[int(c)] for c in piv[rank:])}") if rank < shape[1] else None
+
+
 def _qr_solve(design: np.ndarray, response: np.ndarray,
               names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The fallback solve, for designs whose rank is in doubt: one pivoted
     QR, D P = Q R, with Q applied to the response and never formed.  diag(R)
-    gives the rank check (naming the dependent columns), a triangular solve
+    gives the rank check of :func:`_rank_deficiency`, a triangular solve
     gives gamma, and the row norms of R^-1 give diag((D'D)^-1)."""
     from scipy import linalg
 
-    m = design.shape[1]
     qty, r_fac, piv = linalg.qr_multiply(design, response, mode="right", pivoting=True)
-    diag = np.abs(np.diag(r_fac))
-    tol = max(design.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < m:
-        dep = sorted(names[int(c)] for c in piv[rank:])
-        raise SingularDesignError(
-            f"design is rank deficient ({rank}/{m}); dependent columns: {dep}")
-    sol = linalg.solve_triangular(r_fac, np.column_stack([qty, np.eye(m)]))
+    if deficiency := _rank_deficiency(r_fac, piv, design.shape, names):
+        raise SingularDesignError(f"design is {deficiency}")
+    sol = linalg.solve_triangular(r_fac, np.column_stack([qty, np.eye(design.shape[1])]))
     unpivot = np.argsort(piv)
     return sol[unpivot, 0], np.sum(sol[unpivot, 1:] ** 2, axis=1)
 
@@ -510,22 +521,25 @@ def _rank_is_clear(cov_diag: np.ndarray, shape: tuple[int, int], col_norm2):
     ||R^-1||_F^2 >= 1 / sigma_min^2, and the pivoted QR keeps every column
     whose R diagonal, itself >= sigma_min, exceeds max(shape) * eps times the
     largest column norm.  The subsets of :func:`_subset_solve` give one
-    answer each (cov_diag zero-padded to a common width, one col_norm2 each)."""
+    answer each (cov_diag zero-padded to a common width, one col_norm2 each);
+    :func:`estimate_sigma` asks it about the VAR lag window."""
     tol = _RANK_MARGIN * max(shape) * np.finfo(float).eps * np.sqrt(col_norm2)
     return cov_diag.sum(axis=-1) * tol * tol < 1.0
 
 
 def _dense_r(design: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """The R of one numpy QR of [D y].  A design taller than ``_QR_ROWS`` is
+    """The R of one numpy QR of [D y], where y is one response vector or a
+    block of response columns.  A design taller than ``_QR_ROWS`` is
     factorised in row blocks and the stacked block factors once more (the
     same R), so numpy's working copies stay small."""
     m = design.shape[1]
     factors = []
     for start in range(0, len(response), _QR_ROWS):
         rows = slice(start, start + _QR_ROWS)
-        block = np.empty((m + 1, len(response[rows]))).T   # column-major, as LAPACK takes it
+        # column-major, as LAPACK takes it
+        block = np.empty((len(response[rows]), m + response[:1].size), order="F")
         block[:, :m] = design[rows]
-        block[:, m] = response[rows]
+        block[:, m:] = response[rows].reshape(len(block), -1)
         _require_finite(block)
         factors.append(np.linalg.qr(block, mode="r"))
     return factors[0] if len(factors) == 1 else np.linalg.qr(np.concatenate(factors), mode="r")
@@ -780,7 +794,14 @@ def estimate_sigma(panel: TimeSeriesPanel, p: int) -> np.ndarray:
     Uses only time points whose response and full lag window are observed
     at every node.  The N x N residual covariance of T' such columns has
     rank at most T' - N*p, so this needs T' >= N*(p + 1); with fewer it
-    raises FeasibilityError (no diagonal fallback is applied).
+    raises FeasibilityError (no diagonal fallback is applied).  The T' x N*p
+    lag window Z' and the responses X' get one numpy QR, [Z' X'] = Q R with
+    R = [[R11, R12], [0, R22]], as every fit's solve does; the residual
+    cross-product is R22' R22, so sigma = R22' R22 / T'.  Z' takes the rank
+    rule of every fit: when R11 does not show full rank clearly, the pivoted
+    QR of Z' decides, and a rank-deficient lag window (a node that copies
+    another, say) raises FeasibilityError naming the dependent (node, lag)
+    columns, where a minimum-norm fit would return an indefinite sigma.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
@@ -788,16 +809,24 @@ def estimate_sigma(panel: TimeSeriesPanel, p: int) -> np.ndarray:
     n, T = X.shape
     complete = (~np.isnan(X)).all(axis=0)
     usable = [t for t in range(p, T) if complete[t - p:t + 1].all()]
+    hint = ("the full covariance is not estimable -- use a diagonal fallback from "
+            "per-node residual variances of the restricted fit")
     if len(usable) < n * (p + 1):
-        raise FeasibilityError(
-            f"{len(usable)} complete columns < N*(p+1) = {n * (p + 1)}; the full "
-            "covariance is not estimable -- use a diagonal fallback from per-node "
-            "residual variances of the restricted fit")
-    Xt = X[:, usable]                                                    # N x T'
-    Z = np.vstack([X[:, np.subtract(usable, j)] for j in range(1, p + 1)])  # pN x T'
-    B_hat = np.linalg.lstsq(Z.T, Xt.T, rcond=None)[0].T       # N x pN
-    resid = Xt - B_hat @ Z
-    return (resid @ resid.T) / len(usable)
+        raise FeasibilityError(f"{len(usable)} complete columns < N*(p+1) = {n * (p + 1)}; {hint}")
+    # one gather gives [X' Z'], lags 0..p, each a T' x N block; Z' is T' x pN
+    window = X.T[np.subtract.outer(usable, np.arange(p + 1))].reshape(len(usable), -1)
+    Zt, k = window[:, n:], n * p
+    r = _dense_r(Zt, window[:, :n])
+    with np.errstate(over="ignore", invalid="ignore"):    # non-finite: the rank is in doubt
+        r11_inv = np.linalg.inv(r[:k, :k]) if np.diag(r)[:k].all() else np.full((k, k), np.inf)
+        clear = _rank_is_clear(np.einsum("ij,ij->i", r11_inv, r11_inv), Zt.shape,
+                               np.einsum("ij,ij->j", r[:, :k], r[:, :k]).max())
+    if not clear:
+        from scipy import linalg
+        names = [f"lag{j}[{lbl}]" for j in range(1, p + 1) for lbl in panel.labels]
+        if deficiency := _rank_deficiency(*linalg.qr(Zt, mode="r", pivoting=True), Zt.shape, names):
+            raise FeasibilityError(f"the VAR lag window is {deficiency}; {hint}")
+    return (r[k:, k:].T @ r[k:, k:]) / len(usable)
 
 
 def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,

@@ -501,3 +501,33 @@ def ar_baseline_loop(panel, p_max: int):
             coefficients=tuple(float(c) for c in coef),
             sigma2=sigma2, bic=bic, n_obs=n_obs)
     return out
+
+
+def var_residual_covariance_loop(values: np.ndarray, p: int) -> np.ndarray:
+    """The residual covariance of the unrestricted VAR(p) least-squares fit,
+    from its definition: over the time points t whose response and lags 1..p
+    are observed at every node, each node's series is projected off the span
+    of the N*p lagged series (Gram-Schmidt, each projection done twice), and
+    sigma[a, b] is the mean product of the residuals of nodes a and b."""
+    n, T = values.shape
+    times = [t for t in range(p, T)
+             if not any(math.isnan(values[i, t - j]) for i in range(n) for j in range(p + 1))]
+    basis: list[np.ndarray] = []
+
+    def residual(column: list[float]) -> np.ndarray:
+        v = np.array(column)
+        for _ in range(2):
+            for q in basis:
+                v = v - float(q @ v) * q
+        return v
+
+    for j in range(1, p + 1):
+        for i in range(n):
+            v = residual([values[i, t - j] for t in times])
+            basis.append(v / math.sqrt(float(v @ v)))
+    resid = [residual([values[i, t] for t in times]) for i in range(n)]
+    sigma = np.empty((n, n))
+    for a in range(n):
+        for b in range(n):
+            sigma[a, b] = sum(x * y for x, y in zip(resid[a], resid[b])) / len(times)
+    return sigma

@@ -626,6 +626,26 @@ def test_egls_on_a_short_panel_names_the_bound(tmp_path, capsys, queen_json):
     _single_error(capsys, "58 complete columns < N*(p+1) = 78")
 
 
+def test_egls_with_a_copied_node_names_the_dependent_column(tmp_path, capsys):
+    # the VAR lag window of a panel with two identical nodes is rank
+    # deficient, so its residual covariance is not estimable
+    graph, sim = tmp_path / "k5.json", tmp_path / "sim"
+    assert run(["network", "build", "--kind", "complete", "--n", "5", "--out", str(graph)]) == 0
+    assert run(["simulate", "--graph", str(graph), "--p", "1", "--s", "1", "--alpha", "0.3",
+                "--beta", "0.2", "--T", "60", "--sigma", "1", "--out-dir", str(sim)]) == 0
+    panel = read_wide_csv(sim / "panel.csv")
+    values = panel.values.copy()
+    values[3] = values[1]
+    write_wide_csv(type(panel)(panel.labels, panel.dates, values), tmp_path / "copied.csv")
+    capsys.readouterr()
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--panel", str(tmp_path / "copied.csv"), "--graph", str(graph),
+                "--p", "1", "--s", "1", "--method", "egls", "--out", str(out)]) == 1
+    _single_error(capsys, "the VAR lag window is rank deficient (4/5); dependent columns: ",
+                  "diagonal fallback")
+    assert not out.exists()
+
+
 def test_points_csv_bad_latitude_is_an_error(tmp_path, capsys):
     bad = tmp_path / "points.csv"
     bad.write_text("node,lat,lon\na,52.0,-8.0\nb,north,-7.0\nc,53.0,-6.0\n")

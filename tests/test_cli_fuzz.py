@@ -2,10 +2,11 @@
 
 Each numeric flag (integers, floats and the number lists --s, --alpha and
 --beta) takes each of nan, inf, -inf, 0, -1, 1e308, -0.0 and the empty
-string on a small command that otherwise runs, and each size bound of
-``cli._AT_MOST`` takes its bound + 1.  The cases are enumerated, not drawn,
-and run ``cli.main`` in this process on inputs of a few nodes and weeks, so
-none of them allocates at scale.  Each must end in one of three ways:
+string on a small command that otherwise runs (the ``fit`` flags once more
+with ``--method egls``), and each size bound of ``cli._AT_MOST`` takes its
+bound + 1.  The cases are enumerated, not drawn, and run ``cli.main`` in this
+process on inputs of a few nodes and weeks, so none of them allocates at
+scale.  Each must end in one of three ways:
 
 - exit 0, every file it wrote parsing strictly and holding no infinity;
 - exit 1, with exactly one ``error:`` line on stderr and no file written;
@@ -179,6 +180,16 @@ def _assert_clean_end(code, err, caught, out):
 def test_hostile_value_ends_cleanly(inputs, tmp_path, capfd, name, flag, value):
     out = tmp_path / "o"
     argv = [a.format(i=inputs, o=out) for a in _with(_base(name, flag), flag, value)]
+    _assert_clean_end(*_outcome(argv, capfd), out)
+
+
+@pytest.mark.parametrize("flag, value", [(flag, value) for name, flag in FLAGS if name == "fit"
+                                         for value in VALUES])
+def test_hostile_value_ends_cleanly_under_egls(inputs, tmp_path, capfd, flag, value):
+    # the fit cases once more through the EGLS path: VAR covariance, whitening
+    out = tmp_path / "o"
+    argv = [a.format(i=inputs, o=out)
+            for a in _with([*_base("fit", flag), "--method", "egls"], flag, value)]
     _assert_clean_end(*_outcome(argv, capfd), out)
 
 

@@ -224,6 +224,21 @@ def test_permutation_test_skips_constant_and_sparse_dates():
     assert len(res.skipped_reasons) == 2
 
 
+def test_permutation_test_refuses_what_morans_i_refuses():
+    # the observed statistic is lane 0 of the replicates' product, not a
+    # morans_i call, yet it is refused in the same cases: no weights (a
+    # graph with no edges), and squared deviations that underflow to zero
+    vals = np.random.default_rng(12).normal(size=(4, 6))
+    edgeless = Graph(labels=tuple(f"n{i:02d}" for i in range(4)), edges=frozenset())
+    with pytest.raises(UndefinedStatisticError, match="all weights are zero"):
+        moran_permutation_test(make_panel(vals), edgeless, R=20)
+    g = path_graph(4)
+    with pytest.raises(UndefinedStatisticError, match="constant cross-section"):
+        morans_i(vals[:, 0] * 1e-170, moran_weights(g))
+    with pytest.raises(UndefinedStatisticError, match="constant cross-section"):
+        moran_permutation_test(make_panel(vals * 1e-170, labels=g.labels), g, R=20)
+
+
 def test_permutation_test_rejects_small_R():
     g = path_graph(4)
     panel = make_panel(np.random.default_rng(0).normal(size=(4, 5)),
