@@ -417,7 +417,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"(--T + --burn-in) x {g.n} nodes must be <= 10^8 cells, "
                                 f"got {cells}")
     spec = _spec_from_args(args, g)
-    order, scheme, alpha, beta = spec.order, spec.scheme, args.alpha, args.beta
+    order, alpha, beta = spec.order, args.alpha, args.beta
     if args.sigma2 is not None and args.sigma2 < 0:
         raise InvalidInputError(f"sigma2 must be >= 0, got {args.sigma2}")
     sigma = math.sqrt(args.sigma2) if args.sigma2 is not None else args.sigma
@@ -428,7 +428,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                         init_mean=args.init_mean, burn_in=args.burn_in,
                         seed=args.seed)
     fit = gc.fit(panel, g, spec, method="ols") if args.refit else None   # before any write
-    stationarity = _stationarity(alpha, beta, gc._weight_stack(g, order.max_stage, scheme), g.n)
+    weights = fit.weight_set if fit else gc._weight_stack(g, order.max_stage, spec.scheme)
+    stationarity = _stationarity(alpha, beta, weights, g.n)
     pn.write_wide_csv(panel, _out_path(args, "panel.csv"), _meta_lines(args))
     sidecar = {
         "order": {"p": order.p, "s": list(order.s)},

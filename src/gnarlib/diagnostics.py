@@ -46,7 +46,9 @@ class MaseResult:
     ``entries`` is N x H (NaN where an operand was missing); per-node means
     are computed as mean absolute error over the window divided by the
     node's scaling denominator.  Nodes with a constant history have an
-    undefined scale and are excluded from ``overall_mean``.
+    undefined scale and are excluded from ``overall_mean``.  So are nodes
+    with no scored entry in the window (every held-out actual, or every
+    prediction, missing); their per-node mean and std are NaN.
     """
 
     labels: tuple[str, ...]
@@ -101,7 +103,8 @@ def mase(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray,
     per-node mean is computed as (mean absolute error) / scale, which makes
     the naive one-lag forecast evaluated over the whole series score exactly
     1.  A node whose history never changes has zero scale; it is flagged
-    and left out of the overall mean.
+    and left out of the overall mean.  A node with no scored entry gets a
+    NaN mean and std and is left out of the overall mean too.
     """
     actual = np.atleast_2d(np.asarray(actual, dtype=float))
     predicted = np.atleast_2d(np.asarray(predicted, dtype=float))
@@ -129,8 +132,9 @@ def mase(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray,
             scale = float(np.mean(steps))
             err = np.abs(actual[i] - predicted[i])
             entries[i] = err / scale
-            per_mean[i] = float(np.nanmean(err)) / scale
-            per_std[i] = float(np.nanstd(entries[i]))
+            if not np.isnan(err).all():    # no scored entry: NaN, as nanmean would warn
+                per_mean[i] = float(np.nanmean(err)) / scale
+                per_std[i] = float(np.nanstd(entries[i]))
     defined = ~np.isnan(per_mean)
     overall = float(np.mean(per_mean[defined])) if defined.any() else math.nan
     return MaseResult(labels=labels, entries=entries, per_node_mean=per_mean,

@@ -685,17 +685,8 @@ def _gaussian_criteria(rss: float, n_obs: int, M: int) -> tuple[float, float, fl
 def _unstack_gamma(gamma: np.ndarray, spec: GnarSpec, n: int
                    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     p = spec.order.p
-    if spec.global_alpha:
-        alpha = gamma[:p].copy()
-        off = p
-    else:
-        alpha = gamma[:p * n].reshape(p, n).T.copy()
-        off = p * n
-    beta = []
-    for sj in spec.order.s:
-        beta.append(gamma[off:off + sj].copy())
-        off += sj
-    return alpha, tuple(beta)
+    alpha = gamma[:p].copy() if spec.global_alpha else gamma[:p * n].reshape(p, n).T.copy()
+    return alpha, tuple(np.split(gamma[alpha.size:].copy(), np.cumsum(spec.order.s)[:-1]))
 
 
 def _residual_panel(shape: tuple[int, int], row_index, resid: np.ndarray) -> np.ndarray:
@@ -792,8 +783,9 @@ def estimate_sigma(panel: TimeSeriesPanel, p: int) -> np.ndarray:
     """Residual covariance from an unconstrained VAR(p) least-squares fit.
 
     Uses only time points whose response and full lag window are observed
-    at every node.  The N x N residual covariance of T' such columns has
-    rank at most T' - N*p, so this needs T' >= N*(p + 1); with fewer it
+    at every node: those over whose window one running count of incomplete
+    columns does not grow.  The N x N residual covariance of T' such columns
+    has rank at most T' - N*p, so this needs T' >= N*(p + 1); with fewer it
     raises FeasibilityError (no diagonal fallback is applied).  The T' x N*p
     lag window Z' and the responses X' get one numpy QR, [Z' X'] = Q R with
     R = [[R11, R12], [0, R22]], as every fit's solve does; the residual
@@ -807,8 +799,10 @@ def estimate_sigma(panel: TimeSeriesPanel, p: int) -> np.ndarray:
         raise InvalidInputError("p must be >= 1")
     X = panel.values
     n, T = X.shape
-    complete = (~np.isnan(X)).all(axis=0)
-    usable = [t for t in range(p, T) if complete[t - p:t + 1].all()]
+    # incomplete[t] counts the incomplete columns before t; t - p..t is complete
+    # when the count does not grow from t - p to t + 1
+    incomplete = np.concatenate([[0], np.cumsum(np.isnan(X).any(axis=0))])
+    usable = p + np.flatnonzero(incomplete[p + 1:] == incomplete[:max(T - p, 0)])
     hint = ("the full covariance is not estimable -- use a diagonal fallback from "
             "per-node residual variances of the restricted fit")
     if len(usable) < n * (p + 1):
@@ -892,7 +886,9 @@ def fit(panel: TimeSeriesPanel, g: geo_graph.Graph, spec: GnarSpec,
     array and node-specific alphas kept compact for OLS.  ``method`` is
     'ols' or 'egls'; EGLS estimates the full residual covariance first and
     is only feasible when the panel is long enough (see
-    :func:`estimate_sigma`).
+    :func:`estimate_sigma`).  That check runs after the planes' check for
+    infinite values and before the design is cut, so a panel that fails it
+    raises FeasibilityError and no design is built.
     """
     if method not in ("ols", "egls"):
         raise InvalidInputError(f"unknown method {method!r}; expected 'ols' or 'egls'")
@@ -904,8 +900,8 @@ def fit(panel: TimeSeriesPanel, g: geo_graph.Graph, spec: GnarSpec,
     planes = _stage_planes(panel.values, weights, spec.order.max_stage)
     if method == "ols":
         return _fit_planes(planes, spec, panel.labels, weights)
-    design, response, rows = _design_from_planes(planes, spec)
     sigma = estimate_sigma(panel, spec.order.p)
+    design, response, rows = _design_from_planes(planes, spec)
     return fit_egls(_wide(design), response, spec, panel.n_nodes, panel.n_times,
                     sigma, rows, labels=panel.labels, weight_set=weights)
 

@@ -442,6 +442,34 @@ def test_baseline_ar_with_holdout(tmp_path, sim_panel):
     assert (out_dir / "ar_mase.json").exists()
 
 
+def test_forecast_and_baseline_score_a_node_with_a_blank_holdout_silently(tmp_path, capsys,
+                                                                          queen_json):
+    # the second node misses both held-out weeks: its mean is null, and no
+    # numpy warning about an empty slice gets out
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--graph", queen_json, "--p", "1", "--s", "1", "--alpha", "0.3",
+                "--beta", "0.4", "--T", "40", "--sigma", "0.5", "--seed", "11",
+                "--out-dir", str(sim)]) == 0
+    panel = read_wide_csv(sim / "panel.csv")
+    values = panel.values.copy()
+    values[1, -2:] = np.nan
+    write_wide_csv(type(panel)(panel.labels, panel.dates, values), tmp_path / "tail.csv")
+    capsys.readouterr()
+    fc, ar = tmp_path / "fc", tmp_path / "ar"
+    assert _run_showing_warnings(["forecast", "--panel", str(tmp_path / "tail.csv"), "--graph",
+                                  queen_json, "--p", "1", "--s", "1", "--holdout", "2",
+                                  "--out-dir", str(fc)]) == 0
+    assert _run_showing_warnings(["baseline", "ar", "--panel", str(tmp_path / "tail.csv"),
+                                  "--pmax", "2", "--holdout", "2", "--out-dir", str(ar)]) == 0
+    assert capsys.readouterr().err == ""
+    for path in (fc / "mase_summary.json", ar / "ar_mase.json"):
+        summary = json.loads(path.read_text())
+        assert summary["per_node_mean"][panel.labels[1]] is None
+        means = [v for v in summary["per_node_mean"].values() if v is not None]
+        assert len(means) == 25
+        assert summary["overall_mean"] == pytest.approx(np.mean(means), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # config precedence
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ Each numeric flag (integers, floats and the number lists --s, --alpha and
 --beta) takes each of nan, inf, -inf, 0, -1, 1e308, -0.0 and the empty
 string on a small command that otherwise runs (the ``fit`` flags once more
 with ``--method egls``), and each size bound of ``cli._AT_MOST`` takes its
-bound + 1.  The cases are enumerated, not drawn, and run ``cli.main`` in this
-process on inputs of a few nodes and weeks, so none of them allocates at
-scale.  Each must end in one of three ways:
+bound + 1.  The one-flag cases run once more on a second input set: a
+graph with an isolated node, and a panel with whole missing dates,
+scattered missing cells and a node whose last two weeks are blank.  A
+seeded sample of flag pairs, two flags of one command set at once, runs on
+both sets.  The cases are enumerated or drawn from a fixed seed, and run
+``cli.main`` in this process on inputs of a few nodes and weeks, so none of
+them allocates at scale.  Each must end in one of three ways:
 
 - exit 0, every file it wrote parsing strictly and holding no infinity;
 - exit 1, with exactly one ``error:`` line on stderr and no file written;
@@ -22,14 +26,17 @@ import datetime
 import io
 import itertools
 import json
+import random
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gnarlib import cli
 from gnarlib.datasets import irish_county_towns_path
-from gnarlib.panel import DataCorrectionWarning
+from gnarlib.geo_graph import Graph, read_graph_json
+from gnarlib.panel import DataCorrectionWarning, TimeSeriesPanel, read_wide_csv, write_wide_csv
 
 VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308", "-0.0", ""]
 
@@ -122,6 +129,26 @@ def inputs(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def gapped_inputs(inputs, tmp_path_factory):
+    """The first set's files, except a graph with an isolated node and a
+    gapped panel on it."""
+    d = tmp_path_factory.mktemp("fuzz_gapped")
+    for name in ("pts.csv", "long.csv", "daily.csv", "spec.json"):
+        (d / name).write_bytes((inputs / name).read_bytes())
+    g = read_graph_json(inputs / "g.json")
+    (d / "g.json").write_text(json.dumps(Graph((*g.labels, "Isolated"), g.edge_array).to_json()))
+    panel = read_wide_csv(inputs / "panel.csv")
+    rng = np.random.default_rng(5)
+    values = np.vstack([panel.values, 5.0 + rng.normal(size=panel.n_times)])
+    values[:, [12, 13, 27]] = np.nan                        # whole missing dates
+    values[rng.integers(g.n, size=6), rng.integers(panel.n_times, size=6)] = np.nan
+    values[1, -2:] = np.nan                                 # a blank tail
+    write_wide_csv(TimeSeriesPanel((*g.labels, "Isolated"), panel.dates, values),
+                   d / "panel.csv")
+    return d
+
+
 def test_every_numeric_flag_has_a_base_command():
     for name, flag in FLAGS:
         assert name in BASE and (not isinstance(BASE[name], dict) or flag in BASE[name])
@@ -203,3 +230,47 @@ def test_size_flag_one_past_its_bound_is_refused(inputs, tmp_path, capfd, dest, 
     code, err, caught = _outcome(argv, capfd)
     _assert_clean_end(code, err, caught, out)
     assert code == 1 and err == [f"error: {flag} must be <= {bound}, got {bound + 1}"]
+
+
+@pytest.mark.parametrize("name, flag, value", [(name, flag, value) for name, flag in FLAGS
+                                               for value in VALUES])
+def test_hostile_value_ends_cleanly_on_gapped_inputs(gapped_inputs, tmp_path, capfd,
+                                                     name, flag, value):
+    out = tmp_path / "o"
+    argv = [a.format(i=gapped_inputs, o=out) for a in _with(_base(name, flag), flag, value)]
+    _assert_clean_end(*_outcome(argv, capfd), out)
+
+
+# Pair values: the hostile ones and two small valid ones, so that one flag
+# can pass the parser while the other is hostile, or both can pass.
+PAIR_VALUES = [*VALUES, "1", "2"]
+PAIRS_PER_FLAG_PAIR = 2
+
+# The runs that score the gapped panel's blank tail with a two-week holdout:
+# the second node then has no scored entry in the window.
+TAIL_PAIRS = [("forecast", "--holdout", "2", "--s", "0"),
+              ("baseline ar", "--holdout", "2", "--pmax", "2")]
+
+
+def _pairs():
+    """For each two numeric flags of one command, a seeded sample of value pairs."""
+    rng = random.Random(23)
+    grid = list(itertools.product(PAIR_VALUES, repeat=2))
+    by_name: dict = {}
+    for name, flag in FLAGS:
+        by_name.setdefault(name, []).append(flag)
+    return [(name, f1, v1, f2, v2) for name, flags in by_name.items()
+            for f1, f2 in itertools.combinations(flags, 2)
+            for v1, v2 in rng.sample(grid, PAIRS_PER_FLAG_PAIR)] + TAIL_PAIRS
+
+
+PAIRS = _pairs()
+
+
+@pytest.mark.parametrize("input_set", ["inputs", "gapped_inputs"])
+@pytest.mark.parametrize("name, flag1, value1, flag2, value2", PAIRS)
+def test_hostile_pair_ends_cleanly(request, tmp_path, capfd, input_set,
+                                   name, flag1, value1, flag2, value2):
+    d, out = request.getfixturevalue(input_set), tmp_path / "o"
+    argv = _with(_with(_base(name, flag1), flag1, value1), flag2, value2)
+    _assert_clean_end(*_outcome([a.format(i=d, o=out) for a in argv], capfd), out)

@@ -1,6 +1,7 @@
 """MASE, spatial autocorrelation, permutation bands, KS, Ljung-Box."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ def test_mase_entries_nonnegative_and_mean_consistent():
     for i in range(3):
         assert res.per_node_mean[i] == pytest.approx(float(res.entries[i].mean()),
                                                      rel=1e-12)
+
+
+def test_mase_node_without_a_scored_entry_is_nan_and_warns_nothing():
+    rng = np.random.default_rng(7)
+    history = rng.normal(size=(3, 40))
+    actual = history[:, -2:].copy()
+    predicted = actual + rng.normal(size=(3, 2))
+    actual[1] = np.nan          # every held-out actual missing
+    predicted[2] = np.nan       # every prediction missing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = mase(actual, predicted, history, labels=("a", "b", "c"))
+    alone = mase(actual[:1], predicted[:1], history[:1])
+    assert np.isnan(res.per_node_mean[1:]).all() and np.isnan(res.per_node_std[1:]).all()
+    assert np.isnan(res.entries[1:]).all() and res.undefined_nodes == ()
+    assert np.array_equal(res.entries[0], alone.entries[0])
+    assert (res.per_node_mean[0], res.per_node_std[0], res.overall_mean) == (
+        alone.per_node_mean[0], alone.per_node_std[0], alone.overall_mean)
 
 
 # ---------------------------------------------------------------------------

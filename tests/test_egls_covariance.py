@@ -4,7 +4,9 @@
 numpy QR, [Z' X'] = Q R, and reads sigma = R22' R22 / T' off its R, with the
 rank rule of every fit: a lag window whose rank is in doubt goes to the
 pivoted QR, and a rank-deficient one raises FeasibilityError naming the
-dependent (node, lag) columns.  No ``lstsq`` is left on this path.
+dependent (node, lag) columns.  No ``lstsq`` is left on this path.  The
+usable time points come from one running count of incomplete columns, and
+equal the per-window loop they replaced, also on panels too short for any.
 """
 
 import os
@@ -50,6 +52,50 @@ def test_estimate_sigma_equals_the_loop_oracle(case, block_rows):
     # a small row block sends the lag window through the blocked QR
     with mock.patch.object(gnar_core, "_QR_ROWS", block_rows or gnar_core._QR_ROWS):
         sigma = estimate_sigma(make_panel(values), p)
+    oracle = var_residual_covariance_loop(values, p)
+    assert np.max(np.abs(sigma - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@st.composite
+def edge_panels(draw):
+    """Panels at the edges of the usable-column scan: at most p + 1 columns
+    (no usable time point, or only t = p), or long with an incomplete column
+    at t = p, and NaN cells elsewhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p, holes = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    short = draw(st.booleans())
+    T = (draw(st.integers(1, p + 1)) if short
+         else n * (p + 1) + 2 * p + 1 + (p + 1) * holes + draw(st.integers(0, 30)))
+    values = rng.normal(size=(n, T)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    if T > p and draw(st.booleans()):
+        values[rng.integers(n), p] = np.nan
+    for _ in range(holes):
+        values[rng.integers(n), rng.integers(T)] = np.nan
+    return values, p
+
+
+@PROPERTY
+@given(case=edge_panels())
+def test_usable_columns_equal_the_window_loop_at_the_edges(case):
+    values, p = case
+    n, T = values.shape
+    complete = (~np.isnan(values)).all(axis=0)
+    usable = [t for t in range(p, T) if complete[t - p:t + 1].all()]    # the loop it replaced
+    responses = []
+    real = gnar_core._dense_r
+
+    def spy(design, response):
+        responses.append(response)
+        return real(design, response)
+
+    with mock.patch.object(gnar_core, "_dense_r", spy):
+        if len(usable) < n * (p + 1):
+            with pytest.raises(FeasibilityError, match=rf"^{len(usable)} complete columns < "):
+                estimate_sigma(make_panel(values), p)
+            assert not responses
+            return
+        sigma = estimate_sigma(make_panel(values), p)
+    assert np.array_equal(responses[0], values.T[usable])      # the same time points, in order
     oracle = var_residual_covariance_loop(values, p)
     assert np.max(np.abs(sigma - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 

@@ -5,7 +5,8 @@ exact coordinates and the radius), one hop matrix per graph (the deepest one
 computed, kept on the immutable ``Graph``), and one Moran weight cut per
 present-node set.  Every result must equal the loop oracles exactly, a cached
 array must be read-only, and writing into a returned array must not reach
-the next call.
+the next call.  A counted contract pins what each model command builds:
+weight stacks, hop matrices, stacked designs and EGLS covariances.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import make_panel, random_connected_graph, random_points
 from oracles import distance_matrix_loop, hops_bruteforce, moran_permutation_bruteforce
 
-from gnarlib import diagnostics, geo_graph
+from gnarlib import diagnostics, geo_graph, gnar_core
 from gnarlib.cli import main
 from gnarlib.datasets import irish_queen_edges_path
 from gnarlib.errors import GnarError
@@ -163,6 +164,59 @@ def test_simulate_refit_runs_one_hop_search(tmp_path, monkeypatch):
                  "--alpha", "0.2,0.1", "--beta", "0.1,0.1;0.1", "--T", "60", "--sigma", "1",
                  "--refit", "--out-dir", str(tmp_path / "sim")]) == 0
     assert calls == [2]     # simulate, the stationarity check and the refit share it
+
+
+# ---------------------------------------------------------------------------
+# What each model command builds
+# ---------------------------------------------------------------------------
+
+_MODEL = "--panel {i}/sim/panel.csv --graph {i}/g.json"
+_SIM = "simulate --graph {i}/g.json --p 1 --s 1 --alpha 0.3 --beta 0.2 --T 60 --sigma 1"
+_BUILT = ("compute_weights", "_hop_matrix", "_design_from_planes", "estimate_sigma")
+
+# argv, exit code, then the calls of each of _BUILT.  A plain simulate builds
+# its weight stack twice (the simulation and the stationarity check); with
+# --refit the check reads the refit's stack.  EGLS refuses a panel too short
+# for its covariance before it cuts a design.
+BUILDS = {
+    "fit": (f"fit {_MODEL} --p 1 --s 1 --out {{o}}/f.json", 0, (1, 1, 1, 0)),
+    "fit egls": (f"fit {_MODEL} --p 1 --s 1 --method egls --out {{o}}/f.json", 0, (1, 1, 1, 1)),
+    "fit egls, too short": (f"fit {_MODEL} --p 5 --s 1,1,1,1,1 --method egls --out {{o}}/f.json",
+                            1, (1, 1, 0, 1)),
+    "forecast": (f"forecast {_MODEL} --p 1 --s 1 --holdout 5 --out-dir {{o}}", 0, (1, 1, 1, 0)),
+    "select": (f"select {_MODEL} --pmax 2 --smax 1 --out {{o}}/rep", 0, (1, 1, 2, 0)),
+    "diagnose moran": (f"diagnose moran {_MODEL} --R 20 --out {{o}}/m", 0, (0, 1, 0, 0)),
+    "simulate": (f"{_SIM} --out-dir {{o}}", 0, (2, 1, 0, 0)),
+    "simulate --refit": (f"{_SIM} --refit --out-dir {{o}}", 0, (2, 1, 1, 0)),
+}
+
+
+@pytest.fixture(scope="module")
+def model_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("model_inputs")
+    assert main(["network", "build", "--kind", "edgelist", "--edges", irish_queen_edges_path(),
+                 "--out", str(d / "g.json")]) == 0
+    assert main(f"{_SIM} --T 120 --seed 5 --out-dir {d}/sim".format(i=d).split()) == 0
+    return d
+
+
+@pytest.mark.parametrize("command", BUILDS)
+def test_each_model_command_builds_what_is_counted(model_inputs, tmp_path, monkeypatch,
+                                                    capsys, command):
+    argv, code, expected = BUILDS[command]
+    calls = dict.fromkeys(_BUILT, 0)
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in _BUILT:
+        module = geo_graph if name == "_hop_matrix" else gnar_core
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(argv.format(i=model_inputs, o=tmp_path).split()) == code
+    assert tuple(calls.values()) == expected, calls
 
 
 # ---------------------------------------------------------------------------
