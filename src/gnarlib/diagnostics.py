@@ -118,28 +118,23 @@ def mase(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray,
     n = actual.shape[0]
     labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
 
-    entries = np.full(actual.shape, np.nan)
-    per_mean = np.full(n, np.nan)
-    per_std = np.full(n, np.nan)
-    undefined = []
+    def row_mean(a):    # nanmean's arithmetic by row, NaN for a row with no value
+        seen = ~np.isnan(a)
+        return np.where(seen, a, 0.0).sum(axis=1) / seen.sum(axis=1)
+
     with np.errstate(invalid="ignore"):
-        for i in range(n):
-            steps = np.abs(np.diff(history[i]))
-            steps = steps[~np.isnan(steps)]
-            if steps.size == 0 or float(np.mean(steps)) == 0.0:
-                undefined.append(labels[i])
-                continue
-            scale = float(np.mean(steps))
-            err = np.abs(actual[i] - predicted[i])
-            entries[i] = err / scale
-            if not np.isnan(err).all():    # no scored entry: NaN, as nanmean would warn
-                per_mean[i] = float(np.nanmean(err)) / scale
-                per_std[i] = float(np.nanstd(entries[i]))
+        scale = row_mean(np.abs(np.diff(history, axis=1)))
+        scale[~(scale > 0.0)] = np.nan      # no observed step, or no change: undefined
+        err = np.abs(actual - predicted)
+        entries = err / scale[:, None]
+        per_mean = row_mean(err) / scale
+        dev = entries - row_mean(entries)[:, None]
+        per_std = np.sqrt(row_mean(dev * dev))
     defined = ~np.isnan(per_mean)
     overall = float(np.mean(per_mean[defined])) if defined.any() else math.nan
     return MaseResult(labels=labels, entries=entries, per_node_mean=per_mean,
                       per_node_std=per_std, overall_mean=overall,
-                      undefined_nodes=tuple(undefined))
+                      undefined_nodes=tuple(labels[i] for i in np.flatnonzero(np.isnan(scale))))
 
 
 # ---------------------------------------------------------------------------

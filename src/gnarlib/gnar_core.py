@@ -22,10 +22,12 @@ node-specific alpha, from eliminating each node's own-lag block (one batched
 QR over nodes) without forming the zero-filled N*p alpha columns.  A QR of
 column subsets of that R gives each subset's coefficients, standard errors,
 RSS and a bound on the smallest singular value.  A standalone fit is the
-all-columns subset, and a model search solves each candidate with more rows
-than parameters as a subset of its group's widest design (one lag order and
-row mask, a group of one included); the others, and those whose rank is in
-doubt, take the standalone fit.  A design whose rank is in doubt goes to one
+all-columns subset of a stack of one.  A model search groups each candidate
+with more rows than parameters by lag order and row mask, and factorises
+once for all groups: one QR of the rows every group keeps stands in for
+them in each group's R, one batched QR adds each group's other rows, and
+one batched subset QR serves every candidate; the others, and those whose
+rank is in doubt, take the standalone fit.  A design whose rank is in doubt goes to one
 pivoted QR, which names the dependent columns; it is the only step that
 loads ``scipy.linalg``, and the rank rule is one function for every
 least-squares problem.  The restriction matrix maps the M free parameters
@@ -451,8 +453,8 @@ def build_design(panel: TimeSeriesPanel, spec: GnarSpec, weights: WeightSet,
     within a lag for node-specific alphas) followed by beta columns in
     (lag, stage) order.  The design is cut from regressor planes (the panel
     and its stage sums W_r X) by lag slicing and one row mask;
-    ``select_model`` builds the planes once and cuts every design it needs
-    from them.  ``weights`` must come from ``stages``; empty stages are detected
+    ``select_model`` builds the planes once and gathers every column its
+    search needs from them.  ``weights`` must come from ``stages``; empty stages are detected
     on the weights.  Returns (design, response, row_index) where row_index
     lists (node, column) pairs into the panel, t-major and node-minor.
     """
@@ -523,7 +525,7 @@ def _rank_is_clear(cov_diag: np.ndarray, shape: tuple[int, int], col_norm2):
     largest column norm.  The subsets of :func:`_subset_solve` give one
     answer each (cov_diag zero-padded to a common width, one col_norm2 each);
     :func:`estimate_sigma` asks it about the VAR lag window."""
-    tol = _RANK_MARGIN * max(shape) * np.finfo(float).eps * np.sqrt(col_norm2)
+    tol = _RANK_MARGIN * np.maximum(*shape) * np.finfo(float).eps * np.sqrt(col_norm2)
     return cov_diag.sum(axis=-1) * tol * tol < 1.0
 
 
@@ -531,76 +533,59 @@ def _dense_r(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     """The R of one numpy QR of [D y], where y is one response vector or a
     block of response columns.  A design taller than ``_QR_ROWS`` is
     factorised in row blocks and the stacked block factors once more (the
-    same R), so numpy's working copies stay small."""
-    m = design.shape[1]
+    same R), so numpy's working copies stay small; no rows give an empty R."""
+    m, y = design.shape[1], response if response.ndim == 2 else response[:, None]
     factors = []
-    for start in range(0, len(response), _QR_ROWS):
+    for start in range(0, max(len(y), 1), _QR_ROWS):
         rows = slice(start, start + _QR_ROWS)
         # column-major, as LAPACK takes it
-        block = np.empty((len(response[rows]), m + response[:1].size), order="F")
+        block = np.empty((len(y[rows]), m + y.shape[1]), order="F")
         block[:, :m] = design[rows]
-        block[:, m:] = response[rows].reshape(len(block), -1)
+        block[:, m:] = y[rows]
         _require_finite(block)
         factors.append(np.linalg.qr(block, mode="r"))
     return factors[0] if len(factors) == 1 else np.linalg.qr(np.concatenate(factors), mode="r")
 
 
-def _node_r(design: NodeDesign, response: np.ndarray):
-    """Each node's rows [A_i B_i y_i] (own lags, beta regressors, response),
-    zero-padded to a common height, get one batched QR.  Its top p rows are
-    R_Ai, Q_i'B_i and Q_i'y_i, and the rows below are [B_i y_i] projected
-    off A_i, whose R stacked over nodes is the second factor returned.
-    None when a node has fewer than p rows."""
-    own, other, nodes, n = design.own, design.beta, design.nodes, design.n
-    p, k = own.shape[1], other.shape[1]
-    # a node occurs at most once in each run of increasing node ids (one date
-    # of the t-major rows), so the run number is the row's slot in its block
-    slot = np.concatenate([[0], np.cumsum(nodes[1:] <= nodes[:-1])])
-    blocks = np.zeros((n, slot[-1] + 1, p + k + 1))
-    blocks[nodes, slot] = np.column_stack([own, other, response])
-    _require_finite(blocks)
-    if np.bincount(nodes, minlength=n).min() < p:
-        return None
-    r = np.linalg.qr(blocks, mode="r")
-    return r, np.linalg.qr(r[:, p:, p:].reshape(-1, k + 1), mode="r")
+def _node_r(r: np.ndarray, p: int) -> np.ndarray:
+    """R_B of node factors: ``r[..., i, :, :]`` is the R of node i's rows
+    [A_i B_i y_i] (own lags, beta regressors, response), whose top p rows are
+    R_Ai, Q_i'B_i and Q_i'y_i and whose rows below are [B_i y_i] projected
+    off A_i.  Those rows stacked over nodes get one QR, one per leading index
+    of the (designs, nodes, rows, columns) stack."""
+    return np.linalg.qr(r[..., p:, p:].reshape(len(r), -1, r.shape[-1] - p), mode="r")
 
 
-def _subset_solve(design: np.ndarray | NodeDesign, response: np.ndarray,
-                  cols: Sequence[Optional[Sequence[int]]]
+def _subset_solve(r: np.ndarray, src: np.ndarray, p: int, group: np.ndarray,
+                  use: np.ndarray, n_obs: np.ndarray
                   ) -> list[Optional[tuple[np.ndarray, np.ndarray, float]]]:
-    """Least squares for column subsets of one design: all-subsets regression
-    in QR form.  The design's R (dense :func:`_dense_r`, or :func:`_node_r`'s
-    R_B) is factorised once; as its Q is orthonormal, a subset's R is the QR
-    of that R's columns [cols y] and its RSS the last diagonal squared.  One
-    stacked numpy QR serves all subsets: a narrower one is widened by unit
-    columns on extra rows, which add a unit block to R and change none of its
-    own entries.  R^-1 Q'y is gamma and the row norms of R^-1 give
-    diag((D'D)^-1).  A NodeDesign's subsets index its columns [own beta] and
-    keep all p own columns.  Its R is [[R_A, Q_A'B], [0, R_B]], so alpha_i =
-    R_Ai^-1 (Q_i'y_i - Q_i'B_i beta), with R_Ai^-1 shared by the subsets, and
-    diag((D'D)^-1) is the row norms of R_A^-1 and R_A^-1 Q_A'B R_B^-1 for
-    alpha and of R_B^-1 for beta.  A subset of None is all columns, the
-    standalone fit.  Returns (gamma, cov_diag, rss) per subset, or None
-    where the rank is not clear or a node has fewer than p rows; an RSS
-    that overflows is refused (InvalidInputError)."""
-    n_obs = len(response)
-    if not isinstance(design, NodeDesign):
-        p, r = 0, _dense_r(design, response)
-        src = r
-    elif (factors := _node_r(design, response)) is None:
-        return [None] * len(cols)
-    else:
-        p, (r, src) = design.own.shape[1], factors   # src: R_B, on the beta columns
-    cols = [list(range(r.shape[-1] - 1)) if c is None else list(c) for c in cols]
-    subsets = [[j - p for j in c[p:]] for c in cols]    # each subset's columns of src
-    widths = np.array(list(map(len, subsets)))
-    k, w = src.shape[0], int(widths.max())
+    """Least squares for column subsets of a stack of designs: all-subsets
+    regression in QR form.  ``src[g]`` is design g's R factor, dense
+    (:func:`_dense_r`, ``r`` itself) or the R_B of :func:`_node_r` for
+    node-specific alpha, with the response last; subset k takes the columns
+    ``use[k]`` of design ``group[k]``, which has ``n_obs[k]`` rows.  As Q is
+    orthonormal, a subset's R is the QR of that R's columns [cols y] and its
+    RSS the last diagonal squared.  One stacked numpy QR serves all subsets:
+    a narrower one is widened by unit columns on extra rows, which add a unit
+    block to R and change none of its own entries.  R^-1 Q'y is gamma and
+    the row norms of R^-1 give diag((D'D)^-1).  With p > 0 the first p
+    columns are own lags, eliminated per node, and ``use`` marks the ones
+    each subset keeps; the rest are unit columns whose alpha (0) and
+    covariance entry (1) are dropped.  The R of design g is then
+    [[R_A, Q_A'B], [0, R_B]], so alpha_i = R_Ai^-1 (Q_i'y_i - Q_i'B_i beta),
+    with R_Ai^-1 shared by the subsets of g, and diag((D'D)^-1) is the row
+    norms of R_A^-1 and R_A^-1 Q_A'B R_B^-1 for alpha and of R_B^-1 for
+    beta.  Returns (gamma, cov_diag, rss) per subset, or None where the
+    rank is not clear; an RSS that overflows is refused (InvalidInputError)."""
+    own, subsets = use[:, :p], use[:, p:]
+    widths = subsets.sum(axis=1)
+    k, w, count = src.shape[-2], int(widths.max()), len(use)
+    cols = np.argsort(~subsets, axis=1, kind="stable")[:, :w]     # each subset's columns first
     pad = np.arange(w) >= widths[:, None]               # the unit columns
-    x = np.zeros((len(cols), k + w, w + 1))
-    for g, sub in enumerate(subsets):
-        x[g, :k, :len(sub)] = src[:, sub]
+    x = np.zeros((count, k + w, w + 1))
+    x[:, :k, :w] = np.where(pad[:, None], 0.0, np.take_along_axis(src[group], cols[:, None], 2))
     x[:, k + np.arange(w), np.arange(w)] = pad
-    x[:, :k, w] = src[:, -1]
+    x[:, :k, w] = src[group, :, -1]
     small = np.linalg.qr(x, mode="r")
     with np.errstate(over="ignore"):
         rss = small[:, w, w] ** 2
@@ -608,63 +593,149 @@ def _subset_solve(design: np.ndarray | NodeDesign, response: np.ndarray,
         raise InvalidInputError(_OVERFLOW)
     try:
         r_inv = np.linalg.inv(small[:, :w, :w])
-        ra_inv = np.linalg.inv(r[:, :p, :p]) if p else None
+        ra_inv = np.linalg.inv(r[..., :p, :p]) if p else None
     except np.linalg.LinAlgError:
-        return [None] * len(cols)
+        return [None] * count
     coef = (r_inv @ small[:, :w, w:])[..., 0]
-    cov = np.einsum("gij,gij->gi", r_inv, r_inv)
+    cov = np.einsum("kij,kij->ki", r_inv, r_inv)
     cov[pad] = 0.0                                      # the unit block
     if p:  # alpha from the shared R_Ai^-1 and each subset's columns of Q_i'B_i
-        qb = np.zeros((len(cols), design.n, p, w))
-        for g, c in enumerate(cols):
-            qb[g, :, :, :len(c) - p] = r[:, :p, c[p:]]
-        alpha = np.einsum("nij,gnj->gni", ra_inv,
-                          r[:, :p, -1] - (qb @ coef[:, None, :, None])[..., 0])
+        top, ra_cov = r[..., :p, :][group], np.einsum("gnij,gnij->gni", ra_inv, ra_inv)[group]
+        ra_inv = ra_inv[group]
+        qb = np.where(pad[:, None, None], 0.0,
+                      np.take_along_axis(top[..., p:-1], cols[:, None, None], 3))
+        alpha = np.einsum("knij,knj->kni", ra_inv,
+                          top[..., -1] - (qb @ coef[:, None, :, None])[..., 0])
         coupling = ra_inv @ qb @ r_inv[:, None]
-        cov_alpha = (np.einsum("nij,nij->ni", ra_inv, ra_inv)
-                     + np.einsum("gnij,gnij->gni", coupling, coupling))
-        norms = np.concatenate([np.einsum("nij,nij->nj", r[:, :, :p], r[:, :, :p]).max(axis=0),
-                                np.einsum("nij,nij->j", r[:, :, p:-1], r[:, :, p:-1])])
+        cov_alpha = (ra_cov + np.einsum("knij,knij->kni", coupling, coupling)) * own[:, None]
+        norms = np.concatenate([np.einsum("gnij,gnij->gnj", r[..., :p], r[..., :p]).max(axis=1),
+                                np.einsum("gnij,gnij->gj", r[..., p:-1], r[..., p:-1])], axis=1)
     else:
-        alpha = cov_alpha = np.empty((len(cols), 0, 0))
-        norms = np.einsum("ij,ij->j", r[:, :-1], r[:, :-1])
+        alpha = cov_alpha = np.empty((count, 0, 0))
+        norms = np.einsum("gij,gij->gj", r[..., :-1], r[..., :-1])
     # gamma's alpha block is lag-major, node-minor
-    alpha, cov_alpha = (a.transpose(0, 2, 1).reshape(len(cols), -1) for a in (alpha, cov_alpha))
-    cov = np.concatenate([cov_alpha, cov], axis=1)
-    clear = _rank_is_clear(cov, (n_obs, w), np.array([norms[c].max() for c in cols]))
-    n_alpha = alpha.shape[1]
-    return [(np.concatenate([alpha[g], coef[g, :len(sub)]]), cov[g, :n_alpha + len(sub)],
-             float(rss[g])) if clear[g] else None
-            for g, sub in enumerate(subsets)]
+    alpha, cov_alpha = (a.transpose(0, 2, 1) for a in (alpha, cov_alpha))
+    kept = np.concatenate([np.repeat(own, alpha.shape[2], axis=1), ~pad], axis=1)
+    gamma = np.concatenate([alpha.reshape(count, -1), coef], axis=1)
+    cov = np.concatenate([cov_alpha.reshape(count, -1), cov], axis=1)
+    clear = _rank_is_clear(cov, (n_obs, widths), np.where(use, norms[group], 0.0).max(axis=1))
+    ends = np.cumsum(kept.sum(axis=1)).tolist()
+    gamma, cov = gamma[kept], cov[kept]         # each subset's entries, one after another
+    return [(gamma[a:b], cov[a:b], e) if c else None
+            for a, b, c, e in zip([0] + ends, ends, clear.tolist(), rss.tolist())]
 
 
 def _least_squares(design: np.ndarray | NodeDesign, response: np.ndarray,
                    names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """gamma and diag((D'D)^-1): the all-columns case of :func:`_subset_solve`,
-    or :func:`_qr_solve` on the wide design when that finds the rank not
-    clear or a node with fewer than p rows."""
-    solved = _subset_solve(design, response, [None])[0]
+    """gamma and diag((D'D)^-1): the all-columns case of :func:`_subset_solve`
+    on a stack of one, or :func:`_qr_solve` on the wide design when that
+    finds the rank not clear or a node has fewer than p rows."""
+    if not isinstance(design, NodeDesign):
+        p, r = 0, _dense_r(design, response)[None]
+        src = r
+    else:
+        own, other, nodes, n = design.own, design.beta, design.nodes, design.n
+        p = own.shape[1]
+        # a node occurs at most once in each run of increasing node ids (one date
+        # of the t-major rows), so the run number is the row's slot in its block
+        slot = np.concatenate([[0], np.cumsum(nodes[1:] <= nodes[:-1])])
+        blocks = np.zeros((1, n, slot[-1] + 1, p + other.shape[1] + 1))
+        blocks[0, nodes, slot] = np.column_stack([own, other, response])
+        _require_finite(blocks)
+        if np.bincount(nodes, minlength=n).min() < p:
+            return _qr_solve(_wide(design), response, names)
+        r = np.linalg.qr(blocks, mode="r")     # one batched QR over nodes
+        src = _node_r(r, p)
+    use = np.ones((1, r.shape[-1] - 1), dtype=bool)
+    solved = _subset_solve(r, src, p, np.zeros(1, dtype=int), use, np.array([len(response)]))[0]
     return solved[:2] if solved is not None else _qr_solve(_wide(design), response, names)
 
 
-def _group_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
-                 ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int]]:
-    """Least squares for orders of one lag p and one alpha mode that keep the
-    same stacked rows, each with more rows than parameters, as every fit
-    needs; a single order is its own union.  Stage sets are prefixes, so
-    the union of the orders' beta columns is the design of their
-    elementwise-largest stage vector, and each order is a column subset of
-    it for :func:`_subset_solve`.  Returns {order: (gamma, rss, n_obs, M)}
-    for the orders whose rank is clear; the rest take the standalone fit."""
-    p, global_alpha = specs[0].order.p, specs[0].global_alpha
-    union = GnarOrder(p, tuple(map(max, zip(*(spec.order.s for spec in specs)))))
-    design, response, _ = _design_from_planes(planes, GnarSpec(union, global_alpha))
-    index = {c: p + i for i, c in enumerate(_lag_columns(union)[p:])}
-    cols = [list(range(p)) + [index[c] for c in _lag_columns(spec.order)[p:]]
-            for spec in specs]       # each order's columns of the union design
-    solved = _subset_solve(design, response, cols)
-    return {spec.order: (s[0], s[2], len(response), len(s[0]))
-            for spec, s in zip(specs, solved) if s is not None}
+def _search_solve(planes: np.ndarray, groups: Sequence[Sequence[GnarSpec]]
+                  ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int]]:
+    """Least squares for every group of one model search, in one alpha mode.
+    A group holds orders of one lag p that keep the same stacked rows, each
+    with more rows than parameters, as every fit needs.  Stage sets are
+    prefixes, so the union of a group's beta columns is the design of its
+    elementwise-largest stage vector, and each order is a column subset of it.
+    One gather cuts every column any group uses, (plane r, lag j), from the
+    planes; it has the same value at row (i, t) in every group that uses it.
+    So one QR of the rows every group keeps, over all those columns (per node
+    for node-specific alpha), stands in for those rows in every group: one
+    batched QR of each group's columns of that R over the group's other rows
+    gives each group's R, widened to a common layout by unit columns (own
+    lags beyond the group's p among them), and one :func:`_subset_solve`
+    serves every order, except those of a group in which a node has fewer
+    rows than p.  Returns {order: (gamma, rss, n_obs, M)} for the orders whose
+    rank is clear; the rest take the standalone fit."""
+    _, T, n = planes.shape
+    node = not groups[0][0].global_alpha
+    specs = [spec for g in groups for spec in g]
+    sizes = [len(g) for g in groups]
+    group = np.repeat(np.arange(len(groups)), sizes)
+    lags = np.array([g[0].order.p for g in groups])
+    big, low = int(lags.max()), int(lags.min())
+    stages = np.array([spec.order.s + (0,) * (big - spec.order.p) for spec in specs])
+    # own lags 1..big, every (plane r, lag j) an order uses, lag-major, then the
+    # response: plane 0 at lag 0
+    layout = [(0, j) for j in range(1, big + 1)] + [
+        (r, j) for j, top in enumerate(stages.max(axis=0), 1) for r in range(1, top + 1)] + [(0, 0)]
+    plane, lag = np.array(layout).T
+    width = len(layout) - 1
+
+    def columns(p, s):
+        return np.where(plane == 0, lag <= p[:, None], plane <= s[:, lag - 1])
+
+    real = columns(lags, np.maximum.reduceat(stages, np.cumsum(sizes) - sizes))
+    use = columns(lags[group], stages)[:, :-1]
+    times = np.arange(low, T)
+    # rows t < j wrap around, and no group that uses column (r, j) keeps them
+    lagged = planes[plane[:, None], times - lag[:, None]]
+    missing = np.isnan(lagged).reshape(width + 1, -1).astype(float)
+    keep = (real @ missing == 0).reshape(len(real), -1, n) & (times[:, None] >= lags[:, None, None])
+    # a group in which a node has fewer rows than p is solved as an identity and not served
+    short = node & (keep.sum(axis=1) < lags[:, None]).any(axis=1)
+    common = keep.all(axis=0)
+    blocks = n if node else 1       # row blocks: one per node, or all rows in one
+    lagged = lagged.reshape(width + 1, -1, blocks)
+
+    def rows(mask):
+        """The rows of ``mask`` as [columns y], with each one's block and slot in it."""
+        *head, t, b = np.nonzero(mask)
+        return (*head, b, (np.cumsum(mask, axis=-2) - 1)[(*head, t, b)]), lagged[:, t, b].T
+
+    if node:
+        (b, slot), data = rows(common.reshape(-1, blocks))
+        base = np.zeros((n, slot.max(initial=-1) + 1, width + 1))
+        base[b, slot] = data
+        base = np.linalg.qr(base, mode="r")
+    else:
+        base = _dense_r(lagged[:-1, common.ravel(), 0].T, lagged[-1, common.ravel(), 0])[None]
+    extra = (keep & ~common).reshape(len(real), -1, blocks)
+    height = base.shape[1]
+    depth = height + int(extra.sum(axis=1).max())
+    (g, b, slot), data = rows(extra)
+    data = np.where(real[g], data, 0.0)     # a column that g leaves may be NaN
+
+    def factor(lo, hi):
+        """The R of each group's [columns of base; other rows; unit columns] in blocks lo..hi."""
+        x = np.zeros((len(real), len(base[lo:hi]), depth + width, width + 1))
+        x[:, :, :height] = base[lo:hi] * real[:, None, None]
+        mine = (lo <= b) & (b < hi)
+        x[g[mine], b[mine] - lo, height + slot[mine]] = data[mine]
+        x[:, :, depth + np.arange(width), np.arange(width)] = ~real[:, None, :-1]   # unit columns
+        x[short] = np.eye(depth + width, width + 1)
+        _require_finite(x)
+        return np.linalg.qr(x, mode="r")
+
+    # whole row blocks per QR, at most _QR_ROWS rows of a group where blocks allow
+    step = max(1, _QR_ROWS // (depth + width))
+    r = np.concatenate([factor(lo, lo + step) for lo in range(0, blocks, step)], axis=1)
+    r, src = (r, _node_r(r, big)) if node else (r[:, 0],) * 2
+    n_obs = keep.sum(axis=(1, 2))[group]
+    solved = _subset_solve(r, src, big if node else 0, group, use, n_obs)
+    return {spec.order: (s[0], s[2], int(m), len(s[0]))
+            for spec, s, m, k in zip(specs, solved, n_obs, group) if s is not None and not short[k]}
 
 
 _OVERFLOW = "the residual sum of squares overflows; rescale the data"

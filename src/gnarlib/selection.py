@@ -42,8 +42,8 @@ from .gnar_core import (
     WeightScheme,
     _fit_planes,
     _gaussian_criteria,
-    _group_solve,
     _lag_columns,
+    _search_solve,
     _stage_planes,
     _validate_stages,
     _weight_stack,
@@ -97,11 +97,13 @@ class OrderGrid:
 class CandidateResult:
     """One fitted (or skipped) candidate in a selection run.
 
-    The criteria come from the search's solve.  ``fit`` (None for a skipped
-    candidate) is the candidate's :class:`~gnarlib.gnar_core.GnarFit`: the
-    standalone fit on the search's regressor planes, so its estimates equal
-    those of ``fit(panel, g, spec)``, built on first read unless the search
-    needed it (a candidate its group solve did not serve).
+    The criteria come from the search's solve: the subset QR of its group's
+    R factor, itself built on the one factor of the rows every group keeps.
+    ``fit`` (None for a skipped candidate) is the candidate's
+    :class:`~gnarlib.gnar_core.GnarFit`: the standalone fit on the search's
+    regressor planes, so its estimates equal those of ``fit(panel, g,
+    spec)``, built on first read unless the search needed it (a candidate
+    the search-level solve did not serve).
     """
 
     order: GnarOrder
@@ -210,18 +212,22 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
     search only fails when nothing at all could be fitted.  Candidates with
     longer lags use fewer stacked rows and are compared on their own n_obs.
     The regressor planes (the panel and its stage sums) and their NaN
-    pattern are computed once per call.  Every candidate with more rows
-    than parameters is solved in its group: the candidates that share its
-    lag order and row mask, a group of one included, are column subsets of
-    the group's widest design, and one subset solve of it gives each one's
-    RSS (see :func:`~gnarlib.gnar_core._group_solve`).  A candidate whose
-    rank is in doubt, or with no more rows than parameters, takes the
-    standalone fit, which names the dependent columns of a singular design
-    and skips a saturated one as insufficient (its RSS is rounding noise
-    and its BIC would rank first); its criteria and ``fit`` come from that
-    fit.  A grouped candidate's ``fit`` is built when first read.  A
-    non-finite panel value that reaches a design raises InvalidInputError
-    instead of skipping the candidate.
+    pattern are computed once per call, and so is the first stage that is
+    empty for some node: only the candidates that reach it are checked for
+    their inadmissible message.  Every candidate with more rows than
+    parameters is grouped with those that share its lag order and row mask,
+    a group of one included, and one search-level solve serves every group
+    (see :func:`~gnarlib.gnar_core._search_solve`): one gather of every
+    column the groups use, one QR of the rows all groups keep, one batched
+    QR that adds each group's other rows, and one batched subset QR that
+    gives each candidate's RSS.  A candidate whose rank is in doubt, with no
+    more rows than parameters, or in a node-specific group where a node has
+    fewer rows than lags, takes the standalone fit, which names the
+    dependent columns of a singular design and skips a saturated one as
+    insufficient (its RSS is rounding noise and its BIC would rank first);
+    its criteria and ``fit`` come from that fit.  A grouped candidate's
+    ``fit`` is built when first read.  A non-finite panel value that reaches
+    a design raises InvalidInputError instead of skipping the candidate.
     """
     if criterion not in ("bic", "aic"):
         raise InvalidInputError("criterion must be 'bic' or 'aic'")
@@ -249,23 +255,25 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
         status = next(v for k, v in _SKIP_STATUS.items() if isinstance(exc, k))
         return CandidateResult(order, scheme.kind, global_alpha, status, str(exc))
 
+    # the first stage that is empty for some node: the orders that reach it
+    # are inadmissible, and only they need _validate_stages for its message
+    first_empty = 1 + int(np.argmin(np.append(weights.stack.any(axis=2).all(axis=1), False)))
     results: dict[GnarOrder, CandidateResult] = {}
     specs: list[GnarSpec] = []
     groups: dict[tuple[int, int], list[GnarSpec]] = {}
     for order in grid:
-        try:
-            _validate_stages(order, weights, panel.labels)
-        except ModelInadmissibleError as exc:
-            results[order] = skipped(order, exc)
-            continue
+        if order.max_stage >= first_empty:
+            try:
+                _validate_stages(order, weights, panel.labels)
+            except ModelInadmissibleError as exc:
+                results[order] = skipped(order, exc)
+                continue
         specs.append(spec := GnarSpec(order, global_alpha, scheme))
         rows = (T - order.p) * n      # stacked rows before the mask
         dropped = dropped_rows(order) if rows > 0 else 0
         if rows - dropped.bit_count() > spec.n_params(n):
             groups.setdefault((order.p, dropped), []).append(spec)
-    solved = {}
-    for group in groups.values():
-        solved.update(_group_solve(planes, group))
+    solved = _search_solve(planes, list(groups.values())) if groups else {}
     for spec in specs:
         order = spec.order
         build = functools.partial(_fit_planes, planes, spec, panel.labels, weights)

@@ -531,3 +531,30 @@ def var_residual_covariance_loop(values: np.ndarray, p: int) -> np.ndarray:
         for b in range(n):
             sigma[a, b] = sum(x * y for x, y in zip(resid[a], resid[b])) / len(times)
     return sigma
+
+
+def mase_loop(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray):
+    """MASE node by node: each scale is the mean of the node's observed absolute
+    one-lag changes.  Returns (entries, per-node mean, per-node std, overall
+    mean, undefined node indices); a node with no scored entry gets NaN."""
+    n = actual.shape[0]
+    entries = np.full(actual.shape, np.nan)
+    per_mean = np.full(n, np.nan)
+    per_std = np.full(n, np.nan)
+    undefined = []
+    with np.errstate(invalid="ignore"):
+        for i in range(n):
+            steps = np.abs(np.diff(history[i]))
+            steps = steps[~np.isnan(steps)]
+            if steps.size == 0 or float(np.mean(steps)) == 0.0:
+                undefined.append(i)
+                continue
+            scale = float(np.mean(steps))
+            err = np.abs(actual[i] - predicted[i])
+            entries[i] = err / scale
+            if not np.isnan(err).all():
+                per_mean[i] = float(np.nanmean(err)) / scale
+                per_std[i] = float(np.nanstd(entries[i]))
+    defined = ~np.isnan(per_mean)
+    overall = float(np.mean(per_mean[defined])) if defined.any() else math.nan
+    return entries, per_mean, per_std, overall, undefined

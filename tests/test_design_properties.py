@@ -27,13 +27,14 @@ from gnarlib.gnar_core import (
     GnarOrder,
     GnarSpec,
     WeightScheme,
+    _gaussian_criteria,
     build_design,
     compute_weights,
     fit,
     fit_egls,
     fit_ols,
 )
-from gnarlib.selection import order_grid, select_model
+from gnarlib.selection import OrderGrid, order_grid, select_model
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -166,14 +167,14 @@ def missing_cell_panels(draw):
 def test_grouped_selection_equals_standalone_fits_with_missing_cells(global_alpha, case):
     g, panel, scheme = case
     grid = order_grid(3, R_MAX)
-    grouped, real = {}, selection._group_solve
+    grouped, real = {}, selection._search_solve
 
-    def spy(planes, specs):
-        out = real(planes, specs)
+    def spy(planes, groups):
+        out = real(planes, groups)
         grouped.update(out)
         return out
 
-    with mock.patch.object(selection, "_group_solve", spy):
+    with mock.patch.object(selection, "_search_solve", spy):
         try:
             report = select_model(panel, g, scheme, grid, global_alpha=global_alpha)
         except SelectionFailedError:
@@ -214,17 +215,82 @@ def test_group_solve_serves_every_grouped_candidate_of_a_clean_panel(global_alph
     # the standalone fit, and the search would still rank them the same
     g = ring_graph(7)
     panel = make_panel(np.random.default_rng(5).normal(size=(7, 40)), labels=g.labels)
-    calls, real = [], selection._group_solve
+    calls, real = [], selection._search_solve
 
-    def spy(planes, specs):
-        out = real(planes, specs)
-        calls.append((set(out), {spec.order for spec in specs}))
+    def spy(planes, groups):
+        out = real(planes, groups)
+        calls.append((set(out), {spec.order for specs in groups for spec in specs}))
         return out
 
-    with mock.patch.object(selection, "_group_solve", spy):
+    with mock.patch.object(selection, "_search_solve", spy):
         select_model(panel, g, WeightScheme("uniform"), order_grid(3, R_MAX),
                      global_alpha=global_alpha)
     assert calls and all(served == grouped for served, grouped in calls)
+
+
+# group unions that do not nest: stage 3 at lag 1 beside stages (1, 1) at lag 2
+UNNESTED = OrderGrid(candidates=(GnarOrder(1, (1,)), GnarOrder(1, (3,)), GnarOrder(2, (1, 0)),
+                                 GnarOrder(2, (1, 1))), p_max=2, s_max=3)
+
+
+@st.composite
+def search_cases(draw):
+    """A graph, a panel, a scheme and a grid for one search: missing cells
+    under the paper's grid or an unnested one; a ring panel whose two groups
+    keep disjoint rows, so no row is common to all groups; or a panel with one
+    node observed in runs of three dates, so it has fewer rows than p = 3
+    but enough for p = 1 and 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cells", "disjoint", "short"]))
+    if kind == "cells":
+        g, panel, scheme = draw(missing_cell_panels())
+        return g, panel, scheme, draw(st.sampled_from([order_grid(3, R_MAX), UNNESTED]))
+    if kind == "disjoint":
+        # per period of five dates: all missing, all observed, then one node
+        # missing on each of three dates.  GNAR(1,[2]) needs every node at t - 1
+        # and GNAR(2,[0,0]) three own dates in a row, never both
+        g, T = ring_graph(5), 5 * draw(st.integers(5, 8))
+        values = rng.normal(size=(5, T))
+        for k, start in enumerate(range(0, T, 5)):
+            values[:, start] = np.nan
+            for d in range(3):
+                values[(k + d) % 5, start + 2 + d] = np.nan
+        grid = OrderGrid(candidates=(GnarOrder(1, (2,)), GnarOrder(2, (0, 0))), p_max=2, s_max=2)
+        return g, make_panel(values, labels=g.labels), WeightScheme("uniform"), grid
+    n = draw(st.integers(3, 6))
+    g = random_connected_graph(n, rng, extra_edges=draw(st.integers(0, 2)))
+    T = draw(st.integers(24, 40))
+    values = rng.normal(size=(n, T))
+    runs = np.zeros(T, dtype=bool)
+    for start in range(0, T - 2, 5):
+        runs[start:start + 3] = True
+    values[draw(st.integers(0, n - 1)), ~runs] = np.nan
+    return g, make_panel(values, labels=g.labels), WeightScheme("uniform"), order_grid(3, 1)
+
+
+@PROPERTY
+@given(search_cases())
+@pytest.mark.parametrize("global_alpha", [True, False])
+def test_every_served_candidate_equals_its_standalone_fit(global_alpha, case):
+    g, panel, scheme, grid = case
+    served, real = {}, selection._search_solve
+
+    def spy(planes, groups):
+        out = real(planes, groups)
+        served.update(out)
+        return out
+
+    with mock.patch.object(selection, "_search_solve", spy):
+        try:
+            select_model(panel, g, scheme, grid, global_alpha=global_alpha)
+        except SelectionFailedError:
+            pass
+    for order, (gamma, rss, n_obs, M) in served.items():
+        alone = fit(panel, g, GnarSpec(order, global_alpha, scheme))
+        scale = max(1.0, float(np.max(np.abs(alone.gamma))))
+        assert np.max(np.abs(gamma - alone.gamma)) <= 1e-12 * scale
+        assert (n_obs, M) == (alone.n_obs, alone.M)
+        assert _gaussian_criteria(rss, n_obs, M)[2] == pytest.approx(alone.bic, rel=1e-12, abs=0)
 
 
 @PROPERTY

@@ -5,9 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_panel, path_graph, star_graph
-from oracles import morans_i_bruteforce
+from oracles import mase_loop, morans_i_bruteforce
 
 from gnarlib.errors import InvalidInputError, UndefinedStatisticError
 from gnarlib.diagnostics import (
@@ -89,6 +91,32 @@ def test_mase_node_without_a_scored_entry_is_nan_and_warns_nothing():
     assert np.array_equal(res.entries[0], alone.entries[0])
     assert (res.per_node_mean[0], res.per_node_std[0], res.overall_mean) == (
         alone.per_node_mean[0], alone.per_node_std[0], alone.overall_mean)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 30), st.integers(1, 6),
+       st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+def test_mase_by_column_equals_the_node_loop(seed, n, T, H, gaps):
+    # bit for bit on a gapless history; with gaps the scale sums its steps in
+    # another order, so within 1e-15
+    rng = np.random.default_rng(seed)
+    history = rng.normal(size=(n, T))
+    history[rng.uniform(size=n) < 0.2] = 1.5                 # constant nodes
+    history[rng.uniform(size=(n, T)) < gaps * 0.5] = np.nan
+    actual, predicted = rng.normal(size=(2, n, H))
+    actual[rng.uniform(size=(n, H)) < gaps * 0.3] = np.nan
+    predicted[rng.uniform(size=n) < 0.2] = np.nan             # nodes with no scored entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = mase(actual, predicted, history)
+    entries, per_mean, per_std, overall, undefined = mase_loop(actual, predicted, history)
+    assert res.undefined_nodes == tuple(f"v{i}" for i in undefined)
+    got = (res.entries, res.per_node_mean, res.per_node_std, np.array(res.overall_mean))
+    for a, b in zip(got, (entries, per_mean, per_std, np.array(overall))):
+        if np.isnan(history).any():
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
+        else:
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -177,14 +177,15 @@ _BUILT = ("compute_weights", "_hop_matrix", "_design_from_planes", "estimate_sig
 # argv, exit code, then the calls of each of _BUILT.  A plain simulate builds
 # its weight stack twice (the simulation and the stationarity check); with
 # --refit the check reads the refit's stack.  EGLS refuses a panel too short
-# for its covariance before it cuts a design.
+# for its covariance before it cuts a design.  A search cuts no design: one
+# gather of every column its groups use serves them all.
 BUILDS = {
     "fit": (f"fit {_MODEL} --p 1 --s 1 --out {{o}}/f.json", 0, (1, 1, 1, 0)),
     "fit egls": (f"fit {_MODEL} --p 1 --s 1 --method egls --out {{o}}/f.json", 0, (1, 1, 1, 1)),
     "fit egls, too short": (f"fit {_MODEL} --p 5 --s 1,1,1,1,1 --method egls --out {{o}}/f.json",
                             1, (1, 1, 0, 1)),
     "forecast": (f"forecast {_MODEL} --p 1 --s 1 --holdout 5 --out-dir {{o}}", 0, (1, 1, 1, 0)),
-    "select": (f"select {_MODEL} --pmax 2 --smax 1 --out {{o}}/rep", 0, (1, 1, 2, 0)),
+    "select": (f"select {_MODEL} --pmax 2 --smax 1 --out {{o}}/rep", 0, (1, 1, 0, 0)),
     "diagnose moran": (f"diagnose moran {_MODEL} --R 20 --out {{o}}/m", 0, (0, 1, 0, 0)),
     "simulate": (f"{_SIM} --out-dir {{o}}", 0, (2, 1, 0, 0)),
     "simulate --refit": (f"{_SIM} --refit --out-dir {{o}}", 0, (2, 1, 1, 0)),

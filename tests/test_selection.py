@@ -187,20 +187,22 @@ def test_saturated_candidate_is_skipped_as_insufficient():
 
 
 def spy_search(monkeypatch):
-    """Record each group passed to the group solve (its orders and the ones
+    """Record each group passed to the search solve (its orders and the ones
     it served) and each order the standalone fit runs for."""
     groups, fits = [], []
 
-    def group_solve(planes, specs):
-        solved = gnar_core._group_solve(planes, specs)
-        groups.append(([spec.order for spec in specs], set(solved)))
+    def search_solve(planes, specs_by_group):
+        solved = gnar_core._search_solve(planes, specs_by_group)
+        for specs in specs_by_group:
+            orders = [spec.order for spec in specs]
+            groups.append((orders, set(solved) & set(orders)))
         return solved
 
     def fit_planes(planes, spec, *args):
         fits.append(spec.order)
         return gnar_core._fit_planes(planes, spec, *args)
 
-    monkeypatch.setattr(selection, "_group_solve", group_solve)
+    monkeypatch.setattr(selection, "_search_solve", search_solve)
     monkeypatch.setattr(selection, "_fit_planes", fit_planes)
     return groups, fits
 
@@ -232,10 +234,36 @@ def test_every_candidate_with_enough_rows_is_solved_in_its_group(monkeypatch, gl
     assert {c.order for c in report.ranked()} <= set().union(*(o for _, o in groups))
 
 
+@pytest.mark.parametrize("global_alpha, factorisations", [(True, {"qr": 3, "inv": 1}),
+                                                          (False, {"qr": 4, "inv": 2})])
+def test_a_search_factorises_as_often_for_two_groups_as_for_eight(monkeypatch, global_alpha,
+                                                                  factorisations):
+    # dense: the common rows, the group batch, the subset batch, and one R^-1;
+    # node-specific: the common rows per node, the group batch and its stacked
+    # R_B, the subset batch, and R^-1 beside the per-node R_A^-1
+    g = ring_graph(26)
+    panel = make_panel(np.random.default_rng(9).normal(size=(26, 60)), labels=g.labels)
+    groups, fits = spy_search(monkeypatch)
+    for grid, n_groups in ((order_grid(2, 1), 2), (order_grid(8, 1), 8)):
+        groups.clear()
+        calls = dict.fromkeys(factorisations, 0)
+        with monkeypatch.context() as m:
+            for name in calls:
+                def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+                m.setattr(np.linalg, name, counted)
+            report = select_model(panel, g, WeightScheme("uniform"), grid,
+                                  global_alpha=global_alpha)
+        assert len(groups) == n_groups and fits == []
+        assert all(c.status == "ok" for c in report.candidates)
+        assert calls == factorisations
+
+
 @pytest.mark.parametrize("global_alpha", [True, False])
 def test_candidates_whose_grouped_rank_is_in_doubt_keep_their_standalone_fit(monkeypatch,
                                                                              global_alpha):
-    # a huge margin puts every group solve in doubt: each candidate then takes
+    # a huge margin puts every candidate of the search solve in doubt: each then takes
     # the standalone fit (and its pivoted QR), which must rank them alike
     g = ring_graph(6)
     values = sim_panel(GnarOrder(2, (1, 0)), np.array([0.3, -0.2]),
