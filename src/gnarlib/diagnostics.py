@@ -104,7 +104,8 @@ def mase(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray,
     the naive one-lag forecast evaluated over the whole series score exactly
     1.  A node whose history never changes has zero scale; it is flagged
     and left out of the overall mean.  A node with no scored entry gets a
-    NaN mean and std and is left out of the overall mean too.
+    NaN mean and std and is left out of the overall mean too.  NaN marks a
+    missing value; an infinite one is an error naming its node.
     """
     actual = np.atleast_2d(np.asarray(actual, dtype=float))
     predicted = np.atleast_2d(np.asarray(predicted, dtype=float))
@@ -117,6 +118,8 @@ def mase(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray,
         raise InvalidInputError("history needs at least 2 observations")
     n = actual.shape[0]
     labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
+    for values in (actual, predicted, history):
+        _reject_infinite(zip(labels, values))
 
     def row_mean(a):    # nanmean's arithmetic by row, NaN for a row with no value
         seen = ~np.isnan(a)
@@ -196,7 +199,8 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 
     observed nodes or a constant cross-section are skipped and reported.
     ``n_m`` is the fraction of tested dates whose observed value falls
     outside its band.  Missing nodes are excluded from both the statistic
-    and the permutation support of their date.
+    and the permutation support of their date; an infinite value is an
+    error naming its node.
 
     Replicate r of date index t permutes the date's present nodes by
     ``default_rng([seed, t, r]).permutation``, drawn as the module notes say.
@@ -206,6 +210,7 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 
     _check_seed(seed)
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError("panel and graph label order differ")
+    _reject_infinite(zip(panel.labels, panel.values))
     T = panel.n_times
     observed = np.full(T, np.nan)
     lower = np.full(T, np.nan)

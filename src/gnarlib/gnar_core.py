@@ -22,12 +22,15 @@ node-specific alpha, from eliminating each node's own-lag block (one batched
 QR over nodes) without forming the zero-filled N*p alpha columns.  A QR of
 column subsets of that R gives each subset's coefficients, standard errors,
 RSS and a bound on the smallest singular value.  A standalone fit is the
-all-columns subset of a stack of one.  A model search groups each candidate
-with more rows than parameters by lag order and row mask, and factorises
-once for all groups: one QR of the rows every group keeps stands in for
-them in each group's R, one batched QR adds each group's other rows, and
-one batched subset QR serves every candidate; the others, and those whose
-rank is in doubt, take the standalone fit.  A design whose rank is in doubt goes to one
+all-columns subset of a stack of one.  A model search hands its admissible
+candidates to one solve, which reads each candidate's kept rows off one
+gather of the columns, sets aside those with no more rows than parameters
+(or, for node-specific alpha, with a node that has fewer rows than lags),
+groups the rest by lag order and kept rows, and factorises once for all
+groups: one QR of the rows every group keeps stands in for them in each
+group's R, one batched QR adds each group's other rows, and one batched
+subset QR serves every candidate; those set aside, and those whose rank is
+in doubt, take the standalone fit.  A design whose rank is in doubt goes to one
 pivoted QR, which names the dependent columns; it is the only step that
 loads ``scipy.linalg``, and the rank rule is one function for every
 least-squares problem.  The restriction matrix maps the M free parameters
@@ -65,7 +68,7 @@ from .errors import (
     _check_seed,
 )
 from . import geo_graph
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, _reject_infinite
 
 
 # ---------------------------------------------------------------------------
@@ -547,24 +550,17 @@ def _dense_r(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     return factors[0] if len(factors) == 1 else np.linalg.qr(np.concatenate(factors), mode="r")
 
 
-def _node_r(r: np.ndarray, p: int) -> np.ndarray:
-    """R_B of node factors: ``r[..., i, :, :]`` is the R of node i's rows
-    [A_i B_i y_i] (own lags, beta regressors, response), whose top p rows are
-    R_Ai, Q_i'B_i and Q_i'y_i and whose rows below are [B_i y_i] projected
-    off A_i.  Those rows stacked over nodes get one QR, one per leading index
-    of the (designs, nodes, rows, columns) stack."""
-    return np.linalg.qr(r[..., p:, p:].reshape(len(r), -1, r.shape[-1] - p), mode="r")
-
-
-def _subset_solve(r: np.ndarray, src: np.ndarray, p: int, group: np.ndarray,
-                  use: np.ndarray, n_obs: np.ndarray
-                  ) -> list[Optional[tuple[np.ndarray, np.ndarray, float]]]:
+def _subset_solve(r: np.ndarray, p: int, group: np.ndarray, use: np.ndarray,
+                  n_obs: np.ndarray) -> list[Optional[tuple[np.ndarray, np.ndarray, float]]]:
     """Least squares for column subsets of a stack of designs: all-subsets
-    regression in QR form.  ``src[g]`` is design g's R factor, dense
-    (:func:`_dense_r`, ``r`` itself) or the R_B of :func:`_node_r` for
-    node-specific alpha, with the response last; subset k takes the columns
-    ``use[k]`` of design ``group[k]``, which has ``n_obs[k]`` rows.  As Q is
-    orthonormal, a subset's R is the QR of that R's columns [cols y] and its
+    regression in QR form.  ``r[g]`` is design g's R factor with the response
+    last: dense (:func:`_dense_r`) when p = 0, else one per node, where
+    ``r[g, i]`` is the R of node i's rows [A_i B_i y_i] (own lags, beta
+    regressors, response).  Its top p rows are R_Ai, Q_i'B_i and Q_i'y_i, and
+    its rows below, [B_i y_i] projected off A_i, stacked over nodes take one
+    QR per design, R_B.  Subset k takes the columns ``use[k]`` of design
+    ``group[k]``, which has ``n_obs[k]`` rows.  As Q is orthonormal, a
+    subset's R is the QR of the dense R's (or R_B's) columns [cols y] and its
     RSS the last diagonal squared.  One stacked numpy QR serves all subsets:
     a narrower one is widened by unit columns on extra rows, which add a unit
     block to R and change none of its own entries.  R^-1 Q'y is gamma and
@@ -577,6 +573,7 @@ def _subset_solve(r: np.ndarray, src: np.ndarray, p: int, group: np.ndarray,
     norms of R_A^-1 and R_A^-1 Q_A'B R_B^-1 for alpha and of R_B^-1 for
     beta.  Returns (gamma, cov_diag, rss) per subset, or None where the
     rank is not clear; an RSS that overflows is refused (InvalidInputError)."""
+    src = np.linalg.qr(r[..., p:, p:].reshape(len(r), -1, r.shape[-1] - p), mode="r") if p else r
     own, subsets = use[:, :p], use[:, p:]
     widths = subsets.sum(axis=1)
     k, w, count = src.shape[-2], int(widths.max()), len(use)
@@ -632,7 +629,6 @@ def _least_squares(design: np.ndarray | NodeDesign, response: np.ndarray,
     finds the rank not clear or a node has fewer than p rows."""
     if not isinstance(design, NodeDesign):
         p, r = 0, _dense_r(design, response)[None]
-        src = r
     else:
         own, other, nodes, n = design.own, design.beta, design.nodes, design.n
         p = own.shape[1]
@@ -645,35 +641,33 @@ def _least_squares(design: np.ndarray | NodeDesign, response: np.ndarray,
         if np.bincount(nodes, minlength=n).min() < p:
             return _qr_solve(_wide(design), response, names)
         r = np.linalg.qr(blocks, mode="r")     # one batched QR over nodes
-        src = _node_r(r, p)
     use = np.ones((1, r.shape[-1] - 1), dtype=bool)
-    solved = _subset_solve(r, src, p, np.zeros(1, dtype=int), use, np.array([len(response)]))[0]
+    solved = _subset_solve(r, p, np.zeros(1, dtype=int), use, np.array([len(response)]))[0]
     return solved[:2] if solved is not None else _qr_solve(_wide(design), response, names)
 
 
-def _search_solve(planes: np.ndarray, groups: Sequence[Sequence[GnarSpec]]
+def _search_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
                   ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int]]:
-    """Least squares for every group of one model search, in one alpha mode.
-    A group holds orders of one lag p that keep the same stacked rows, each
-    with more rows than parameters, as every fit needs.  Stage sets are
-    prefixes, so the union of a group's beta columns is the design of its
-    elementwise-largest stage vector, and each order is a column subset of it.
-    One gather cuts every column any group uses, (plane r, lag j), from the
-    planes; it has the same value at row (i, t) in every group that uses it.
-    So one QR of the rows every group keeps, over all those columns (per node
-    for node-specific alpha), stands in for those rows in every group: one
-    batched QR of each group's columns of that R over the group's other rows
-    gives each group's R, widened to a common layout by unit columns (own
-    lags beyond the group's p among them), and one :func:`_subset_solve`
-    serves every order, except those of a group in which a node has fewer
-    rows than p.  Returns {order: (gamma, rss, n_obs, M)} for the orders whose
-    rank is clear; the rest take the standalone fit."""
+    """Least squares for the admissible orders of one model search, in one
+    alpha mode.  One gather cuts every column an order uses, (plane r, lag j),
+    from the planes; it has the same value at row (i, t) for every order that
+    uses it, and its NaN pattern gives each order's kept rows: t >= p, with
+    the response and every column observed.  An order with no more rows than
+    parameters, or, for node-specific alpha, with a node that has fewer rows
+    than p, is not served: the standalone fit decides it.  The rest are
+    grouped by lag order and kept rows.  Stage sets are prefixes, so the
+    union of a group's columns is the design of its elementwise-largest stage
+    vector, and each order is a column subset of it.  One QR of the rows
+    every group keeps, over all columns (per node for node-specific alpha),
+    stands in for those rows in every group: one batched QR of each group's
+    columns of that R over the group's other rows gives each group's R,
+    widened to a common layout by unit columns (own lags beyond the group's p
+    among them), and one :func:`_subset_solve` serves every grouped order.
+    Returns {order: (gamma, rss, n_obs, M)} for the served orders whose rank
+    is clear; the rest take the standalone fit."""
     _, T, n = planes.shape
-    node = not groups[0][0].global_alpha
-    specs = [spec for g in groups for spec in g]
-    sizes = [len(g) for g in groups]
-    group = np.repeat(np.arange(len(groups)), sizes)
-    lags = np.array([g[0].order.p for g in groups])
+    node = not specs[0].global_alpha
+    lags = np.array([spec.order.p for spec in specs])
     big, low = int(lags.max()), int(lags.min())
     stages = np.array([spec.order.s + (0,) * (big - spec.order.p) for spec in specs])
     # own lags 1..big, every (plane r, lag j) an order uses, lag-major, then the
@@ -681,20 +675,31 @@ def _search_solve(planes: np.ndarray, groups: Sequence[Sequence[GnarSpec]]
     layout = [(0, j) for j in range(1, big + 1)] + [
         (r, j) for j, top in enumerate(stages.max(axis=0), 1) for r in range(1, top + 1)] + [(0, 0)]
     plane, lag = np.array(layout).T
-    width = len(layout) - 1
-
-    def columns(p, s):
-        return np.where(plane == 0, lag <= p[:, None], plane <= s[:, lag - 1])
-
-    real = columns(lags, np.maximum.reduceat(stages, np.cumsum(sizes) - sizes))
-    use = columns(lags[group], stages)[:, :-1]
+    use = np.where(plane == 0, lag <= lags[:, None], plane <= stages[:, lag - 1])
     times = np.arange(low, T)
-    # rows t < j wrap around, and no group that uses column (r, j) keeps them
-    lagged = planes[plane[:, None], times - lag[:, None]]
-    missing = np.isnan(lagged).reshape(width + 1, -1).astype(float)
-    keep = (real @ missing == 0).reshape(len(real), -1, n) & (times[:, None] >= lags[:, None, None])
-    # a group in which a node has fewer rows than p is solved as an identity and not served
-    short = node & (keep.sum(axis=1) < lags[:, None]).any(axis=1)
+    # rows t < j wrap around (an order may be longer than the panel), and no
+    # order that uses column (r, j) keeps them
+    lagged = planes[plane[:, None], (times - lag[:, None]) % T]
+    missing = np.isnan(lagged).reshape(len(layout), -1).astype(float)
+    keep = (use @ missing == 0).reshape(len(specs), -1, n) & (times[:, None] >= lags[:, None, None])
+    per_node = keep.sum(axis=1)
+    n_obs = per_node.sum(axis=1)
+    enough = (n_obs > [s.n_params(n) for s in specs]) & ~(node & (per_node < lags[:, None]).any(1))
+    groups: dict[tuple[int, bytes], list[int]] = {}
+    for k, mask in zip(np.flatnonzero(enough), np.packbits(keep[enough], axis=-1)):
+        groups.setdefault((lags[k], mask.tobytes()), []).append(k)
+    if not groups:
+        return {}
+    sizes = [len(g) for g in groups.values()]
+    served = [k for g in groups.values() for k in g]
+    group = np.repeat(np.arange(len(groups)), sizes)
+    # the layout of the served orders alone: a column only unserved orders use
+    # may be NaN on the rows every group keeps
+    live = use[served].any(axis=0)
+    use, lagged = use[served][:, live], lagged[live]
+    width, big = len(use[0]) - 1, lags[served].max()
+    real = np.logical_or.reduceat(use, np.cumsum(sizes) - sizes)
+    keep = keep[[g[0] for g in groups.values()]]
     common = keep.all(axis=0)
     blocks = n if node else 1       # row blocks: one per node, or all rows in one
     lagged = lagged.reshape(width + 1, -1, blocks)
@@ -724,18 +729,16 @@ def _search_solve(planes: np.ndarray, groups: Sequence[Sequence[GnarSpec]]
         mine = (lo <= b) & (b < hi)
         x[g[mine], b[mine] - lo, height + slot[mine]] = data[mine]
         x[:, :, depth + np.arange(width), np.arange(width)] = ~real[:, None, :-1]   # unit columns
-        x[short] = np.eye(depth + width, width + 1)
         _require_finite(x)
         return np.linalg.qr(x, mode="r")
 
     # whole row blocks per QR, at most _QR_ROWS rows of a group where blocks allow
     step = max(1, _QR_ROWS // (depth + width))
     r = np.concatenate([factor(lo, lo + step) for lo in range(0, blocks, step)], axis=1)
-    r, src = (r, _node_r(r, big)) if node else (r[:, 0],) * 2
-    n_obs = keep.sum(axis=(1, 2))[group]
-    solved = _subset_solve(r, src, big if node else 0, group, use, n_obs)
-    return {spec.order: (s[0], s[2], int(m), len(s[0]))
-            for spec, s, m, k in zip(specs, solved, n_obs, group) if s is not None and not short[k]}
+    solved = _subset_solve(r if node else r[:, 0], big if node else 0, group,
+                           use[:, :-1], n_obs[served])
+    return {specs[k].order: (s[0], s[2], int(n_obs[k]), len(s[0]))
+            for k, s in zip(served, solved) if s is not None}
 
 
 _OVERFLOW = "the residual sum of squares overflows; rescale the data"
@@ -1014,10 +1017,10 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
     follow the model recursion with i.i.d. N(0, sigma^2) innovations.
     ``burn_in`` extra leading columns are generated and discarded.  Output
     is deterministic given the seed.  ``sigma`` is a standard deviation;
-    sigma=0 (or -0.0) gives the deterministic recursion.  alpha, beta, sigma
-    and init_mean must be finite, and a run that overflows to +-inf (an
-    explosive recursion, or initial draws past the float range) raises
-    InvalidInputError naming the first such step.
+    sigma=0 (or -0.0) gives the deterministic recursion.  alpha, beta, sigma,
+    init_mean and init_values must be finite, and a run that overflows to
+    +-inf (an explosive recursion, or initial draws past the float range)
+    raises InvalidInputError naming the first such step.
     """
     order = spec.order
     p = order.p
@@ -1033,7 +1036,8 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
     beta = [np.asarray(b, dtype=float) for b in beta]
     if len(beta) != p or any(len(b) != sj for b, sj in zip(beta, order.s)):
         raise InvalidInputError("beta shapes do not match the order's stage counts")
-    _check_finite(alpha=alpha, beta=np.concatenate(beta), sigma=sigma, init_mean=init_mean)
+    _check_finite(alpha=alpha, beta=np.concatenate(beta), sigma=sigma, init_mean=init_mean,
+                  init_values=() if init_values is None else init_values)
 
     weights = _weight_stack(g, order.max_stage, spec.scheme)
     _validate_stages(order, weights, g.labels)
@@ -1076,12 +1080,14 @@ def forecast(fit: GnarFit, panel: TimeSeriesPanel, horizon: int,
     after the end of ``panel``, feeding its own predictions forward.  Both
     agree at horizon 1 when the rolling panel extends the recursive one by
     the single evaluated column.  Returns an N x horizon array; predictions
-    with missing operands are NaN.
+    with missing operands are NaN.  An infinite panel value is an error
+    naming its node.
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     if tuple(panel.labels) != tuple(fit.labels):
         raise InvalidInputError("panel labels do not match the fitted model")
+    _reject_infinite(zip(panel.labels, panel.values))
     if fit.weight_set is None:
         raise InvalidInputError("fit carries no weights; refit via fit()/fit_ols "
                                 "with weight_set to enable forecasting")

@@ -9,12 +9,15 @@ cap itself usually comes from Schwert's rule.
 The search fits every admissible candidate on the same panel and ranks by
 BIC (or AIC); candidates whose stages are empty somewhere, or whose designs
 are singular or too short, are recorded as skipped rather than failing the
-whole search.  The AR baseline is the no-network case, node-specific
-GNAR(p, [0, ..., 0]): each node's series is fitted on its own lags only,
-through the same ``fit_ols`` under the same rows > parameters rule, rank
-rule and criteria, which keeps the network-vs-no-network comparison
-meaningful.  It takes one fit of all nodes per lag order; a node is fitted
-alone only when that fit is refused.
+whole search.  The search checks stages and ranks; which rows each
+candidate keeps, which candidates share a design and which are too short
+for the shared solve is decided in one place, ``gnar_core._search_solve``.
+The AR baseline is the no-network case, node-specific GNAR(p, [0, ..., 0]):
+each node's series is fitted on its own lags only, through the same
+``fit_ols`` under the same rows > parameters rule, rank rule and criteria,
+which keeps the network-vs-no-network comparison meaningful.  It takes one
+fit of all nodes per lag order; a node is fitted alone only when that fit
+is refused.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .gnar_core import (
     WeightScheme,
     _fit_planes,
     _gaussian_criteria,
-    _lag_columns,
     _search_solve,
     _stage_planes,
     _validate_stages,
@@ -211,23 +213,23 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
     and too-short panels are recorded as skipped with their reason; the
     search only fails when nothing at all could be fitted.  Candidates with
     longer lags use fewer stacked rows and are compared on their own n_obs.
-    The regressor planes (the panel and its stage sums) and their NaN
-    pattern are computed once per call, and so is the first stage that is
-    empty for some node: only the candidates that reach it are checked for
-    their inadmissible message.  Every candidate with more rows than
-    parameters is grouped with those that share its lag order and row mask,
-    a group of one included, and one search-level solve serves every group
-    (see :func:`~gnarlib.gnar_core._search_solve`): one gather of every
-    column the groups use, one QR of the rows all groups keep, one batched
-    QR that adds each group's other rows, and one batched subset QR that
-    gives each candidate's RSS.  A candidate whose rank is in doubt, with no
-    more rows than parameters, or in a node-specific group where a node has
-    fewer rows than lags, takes the standalone fit, which names the
-    dependent columns of a singular design and skips a saturated one as
-    insufficient (its RSS is rounding noise and its BIC would rank first);
-    its criteria and ``fit`` come from that fit.  A grouped candidate's
-    ``fit`` is built when first read.  A non-finite panel value that reaches
-    a design raises InvalidInputError instead of skipping the candidate.
+    The regressor planes (the panel and its stage sums) are computed once
+    per call, and so is the first stage that is empty for some node: only
+    the candidates that reach it are checked for their inadmissible message.
+    Every other candidate goes to one search-level solve (see
+    :func:`~gnarlib.gnar_core._search_solve`), which finds each candidate's
+    kept rows, groups those with more rows than parameters by lag order and
+    kept rows, and serves every group at once: one gather of every column
+    the candidates use, one QR of the rows all groups keep, one batched QR
+    that adds each group's other rows, and one batched subset QR that gives
+    each candidate's RSS.  A candidate it does not serve (rank in doubt, no
+    more rows than parameters, or a node with fewer rows than lags under
+    node-specific alpha) takes the standalone fit, which names the dependent
+    columns of a singular design and skips a saturated one as insufficient
+    (its RSS is rounding noise and its BIC would rank first); its criteria
+    and ``fit`` come from that fit.  A served candidate's ``fit`` is built
+    when first read.  A non-finite panel value that reaches a design raises
+    InvalidInputError instead of skipping the candidate.
     """
     if criterion not in ("bic", "aic"):
         raise InvalidInputError("criterion must be 'bic' or 'aic'")
@@ -238,18 +240,6 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
 
     weights = _weight_stack(g, max(c.max_stage for c in grid), scheme)
     planes = _stage_planes(panel.values, weights, weights.r_max)
-    _, T, n = planes.shape
-    # each plane's NaN pattern as one integer, bit t * N + i for cell (i, t)
-    nan_bits = [int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
-                for m in np.isnan(planes)]
-
-    def dropped_rows(order):
-        """The stacked rows of ``order`` that miss a value, as a bit mask."""
-        p = order.p
-        out = nan_bits[0] >> p * n
-        for r, j in _lag_columns(order):
-            out |= nan_bits[r] >> (p - j) * n
-        return out & ((1 << (T - p) * n) - 1)
 
     def skipped(order, exc):
         status = next(v for k, v in _SKIP_STATUS.items() if isinstance(exc, k))
@@ -260,7 +250,6 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
     first_empty = 1 + int(np.argmin(np.append(weights.stack.any(axis=2).all(axis=1), False)))
     results: dict[GnarOrder, CandidateResult] = {}
     specs: list[GnarSpec] = []
-    groups: dict[tuple[int, int], list[GnarSpec]] = {}
     for order in grid:
         if order.max_stage >= first_empty:
             try:
@@ -268,19 +257,15 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
             except ModelInadmissibleError as exc:
                 results[order] = skipped(order, exc)
                 continue
-        specs.append(spec := GnarSpec(order, global_alpha, scheme))
-        rows = (T - order.p) * n      # stacked rows before the mask
-        dropped = dropped_rows(order) if rows > 0 else 0
-        if rows - dropped.bit_count() > spec.n_params(n):
-            groups.setdefault((order.p, dropped), []).append(spec)
-    solved = _search_solve(planes, list(groups.values())) if groups else {}
+        specs.append(GnarSpec(order, global_alpha, scheme))
+    solved = _search_solve(planes, specs) if specs else {}
     for spec in specs:
         order = spec.order
         build = functools.partial(_fit_planes, planes, spec, panel.labels, weights)
         if order in solved:
             _, rss, n_obs, M = solved[order]
             _, loglik, bic, aic = _gaussian_criteria(rss, n_obs, M)
-        else:   # rank in doubt or too few rows: the standalone fit decides
+        else:   # not served by the search solve: the standalone fit decides
             try:
                 fitted = build()
             except (SingularDesignError, InsufficientDataError) as exc:

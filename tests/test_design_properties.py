@@ -217,9 +217,9 @@ def test_group_solve_serves_every_grouped_candidate_of_a_clean_panel(global_alph
     panel = make_panel(np.random.default_rng(5).normal(size=(7, 40)), labels=g.labels)
     calls, real = [], selection._search_solve
 
-    def spy(planes, groups):
-        out = real(planes, groups)
-        calls.append((set(out), {spec.order for specs in groups for spec in specs}))
+    def spy(planes, specs):
+        out = real(planes, specs)
+        calls.append((set(out), {spec.order for spec in specs}))
         return out
 
     with mock.patch.object(selection, "_search_solve", spy):

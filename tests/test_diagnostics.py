@@ -93,6 +93,19 @@ def test_mase_node_without_a_scored_entry_is_nan_and_warns_nothing():
         alone.per_node_mean[0], alone.per_node_std[0], alone.overall_mean)
 
 
+@pytest.mark.parametrize("where", ["actual", "predicted", "history"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_mase_rejects_infinite_values(where, value):
+    # an infinite history step once gave a zero score (a perfect forecast) and
+    # an infinite actual an infinite one; NaN still marks a missing value
+    args = {"actual": np.array([[1.0, 1.0], [2.0, np.nan]]),
+            "predicted": np.array([[0.0, 1.0], [2.0, 2.0]]),
+            "history": np.array([[0.0, 1.0, 2.0, 3.0], [1.0, np.nan, 4.0, 3.0]])}
+    args[where][1, 0] = value
+    with pytest.raises(InvalidInputError, match="node 'b' holds infinite values"):
+        mase(**args, labels=("a", "b"))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 30), st.integers(1, 6),
        st.sampled_from([0.0, 0.1, 0.4, 1.0]))
@@ -284,6 +297,19 @@ def test_permutation_test_refuses_what_morans_i_refuses():
         morans_i(vals[:, 0] * 1e-170, moran_weights(g))
     with pytest.raises(UndefinedStatisticError, match="constant cross-section"):
         moran_permutation_test(make_panel(vals * 1e-170, labels=g.labels), g, R=20)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_permutation_test_rejects_infinite_values(value):
+    # one infinite cell once left its date tested, with a NaN statistic and
+    # band counted in n_m, and let numpy's warnings escape
+    g = path_graph(4)
+    vals = np.random.default_rng(13).normal(size=(4, 6))
+    vals[2, 3] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="node 'n02' holds infinite values"):
+            moran_permutation_test(make_panel(vals, labels=g.labels), g, R=20)
 
 
 def test_permutation_test_rejects_small_R():

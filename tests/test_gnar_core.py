@@ -732,6 +732,17 @@ def test_simulate_rejects_nonfinite_parameters(name, bad):
         simulate(spec_for(2, [1, 1]), **{**args, **bad})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_simulate_rejects_nonfinite_init_values(value):
+    # a NaN start once gave a mostly-NaN panel without an error, and an
+    # infinite one was blamed on an explosive model
+    init = np.full((4, 2), 0.1)
+    init[2, 1] = value
+    with pytest.raises(InvalidInputError, match=f"^init_values must be finite, got {value}$"):
+        simulate(spec_for(2, [1, 1]), np.array([0.2, -0.1]), [np.array([0.3]), np.array([0.15])],
+                 ring_graph(4), T=10, sigma=0.5, init_values=init)
+
+
 def test_simulate_explosive_model_names_the_overflowing_step():
     # x_t = 10^t from x_0 = 1: 10^308 is finite, 10^309 overflows (step 310)
     g = build_complete(["a", "b"])
@@ -817,6 +828,21 @@ def test_forecast_in_sample_reproduces_fit_residuals():
     preds = forecast(f, panel, h, mode="rolling_one_step")
     reconstructed = panel.values[:, -h:] - f.residuals[:, -h:]
     assert np.allclose(preds, reconstructed, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["rolling_one_step", "recursive"])
+def test_forecast_rejects_infinite_values(mode):
+    # numpy's invalid-value warning once escaped and the predictions were NaN
+    g = ring_graph(4)
+    spec = spec_for(1, [1])
+    panel = simulate(spec, np.array([0.2]), [np.array([0.3])], g, T=30, sigma=1.0, seed=5)
+    values = panel.values.copy()
+    values[1, -2] = np.inf
+    bad = TimeSeriesPanel(labels=panel.labels, dates=panel.dates, values=values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="node 'n01' holds infinite values"):
+            forecast(fit(panel, g, spec), bad, 3, mode=mode)
 
 
 def test_forecast_insufficient_history():

@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 from conftest import make_panel, ring_graph
 from oracles import ar_baseline_loop
 
-from gnarlib import gnar_core, selection
-from gnarlib.errors import InvalidInputError, SelectionFailedError, SingularDesignError
+from gnarlib import geo_graph, gnar_core, selection
+from gnarlib.errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    SelectionFailedError,
+    SingularDesignError,
+)
 from gnarlib.gnar_core import GnarOrder, GnarSpec, WeightScheme, fit, simulate
 from gnarlib.selection import (
     BETA_CATALOGUE,
@@ -187,15 +192,14 @@ def test_saturated_candidate_is_skipped_as_insufficient():
 
 
 def spy_search(monkeypatch):
-    """Record each group passed to the search solve (its orders and the ones
+    """Record each call of the search solve (the orders passed and the ones
     it served) and each order the standalone fit runs for."""
-    groups, fits = [], []
+    searches, fits = [], []
 
-    def search_solve(planes, specs_by_group):
-        solved = gnar_core._search_solve(planes, specs_by_group)
-        for specs in specs_by_group:
-            orders = [spec.order for spec in specs]
-            groups.append((orders, set(solved) & set(orders)))
+    def search_solve(planes, specs):
+        solved = gnar_core._search_solve(planes, specs)
+        orders = [spec.order for spec in specs]
+        searches.append((orders, set(solved) & set(orders)))
         return solved
 
     def fit_planes(planes, spec, *args):
@@ -204,19 +208,18 @@ def spy_search(monkeypatch):
 
     monkeypatch.setattr(selection, "_search_solve", search_solve)
     monkeypatch.setattr(selection, "_fit_planes", fit_planes)
-    return groups, fits
+    return searches, fits
 
 
 @pytest.mark.parametrize("global_alpha", [True, False])
 def test_every_candidate_with_enough_rows_is_solved_in_its_group(monkeypatch, global_alpha):
-    groups, fits = spy_search(monkeypatch)
+    searches, fits = spy_search(monkeypatch)
     g = ring_graph(6)
     panel = sim_panel(GnarOrder(1, (1,)), np.array([0.3]), [np.array([0.3])], g, 60, 0.5, 4)
     report = select_model(panel, g, WeightScheme("spl"), order_grid(3, 1),
                           global_alpha=global_alpha)
-    single = GnarOrder(1, (1,))       # alone in its lag order
-    assert ([single], {single}) in groups
-    served = set().union(*(orders for _, orders in groups))
+    served = set().union(*(orders for _, orders in searches))
+    assert GnarOrder(1, (1,)) in served       # alone in its lag order: a group of one
     assert {c.order for c in report.ranked()} <= served
     assert len(report.ranked()) == len(report.candidates) == 6
     assert fits == []
@@ -224,14 +227,14 @@ def test_every_candidate_with_enough_rows_is_solved_in_its_group(monkeypatch, gl
     assert fits == [report.best.order] and best.bic == pytest.approx(report.best.bic, rel=1e-14)
 
     # on the saturated-fit reproducer, only the insufficient candidates take the standalone fit
-    groups.clear()
+    searches.clear()
     fits.clear()
     panel = make_panel(np.random.default_rng(0).normal(size=(4, 4)), labels=ring_graph(4).labels)
     report = select_model(panel, ring_graph(4), WeightScheme("uniform"), order_grid(3, 1),
                           global_alpha=global_alpha)
     insufficient = [c.order for c in report.candidates if c.status == "insufficient"]
     assert insufficient and fits == insufficient
-    assert {c.order for c in report.ranked()} <= set().union(*(o for _, o in groups))
+    assert {c.order for c in report.ranked()} <= set().union(*(o for _, o in searches))
 
 
 @pytest.mark.parametrize("global_alpha, factorisations", [(True, {"qr": 3, "inv": 1}),
@@ -243,19 +246,22 @@ def test_a_search_factorises_as_often_for_two_groups_as_for_eight(monkeypatch, g
     # R_B, the subset batch, and R^-1 beside the per-node R_A^-1
     g = ring_graph(26)
     panel = make_panel(np.random.default_rng(9).normal(size=(26, 60)), labels=g.labels)
-    groups, fits = spy_search(monkeypatch)
+    _, fits = spy_search(monkeypatch)
     for grid, n_groups in ((order_grid(2, 1), 2), (order_grid(8, 1), 8)):
-        groups.clear()
         calls = dict.fromkeys(factorisations, 0)
+        qr_shapes = []
         with monkeypatch.context() as m:
             for name in calls:
-                def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                     calls[_name] += 1
-                    return _real(*args, **kwargs)
+                    if _name == "qr":
+                        qr_shapes.append(np.shape(a))
+                    return _real(a, *args, **kwargs)
                 m.setattr(np.linalg, name, counted)
             report = select_model(panel, g, WeightScheme("uniform"), grid,
                                   global_alpha=global_alpha)
-        assert len(groups) == n_groups and fits == []
+        # the group batch is the one 4-D QR input, one entry per group
+        assert [s[0] for s in qr_shapes if len(s) == 4] == [n_groups] and fits == []
         assert all(c.status == "ok" for c in report.candidates)
         assert calls == factorisations
 
@@ -272,16 +278,60 @@ def test_candidates_whose_grouped_rank_is_in_doubt_keep_their_standalone_fit(mon
     panel = make_panel(values, labels=g.labels)
     args = (panel, g, WeightScheme("spl"), order_grid(3, 1))
     grouped = select_model(*args, global_alpha=global_alpha)
-    groups, fits = spy_search(monkeypatch)
+    searches, fits = spy_search(monkeypatch)
     monkeypatch.setattr(gnar_core, "_RANK_MARGIN", 1e30)
     doubted = select_model(*args, global_alpha=global_alpha)
-    assert groups and all(served == set() for _, served in groups)
+    assert searches and all(served == set() for _, served in searches)
     assert sorted(fits, key=str) == sorted((c.order for c in grouped.candidates), key=str)
     assert [c.order for c in doubted.ranked()] == [c.order for c in grouped.ranked()]
     assert len(grouped.ranked()) == len(grouped.candidates) == 6
     for a, b in zip(doubted.candidates, grouped.candidates):
         assert (a.order, a.status, a.M, a.n_obs) == (b.order, b.status, b.M, b.n_obs)
         assert a.bic == pytest.approx(b.bic, rel=1e-12, abs=0)
+
+
+def refusal_case(kind):
+    """The saturated-fit reproducer, or a ring panel with one node observed
+    in runs of three dates (fewer rows than p = 3, enough for p = 1 and 2)."""
+    if kind == "saturated":
+        g = ring_graph(4)
+        return g, make_panel(np.random.default_rng(0).normal(size=(4, 4)), labels=g.labels)
+    g = ring_graph(5)
+    values = np.random.default_rng(11).normal(size=(5, 30))
+    values[2, np.arange(30) % 5 >= 3] = np.nan
+    return g, make_panel(values, labels=g.labels)
+
+
+@pytest.mark.parametrize("kind", ["saturated", "short"])
+@pytest.mark.parametrize("global_alpha", [True, False])
+def test_the_search_solve_refuses_short_candidates_up_front(monkeypatch, kind, global_alpha):
+    # the orders the search solve leaves unserved are exactly those with no more
+    # rows than parameters and, for node-specific alpha, those in which a node has
+    # fewer rows than p; each takes the standalone fit once and keeps its verdict
+    g, panel = refusal_case(kind)
+    scheme = WeightScheme("uniform")
+    stages = geo_graph.stage_neighbourhoods(g, 1)
+    weights = gnar_core.compute_weights(g, stages, scheme)
+    searches, fits = spy_search(monkeypatch)
+    report = select_model(panel, g, scheme, order_grid(3, 1), global_alpha=global_alpha)
+    [(passed, served)] = searches
+    refused = []
+    for order in passed:
+        spec = GnarSpec(order, global_alpha, scheme)
+        design, _, rows = gnar_core.build_design(panel, spec, weights, stages)
+        per_node = np.bincount([i for i, _ in rows], minlength=g.n)
+        if len(rows) <= design.shape[1] or (not global_alpha and per_node.min() < order.p):
+            refused.append(order)
+    assert set(passed) - served == set(refused)
+    assert fits == refused and (refused or (kind, global_alpha) == ("short", True))
+    for c in report.candidates:
+        if c.order in refused:
+            try:
+                alone = fit(panel, g, GnarSpec(c.order, global_alpha, scheme))
+            except (InsufficientDataError, SingularDesignError) as exc:
+                assert (c.status, c.reason) == (selection._SKIP_STATUS[type(exc)], str(exc))
+            else:
+                assert (c.status, c.bic, c.n_obs, c.M) == ("ok", alone.bic, alone.n_obs, alone.M)
 
 
 # ---------------------------------------------------------------------------
