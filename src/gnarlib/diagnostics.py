@@ -118,6 +118,8 @@ def mase(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray,
         raise InvalidInputError("history needs at least 2 observations")
     n = actual.shape[0]
     labels = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
+    if len(labels) != n:
+        raise InvalidInputError(f"{len(labels)} labels for {n} rows")
     for values in (actual, predicted, history):
         _reject_infinite(zip(labels, values))
 

@@ -12,10 +12,10 @@ r-th stage neighbourhoods (the mask hops == r), and summary statistics
 (clustering from the common neighbours of each edge) with a Bernoulli
 random graph baseline drawn as edge arrays.
 
-Each construction from coordinates is a keep-mask.  KNN and the distance
-threshold mask the one great-circle distance matrix.  The Delaunay family
-triangulates once into an (E, 2) array of edge indices and keeps a boolean
-mask of it, computed from one projected squared-distance matrix.
+KNN and the distance threshold mask the one great-circle distance matrix.
+The Delaunay family triangulates once into an (E, 2) array of edge indices
+and drops the edges its rule rejects, tested against their opposite
+triangle vertices or the points a kd-tree finds near them: no n x n array.
 
 Distances between points are great-circle distances on a sphere (default
 radius 6371 km), computed for all pairs at once with libm's (``math``)
@@ -301,7 +301,10 @@ def build_knn(points: Sequence[GeoPoint], k: int) -> Graph:
 
     Edge (i, j) exists iff j is among i's k nearest points by great-circle
     distance or vice versa.  Distance ties are broken by lexicographic
-    node_id, which makes the construction deterministic.
+    node_id, which makes the construction deterministic.  Each row's k-th
+    distance comes from ``np.partition``: the points nearer than it are all
+    taken, and the ties at it fill the remaining places in node_id order,
+    which is the first k of the row sorted by (distance, node_id).
     """
     _check_points(points)
     _check_integer("k", k)
@@ -311,11 +314,13 @@ def build_knn(points: Sequence[GeoPoint], k: int) -> Graph:
     d = distance_matrix(points)
     np.fill_diagonal(d, np.inf)
     ids = [p.node_id for p in points]
-    rank = np.empty(n, dtype=np.intp)
-    rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
-    order = np.lexsort((np.broadcast_to(rank, d.shape), d))  # each row by (d, rank)
-    near = np.zeros((n, n), dtype=bool)
-    near[np.arange(n)[:, None], order[:, :k]] = True
+    by_id = np.array(sorted(range(n), key=ids.__getitem__))
+    kth = np.partition(d, k - 1, axis=1)[:, [k - 1]]
+    near = d < kth
+    row, col = np.nonzero(d == kth)
+    row, col = np.divmod(np.sort(row * n + np.argsort(by_id)[col]), n)  # ties by node_id
+    take = np.arange(len(row)) - np.searchsorted(row, row) < (k - near.sum(axis=1))[row]
+    near[row[take], by_id[col[take]]] = True
     return Graph(ids, np.argwhere(np.triu(near | near.T, 1)))
 
 
@@ -345,14 +350,32 @@ def _project(points: Sequence[GeoPoint]) -> np.ndarray:
     return np.array([[p.lon_deg * scale, p.lat_deg] for p in points])
 
 
+def _sq_dist(xy: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Projected squared distances of the pairs (a[k], b[k]); symmetric and
+    exactly zero for a[k] == b[k]."""
+    return ((xy[a] - xy[b]) ** 2).sum(axis=1)
+
+
+def _witnesses(xy: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (e, z): every point z within d(i[e], j[e]) of i[e], from a kd-tree.
+    The radius is padded by a relative 1e-9, far above the rounding of any
+    distance, so the pairs hold every point nearer in the floats of
+    :func:`_sq_dist` too (and a few more, which the caller's test rejects)."""
+    from scipy.spatial import cKDTree
+
+    near = cKDTree(xy).query_ball_point(xy[i], np.sqrt(_sq_dist(xy, i, j)) * (1 + 1e-9))
+    return (np.repeat(np.arange(len(i)), list(map(len, near))),
+            np.fromiter(itertools.chain.from_iterable(near), np.intp))
+
+
 def _delaunay_subgraph(points: Sequence[GeoPoint], name: str,
-                       keep: Optional[Callable] = None) -> Graph:
-    """The Delaunay edges (i, j), i < j, on the local projection, filtered by
-    ``keep(d2, i, j)``: a boolean mask over the edge index arrays, given the
-    projected squared-distance matrix ``d2``.  ``d2`` has an exact zero
-    diagonal and is exactly symmetric, so a rule comparing edge (i, j) with
-    every point z never drops it for z = i or z = j.  A point that coincides
-    with another one would be left out of the triangulation: an error."""
+                       drop: Optional[Callable] = None) -> Graph:
+    """The Delaunay edges (i, j), i < j, on the local projection ``xy``, less
+    those ``drop(xy, i, j, e, c)`` names by their index (in any order, maybe
+    more than once), given each triangle side as the index e of its edge and
+    the vertex c opposite it (one side for a hull edge, two otherwise).  A
+    point that coincides with another one would be left out of the
+    triangulation: an error."""
     _check_points(points)
     if len(points) < 3:
         raise InvalidInputError(f"{name} needs at least 3 points")
@@ -371,11 +394,11 @@ def _delaunay_subgraph(points: Sequence[GeoPoint], name: str,
             f"{name}: node {labels[dropped]!r} coincides with node "
             f"{labels[vertex]!r} and would be dropped from the triangulation")
     s = tri.simplices
-    edges = np.unique(np.sort(np.vstack([s[:, [0, 1]], s[:, [0, 2]], s[:, [1, 2]]]),
-                              axis=1), axis=0)
-    if keep is not None:
-        d2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
-        edges = edges[keep(d2, *edges.T)]
+    sides = np.sort(np.concatenate([s[:, [1, 2]], s[:, [0, 2]], s[:, [0, 1]]]), axis=1)
+    key, e = np.unique(sides[:, 0] * len(xy) + sides[:, 1], return_inverse=True)
+    edges = np.column_stack(np.divmod(key, len(xy)))
+    if drop is not None:
+        edges = np.delete(edges, drop(xy, *edges.T, e, s.T.ravel()), axis=0)
     return Graph(labels, edges)
 
 
@@ -389,11 +412,30 @@ def derive_gabriel(points: Sequence[GeoPoint]) -> Graph:
 
     Keeps edge (x, y) iff d(x, y) <= sqrt(d(x, z)^2 + d(y, z)^2) for every
     other point z, i.e. no z lies strictly inside the disc with diameter xy.
-    Boundary points (z exactly on the circle) do not remove the edge.
+    Boundary points (z exactly on the circle) do not remove the edge.  Only
+    the one or two vertices opposite the edge in the triangulation are
+    tested: a point inside the disc would lie inside the empty circumcircle
+    of the triangle on its side unless that triangle's opposite vertex does
+    (Matula & Sokal, Geographical Analysis 12(3), 1980).  An edge whose test
+    is within qhull's rounding of the circle is tested against every point
+    a kd-tree finds near it.
     """
-    return _delaunay_subgraph(
-        points, "Gabriel graph",
-        lambda d2, i, j: ~(d2[i, j][:, None] > d2[i] + d2[j]).any(axis=1))
+    def drop(xy, i, j, e, c):
+        def inside(e, z):   # the edges e whose disc holds z strictly inside
+            return e[d2[e] > _sq_dist(xy, i[e], z) + _sq_dist(xy, j[e], z)]
+
+        d2 = _sq_dist(xy, i, j)
+        # qhull rounds on the scale of the largest squared coordinate norm,
+        # so near a right angle at c its triangulation need not be exactly
+        # Delaunay: an edge whose test misses the circle by less than 1e-10
+        # of that scale is tested against every point near it (misses of
+        # 1e-14 of it were seen on points near one circle)
+        gap = _sq_dist(xy, i[e], c) + _sq_dist(xy, j[e], c) - d2[e]
+        doubt = np.unique(e[abs(gap) <= 1e-10 * (xy ** 2).sum(axis=1).max()])
+        w, z = _witnesses(xy, i[doubt], j[doubt])
+        return np.concatenate([inside(e, c), inside(doubt[w], z)])
+
+    return _delaunay_subgraph(points, "Gabriel graph", drop)
 
 
 def derive_soi(points: Sequence[GeoPoint]) -> Graph:
@@ -402,27 +444,34 @@ def derive_soi(points: Sequence[GeoPoint]) -> Graph:
     Around each point draw a circle whose radius is the distance to its
     nearest neighbour; an edge survives iff the two circles intersect at
     least twice, i.e. d(x, y) < d_x + d_y strictly (tangency is a single
-    intersection and does not count).
+    intersection and does not count).  The radius is the shortest of each
+    point's Delaunay edges: a nearest neighbour is always a Delaunay
+    neighbour, as the disc on that pair as diameter holds no other point.
     """
-    def keep(d2, i, j):
-        d = np.sqrt(d2)
-        radius = np.where(np.eye(len(d), dtype=bool), np.inf, d).min(axis=1)
-        return d[i, j] < radius[i] + radius[j]
+    def drop(xy, i, j, *_):
+        d = np.sqrt(_sq_dist(xy, i, j))
+        radius = np.full(len(xy), np.inf)
+        np.minimum.at(radius, np.concatenate([i, j]), np.concatenate([d, d]))
+        return np.flatnonzero(d >= radius[i] + radius[j])
 
-    return _delaunay_subgraph(points, "sphere-of-influence graph", keep)
+    return _delaunay_subgraph(points, "sphere-of-influence graph", drop)
 
 
 def derive_relative(points: Sequence[GeoPoint]) -> Graph:
     """Relative-neighbourhood subgraph of the Delaunay triangulation.
 
     Keeps edge (x, y) iff d(x, y) <= max(d(x, z), d(y, z)) for every other
-    point z; contained in the Gabriel graph by the condition itself.
+    point z; contained in the Gabriel graph by the condition itself
+    (Toussaint, Pattern Recognition 12, 1980).  Only the points a kd-tree
+    finds within d(x, y) of x are tested: any point further away has
+    d(x, z) > d(x, y) and cannot remove the edge.
     """
-    def keep(d2, i, j):
-        d = np.sqrt(d2)
-        return ~(d[i, j][:, None] > np.maximum(d[i], d[j])).any(axis=1)
+    def drop(xy, i, j, *_):
+        e, z = _witnesses(xy, i, j)
+        d = np.sqrt(_sq_dist(xy, i, j))
+        return e[d[e] > np.sqrt(np.maximum(_sq_dist(xy, i[e], z), _sq_dist(xy, j[e], z)))]
 
-    return _delaunay_subgraph(points, "relative neighbourhood graph", keep)
+    return _delaunay_subgraph(points, "relative neighbourhood graph", drop)
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +552,19 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
 
 
-def _hop_matrix(n: int, edges: np.ndarray, r_max: Optional[int] = None) -> np.ndarray:
-    """Hop counts by breadth-first search from every source at once, for at
-    most ``r_max`` steps when given, in the smallest integer type that holds
-    n; pairs not reached hold n.
+def _bfs_levels(n: int, edges: np.ndarray, r_max: Optional[int] = None):
+    """Breadth-first search from every source at once, for at most ``r_max``
+    steps when given: yields (frontier, unreached) at levels r = 0, 1, ...,
+    each n rows of ceil(n / 64) uint64 words, where bit s of
+    ``frontier[v]`` is set when v is exactly r hops from source s and bit s
+    of ``unreached[v]`` when v is further (bits s >= n are padding).  The
+    next step updates both in place, so read them before asking; after the
+    last step ``unreached`` holds the pairs never reached.
 
-    Bit s of ``frontier[v]`` is set when v is exactly r hops from source s.
     The next frontier of v is the OR of its neighbours' rows, one
     ``bitwise_or.reduceat`` over the neighbour lists, less the sources that
     reached v before (multi-source BFS on bitsets; Then et al. 2014, PVLDB
-    8(4)).  A pair's hop count is the number of steps it spends unreached."""
+    8(4))."""
     # each node's list also holds row n, which stays zero: reduceat cannot
     # reduce an empty segment, and an isolated node's list would be one
     loops = np.column_stack([np.full(n, n), np.arange(n)])
@@ -520,23 +572,31 @@ def _hop_matrix(n: int, edges: np.ndarray, r_max: Optional[int] = None) -> np.nd
     nbr = u[np.argsort(v, kind="stable")]  # grouped by v
     starts = np.concatenate([[0], np.cumsum(np.bincount(v, minlength=n))[:-1]])
     frontier = _bitsets(n + 1, np.arange(n), np.arange(n))
-    unreached = ~frontier[:n]
+    nxt, unreached = frontier[:n], ~frontier[:n]
     block = max(1, _GATHER_WORDS // max(len(nbr), 1))
-    count = np.zeros((n, n), dtype=np.min_scalar_type(n))
-    r = 0
-    while n and (r_max is None or r < r_max):
+    for r in itertools.count():
+        yield nxt, unreached
+        if not n or r == r_max:
+            return
         # word blocks bound the gather; it is a copy, so the next frontier
         # may overwrite this one block by block
         for w in range(0, frontier.shape[1], block):
             np.bitwise_or.reduceat(frontier[nbr, w:w + block], starts, axis=0,
                                    out=frontier[:n, w:w + block])
-        nxt = frontier[:n]
         nxt &= unreached
         if not nxt.any():
-            break
-        count += _unpack(unreached, n)
-        r += 1
+            return
         unreached ^= nxt
+
+
+def _hop_matrix(n: int, edges: np.ndarray, r_max: Optional[int] = None) -> np.ndarray:
+    """Hop counts by :func:`_bfs_levels`, for at most ``r_max`` steps when
+    given, in the smallest integer type that holds n; pairs not reached
+    hold n.  A pair's hop count is the number of levels it is still
+    unreached after."""
+    count = np.zeros((n, n), dtype=np.min_scalar_type(n))
+    for _, unreached in _bfs_levels(n, edges, r_max):
+        count += _unpack(unreached, n)
     count[_unpack(unreached, n)] = n
     return count
 
@@ -573,15 +633,15 @@ def shortest_path_lengths(g: Graph) -> np.ndarray:
 # Summaries
 # ---------------------------------------------------------------------------
 
-def _avg_spl_and_disconnected(hops: np.ndarray) -> tuple[float, float]:
-    """Mean hop count over the connected ordered pairs (exact: the sum is
-    an integer in float64 whether ``hops`` holds floats or counts) and the
-    share of pairs not connected, where ``hops`` holds inf or n."""
-    n = len(hops)
-    finite = (hops < n) & ~np.eye(n, dtype=bool)
-    n_conn = int(finite.sum())
-    avg = float(hops[finite].mean()) if n_conn else math.nan
-    return avg, 1.0 - n_conn / (n * (n - 1))
+def _avg_spl_and_disconnected(levels: list[int]) -> tuple[float, float]:
+    """Mean hop count over the connected ordered pairs and the share of pairs
+    not connected, given ``levels[r]``, the number of ordered pairs r hops
+    apart (``levels[0]`` = n, each node with itself).  The sums are exact
+    integers, so the mean is the correctly rounded one, as numpy's over the
+    hop matrix."""
+    n, reached = levels[0], sum(levels[1:])
+    hop_sum = sum(r * c for r, c in enumerate(levels))
+    return hop_sum / reached if reached else math.nan, 1.0 - reached / (n * (n - 1))
 
 
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -630,7 +690,10 @@ def network_summary(g: Graph, brg_samples: int = 100, seed: int = 0) -> NetworkS
     node and edge count using a generator seeded with ``seed``; results are
     bit-reproducible for a fixed seed.  Average SPL is taken over connected
     ordered pairs only, with the disconnected fraction reported; it is NaN
-    when no pair is connected (for the baseline: in no sample).
+    when no pair is connected (for the baseline: in no sample).  A sample
+    forms no hop matrix: its ordered pairs r hops apart are the set bits of
+    the BFS frontier at level r, so its hop sum is the sum of
+    r * popcount(frontier) over the levels.
     """
     _check_integer("brg_samples", brg_samples)
     if brg_samples < 1:
@@ -639,15 +702,16 @@ def network_summary(g: Graph, brg_samples: int = 100, seed: int = 0) -> NetworkS
     n, m = g.n, g.n_edges
     if n < 2:
         raise InvalidInputError(f"network summary needs at least 2 nodes, got {n}")
-    avg_spl, disc = _avg_spl_and_disconnected(shortest_path_lengths(g))
+    spl = shortest_path_lengths(g)
+    avg_spl, disc = _avg_spl_and_disconnected(np.bincount(spl[spl < n].astype(np.intp)).tolist())
     clust = _avg_local_clustering(n, g.edge_array)
 
     rng = np.random.default_rng(seed)
     stats = []
     for _ in range(brg_samples):
         sample = _sample_gnm(n, m, rng)
-        stats.append((*_avg_spl_and_disconnected(_hop_matrix(n, sample)),
-                      _avg_local_clustering(n, sample)))
+        levels = [int(_popcount(frontier).sum()) for frontier, _ in _bfs_levels(n, sample)]
+        stats.append((*_avg_spl_and_disconnected(levels), _avg_local_clustering(n, sample)))
     spls, discs, clusts = zip(*stats)
     return NetworkSummary(
         avg_degree=2.0 * m / n,

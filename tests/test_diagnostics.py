@@ -106,6 +106,15 @@ def test_mase_rejects_infinite_values(where, value):
         mase(**args, labels=("a", "b"))
 
 
+@pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
+def test_mase_needs_one_label_per_row(labels):
+    # one label short once left the second row out of the infinite-value
+    # check, so an inf in its history scored an overall_mean of 0.0
+    with pytest.raises(InvalidInputError, match=f"{len(labels)} labels for 2 rows"):
+        mase([[1.0, 2], [3, 4]], [[1.0, 2], [3, 5]], [[0.0, 1, 2], [1, 2, np.inf]],
+             labels=labels)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 30), st.integers(1, 6),
        st.sampled_from([0.0, 0.1, 0.4, 1.0]))

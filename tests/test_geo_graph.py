@@ -1,6 +1,7 @@
 """Network construction, stages, shortest paths, summaries."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,6 +264,21 @@ def test_containments_on_random_point_sets():
         relative = derive_relative(pts)
         assert relative.edges <= gabriel.edges <= delaunay.edges
         assert soi.edges <= delaunay.edges
+
+
+@pytest.mark.parametrize("build", [build_delaunay, derive_gabriel, derive_soi, derive_relative])
+def test_delaunay_family_forms_no_n_by_n_array(build):
+    # half of one 2000 x 2000 float64 matrix; the filters read the edges,
+    # their opposite vertices and kd-tree neighbours, all O(n) arrays
+    pts = random_points(2000, np.random.default_rng(5))
+    build(pts)                          # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        build(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"{build.__name__} peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_constructions_are_deterministic(irish_towns):

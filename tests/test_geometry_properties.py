@@ -4,13 +4,20 @@ great-circle distance matrix, the Delaunay triangulation, and its Gabriel,
 sphere-of-influence and relative-neighbourhood subgraphs with their exact
 boundary rules.
 
-Clouds are random (general position), full lattices (cocircular points, so
-Gabriel circles and RNG lunes pass through other points) or subsets of a
-coarse grid (many tied distances).  Labels are shuffled against the
-coordinates, so the KNN tie-break by node id is exercised.
+Clouds are random (general position, up to 150 points), clustered (tight
+groups far apart), near-co-circular (points on one circle, where qhull's
+rounding decides the triangulation and Gabriel circles pass within 1e-12 of
+other points), full lattices (cocircular points, so Gabriel circles and RNG
+lunes pass through other points) or subsets of a coarse grid (many tied
+distances).  Labels are shuffled against the coordinates, and KNN also
+runs with copied points, which tie whole distance rows, so its tie-break by
+node id is exercised.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -44,15 +51,36 @@ def _collinear(cells) -> bool:
     return all((r1 - r0) * (c - c0) == (c1 - c0) * (r - r0) for r, c in cells[2:])
 
 
+def _circle(rng, n, even, radius):
+    """n points on a circle of the projected plane, evenly spaced or not, with
+    radii jittered by about 1e-12: a diameter sees every other point at a
+    right angle, up to that jitter and the rounding."""
+    turn = np.arange(n) / n if even else np.sort(rng.uniform(0, 1, n))
+    angle = 2 * np.pi * (turn + rng.uniform())
+    radius = radius * (1 + 1e-12 * rng.normal(size=n))
+    lat = 53.0 + radius * np.sin(angle)
+    scale = math.cos(math.radians(sum(lat.tolist()) / n))     # as _project
+    return np.column_stack([lat, -8.0 + radius * np.cos(angle) / scale]).tolist()
+
+
 @st.composite
 def clouds(draw):
-    """(kind, points): a random, lattice or coarse-grid cloud near Ireland."""
+    """(kind, points): a random, clustered, near-co-circular, lattice or
+    coarse-grid cloud near Ireland."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "lattice", "grid"]))
+    kind = draw(st.sampled_from(["random", "clustered", "circle", "lattice", "grid"]))
     if kind == "random":
-        n = draw(st.integers(3, 40))
+        n = draw(st.integers(3, 150))
         coords = np.column_stack([53.0 + 2.0 * rng.uniform(-1, 1, n),
                                   -8.0 + 2.0 * rng.uniform(-1, 1, n)]).tolist()
+    elif kind == "clustered":
+        n, k = draw(st.integers(3, 150)), draw(st.integers(1, 4))
+        centres = np.column_stack([rng.uniform(51.5, 55.0, k), rng.uniform(-10.0, -6.0, k)])
+        spread = draw(st.sampled_from([0.001, 0.02, 0.2]))
+        coords = (centres[rng.integers(0, k, n)] + rng.normal(0.0, spread, (n, 2))).tolist()
+    elif kind == "circle":
+        n = draw(st.integers(4, 40))
+        coords = _circle(rng, n, draw(st.booleans()), draw(st.sampled_from([0.002, 0.05, 1.0])))
     else:
         if kind == "lattice":
             rows, cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
@@ -63,7 +91,7 @@ def clouds(draw):
             assume(not _collinear(cells))
         step = draw(st.sampled_from([0.25, 0.5, 1.0]))
         coords = [(52.0 + step * r, -8.0 + step * c) for r, c in cells]
-    names = [f"q{v:02d}" for v in rng.permutation(len(coords))]
+    names = [f"q{v:03d}" for v in rng.permutation(len(coords))]
     return kind, [GeoPoint(name, lat, lon) for name, (lat, lon) in zip(names, coords)]
 
 
@@ -77,6 +105,13 @@ def test_constructions_match_loop_oracles(cloud, data):
     d = distance_matrix(points)
     k = data.draw(st.integers(1, n - 1), label="k")
     assert build_knn(points, k).edges == knn_bruteforce(d, ids, k)
+    # copies of points share their distances to every other point, so the
+    # k-th distance of most rows is tied several ways; "a" sorts first
+    twins = points + [GeoPoint(f"{'at'[v % 2]}{v}", p.lat_deg, p.lon_deg)
+                      for v, p in enumerate(points[:data.draw(st.integers(1, 4), label="copies")])]
+    k = data.draw(st.integers(1, len(twins) - 1), label="k with copies")
+    assert build_knn(twins, k).edges == knn_bruteforce(
+        distance_matrix(twins), [p.node_id for p in twins], k)
     # a threshold equal to some pairwise distance hits the <= boundary
     i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                      unique=True), label="pair"))
@@ -84,9 +119,26 @@ def test_constructions_match_loop_oracles(cloud, data):
 
     xy = _project(points)
     delaunay = build_delaunay(points).edges
-    oracle = delaunay_edges_bruteforce(xy)
-    # cocircular points admit either diagonal; a random cloud has one answer
-    assert delaunay == oracle if kind == "random" else delaunay <= oracle
+    # the triangle loop is O(n^4), so it checks clouds of up to 40 points,
+    # and not circles, whose every triangle is empty only up to rounding:
+    # the loop's circumcentres lose those digits and reject some of them.
+    # Lattice squares admit either diagonal.
+    if kind in ("random", "clustered") and n <= 40:
+        assert delaunay == delaunay_edges_bruteforce(xy)
+    elif kind in ("lattice", "grid"):
+        assert delaunay <= delaunay_edges_bruteforce(xy)
     assert derive_gabriel(points).edges == gabriel_bruteforce(xy, delaunay)
     assert derive_soi(points).edges == soi_bruteforce(xy, delaunay)
     assert derive_relative(points).edges == relative_bruteforce(xy, delaunay)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_gabriel_near_a_right_angle_equals_the_loop_oracle(seed):
+    # an even count of evenly spaced points has diameters; qhull may join
+    # such a pair while both of its opposite vertices round outside the
+    # circle and another point rounds inside: the builder must find it
+    rng = np.random.default_rng(seed)
+    coords = _circle(rng, 2 * int(rng.integers(3, 13)), True, 0.05)
+    points = [GeoPoint(f"q{v:03d}", lat, lon) for v, (lat, lon) in enumerate(coords)]
+    assert (derive_gabriel(points).edges
+            == gabriel_bruteforce(_project(points), build_delaunay(points).edges))

@@ -137,8 +137,8 @@ def test_one_graph_runs_one_search_until_a_deeper_request(monkeypatch):
     shortest_path_lengths(g)
     stage_neighbourhoods(g, 4)
     diagnostics.moran_weights(g)
-    geo_graph.network_summary(g, brg_samples=2, seed=0)      # the samples are not kept
-    assert calls == [2, 3, 39, None, None]   # 39 = n - 1 hops reaches every node
+    geo_graph.network_summary(g, brg_samples=2, seed=0)      # the samples form no hop matrix
+    assert calls == [2, 3, 39]   # 39 = n - 1 hops reaches every node
 
 
 def test_writing_a_returned_hop_matrix_changes_no_later_result():
