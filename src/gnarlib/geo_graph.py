@@ -15,7 +15,8 @@ random graph baseline drawn as edge arrays.
 KNN and the distance threshold mask the one great-circle distance matrix.
 The Delaunay family triangulates once into an (E, 2) array of edge indices
 and drops the edges its rule rejects, tested against their opposite
-triangle vertices or the points a kd-tree finds near them: no n x n array.
+triangle vertices and then the points a kd-tree finds near them: no n x n
+array.
 
 Distances between points are great-circle distances on a sphere (default
 radius 6371 km), computed for all pairs at once with libm's (``math``)
@@ -356,15 +357,17 @@ def _sq_dist(xy: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((xy[a] - xy[b]) ** 2).sum(axis=1)
 
 
-def _witnesses(xy: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (e, z): every point z within d(i[e], j[e]) of i[e], from a kd-tree.
-    The radius is padded by a relative 1e-9, far above the rounding of any
-    distance, so the pairs hold every point nearer in the floats of
-    :func:`_sq_dist` too (and a few more, which the caller's test rejects)."""
+def _witnesses(xy: np.ndarray, i: np.ndarray, j: np.ndarray,
+               e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (e, z) over the edge indices e: every point z within
+    d(i[e], j[e]) of i[e], from a kd-tree.  The radius is padded by a
+    relative 1e-9, far above the rounding of any distance, so the pairs hold
+    every point nearer in the floats of :func:`_sq_dist` too (and a few
+    more, which the caller's test rejects)."""
     from scipy.spatial import cKDTree
 
-    near = cKDTree(xy).query_ball_point(xy[i], np.sqrt(_sq_dist(xy, i, j)) * (1 + 1e-9))
-    return (np.repeat(np.arange(len(i)), list(map(len, near))),
+    near = cKDTree(xy).query_ball_point(xy[i[e]], np.sqrt(_sq_dist(xy, i[e], j[e])) * (1 + 1e-9))
+    return (np.repeat(e, list(map(len, near))),
             np.fromiter(itertools.chain.from_iterable(near), np.intp))
 
 
@@ -393,13 +396,27 @@ def _delaunay_subgraph(points: Sequence[GeoPoint], name: str,
         raise DegenerateGeometryError(
             f"{name}: node {labels[dropped]!r} coincides with node "
             f"{labels[vertex]!r} and would be dropped from the triangulation")
-    s = tri.simplices
+    # qhull's indices are 32-bit; the key i * n + j would wrap past n = 46340
+    s = tri.simplices.astype(np.intp)
     sides = np.sort(np.concatenate([s[:, [1, 2]], s[:, [0, 2]], s[:, [0, 1]]]), axis=1)
     key, e = np.unique(sides[:, 0] * len(xy) + sides[:, 1], return_inverse=True)
     edges = np.column_stack(np.divmod(key, len(xy)))
     if drop is not None:
         edges = np.delete(edges, drop(xy, *edges.T, e, s.T.ravel()), axis=0)
     return Graph(labels, edges)
+
+
+def _drop_beaten(beats: Callable, xy, i, j, e, c) -> np.ndarray:
+    """The indices of the edges some point z beats, ``beats(xy, i, j, z)``
+    being the rule's test of pairs (i, j) against points z, as a drop rule
+    for :func:`_delaunay_subgraph`.  The vertices opposite each edge are
+    tried first, and only the edges they leave are tested against their
+    kd-tree witnesses.  The opposite vertices settle no edge alone, since
+    qhull's triangulation of near-co-circular points need not be exactly
+    Delaunay; they only save kd-tree queries."""
+    cut = e[beats(xy, i[e], j[e], c)]
+    w, z = _witnesses(xy, i, j, np.delete(np.arange(len(i)), cut))
+    return np.concatenate([cut, w[beats(xy, i[w], j[w], z)]])
 
 
 def build_delaunay(points: Sequence[GeoPoint]) -> Graph:
@@ -412,30 +429,17 @@ def derive_gabriel(points: Sequence[GeoPoint]) -> Graph:
 
     Keeps edge (x, y) iff d(x, y) <= sqrt(d(x, z)^2 + d(y, z)^2) for every
     other point z, i.e. no z lies strictly inside the disc with diameter xy.
-    Boundary points (z exactly on the circle) do not remove the edge.  Only
-    the one or two vertices opposite the edge in the triangulation are
-    tested: a point inside the disc would lie inside the empty circumcircle
-    of the triangle on its side unless that triangle's opposite vertex does
-    (Matula & Sokal, Geographical Analysis 12(3), 1980).  An edge whose test
-    is within qhull's rounding of the circle is tested against every point
-    a kd-tree finds near it.
+    Boundary points (z exactly on the circle) do not remove the edge.  The
+    graph is a subgraph of the Delaunay triangulation, and a Delaunay edge
+    is Gabriel unless one of its opposite vertices lies inside the disc
+    (Matula & Sokal, Geographical Analysis 12(3), 1980); each edge those
+    leave is tested against the points a kd-tree finds within d(x, y) of
+    x, since a point inside the disc is nearer x than y is.
     """
-    def drop(xy, i, j, e, c):
-        def inside(e, z):   # the edges e whose disc holds z strictly inside
-            return e[d2[e] > _sq_dist(xy, i[e], z) + _sq_dist(xy, j[e], z)]
+    def beats(xy, i, j, z):
+        return _sq_dist(xy, i, j) > _sq_dist(xy, i, z) + _sq_dist(xy, j, z)
 
-        d2 = _sq_dist(xy, i, j)
-        # qhull rounds on the scale of the largest squared coordinate norm,
-        # so near a right angle at c its triangulation need not be exactly
-        # Delaunay: an edge whose test misses the circle by less than 1e-10
-        # of that scale is tested against every point near it (misses of
-        # 1e-14 of it were seen on points near one circle)
-        gap = _sq_dist(xy, i[e], c) + _sq_dist(xy, j[e], c) - d2[e]
-        doubt = np.unique(e[abs(gap) <= 1e-10 * (xy ** 2).sum(axis=1).max()])
-        w, z = _witnesses(xy, i[doubt], j[doubt])
-        return np.concatenate([inside(e, c), inside(doubt[w], z)])
-
-    return _delaunay_subgraph(points, "Gabriel graph", drop)
+    return _delaunay_subgraph(points, "Gabriel graph", functools.partial(_drop_beaten, beats))
 
 
 def derive_soi(points: Sequence[GeoPoint]) -> Graph:
@@ -462,15 +466,16 @@ def derive_relative(points: Sequence[GeoPoint]) -> Graph:
 
     Keeps edge (x, y) iff d(x, y) <= max(d(x, z), d(y, z)) for every other
     point z; contained in the Gabriel graph by the condition itself
-    (Toussaint, Pattern Recognition 12, 1980).  Only the points a kd-tree
-    finds within d(x, y) of x are tested: any point further away has
-    d(x, z) > d(x, y) and cannot remove the edge.
+    (Toussaint, Pattern Recognition 12, 1980).  Each edge its opposite
+    vertices leave is tested against the points a kd-tree finds within
+    d(x, y) of x: any point further away has d(x, z) > d(x, y) and cannot
+    remove the edge.
     """
-    def drop(xy, i, j, *_):
-        e, z = _witnesses(xy, i, j)
-        d = np.sqrt(_sq_dist(xy, i, j))
-        return e[d[e] > np.sqrt(np.maximum(_sq_dist(xy, i[e], z), _sq_dist(xy, j[e], z)))]
+    def beats(xy, i, j, z):
+        return np.sqrt(_sq_dist(xy, i, j)) > np.sqrt(
+            np.maximum(_sq_dist(xy, i, z), _sq_dist(xy, j, z)))
 
+    drop = functools.partial(_drop_beaten, beats)
     return _delaunay_subgraph(points, "relative neighbourhood graph", drop)
 
 
@@ -592,11 +597,13 @@ def _bfs_levels(n: int, edges: np.ndarray, r_max: Optional[int] = None):
 def _hop_matrix(n: int, edges: np.ndarray, r_max: Optional[int] = None) -> np.ndarray:
     """Hop counts by :func:`_bfs_levels`, for at most ``r_max`` steps when
     given, in the smallest integer type that holds n; pairs not reached
-    hold n.  A pair's hop count is the number of levels it is still
-    unreached after."""
+    hold n.  A pair's hop count is the number of levels before the last it
+    is still unreached after; at level r >= 1, those unreached after level
+    r - 1 are ``unreached | frontier``."""
     count = np.zeros((n, n), dtype=np.min_scalar_type(n))
-    for _, unreached in _bfs_levels(n, edges, r_max):
-        count += _unpack(unreached, n)
+    for r, (frontier, unreached) in enumerate(_bfs_levels(n, edges, r_max)):
+        if r:
+            count += _unpack(unreached | frontier, n)
     count[_unpack(unreached, n)] = n
     return count
 

@@ -268,8 +268,8 @@ def test_containments_on_random_point_sets():
 
 @pytest.mark.parametrize("build", [build_delaunay, derive_gabriel, derive_soi, derive_relative])
 def test_delaunay_family_forms_no_n_by_n_array(build):
-    # half of one 2000 x 2000 float64 matrix; the filters read the edges,
-    # their opposite vertices and kd-tree neighbours, all O(n) arrays
+    # half of one 2000 x 2000 float64 matrix; the filters read the edges
+    # and their kd-tree neighbours, all O(n) arrays
     pts = random_points(2000, np.random.default_rng(5))
     build(pts)                          # imports and first-call set-up
     tracemalloc.start()
@@ -279,6 +279,16 @@ def test_delaunay_family_forms_no_n_by_n_array(build):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"{build.__name__} peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_delaunay_past_a_32_bit_edge_key():
+    # qhull numbers vertices in 32 bits; i * n + j exceeds 2**31 from
+    # n = 46341 on, so the edge key must not be formed in that type
+    from scipy.spatial import Delaunay
+    pts = random_points(50_000, np.random.default_rng(8))
+    s = Delaunay(_project(pts)).simplices
+    sides = np.sort(np.concatenate([s[:, [1, 2]], s[:, [0, 2]], s[:, [0, 1]]]), axis=1)
+    assert np.array_equal(build_delaunay(pts).edge_array, np.unique(sides, axis=0))
 
 
 def test_constructions_are_deterministic(irish_towns):

@@ -4,14 +4,15 @@ great-circle distance matrix, the Delaunay triangulation, and its Gabriel,
 sphere-of-influence and relative-neighbourhood subgraphs with their exact
 boundary rules.
 
-Clouds are random (general position, up to 150 points), clustered (tight
-groups far apart), near-co-circular (points on one circle, where qhull's
-rounding decides the triangulation and Gabriel circles pass within 1e-12 of
-other points), full lattices (cocircular points, so Gabriel circles and RNG
-lunes pass through other points) or subsets of a coarse grid (many tied
-distances).  Labels are shuffled against the coordinates, and KNN also
-runs with copied points, which tie whole distance rows, so its tie-break by
-node id is exercised.
+Clouds are random (general position; up to 40 points, or 41 to 150 in a
+second test of its own), clustered (tight groups far apart),
+near-co-circular (points on one circle, where qhull's rounding decides the
+triangulation and Gabriel circles pass within 1e-12 of other points), full
+lattices (cocircular points, so Gabriel circles and RNG lunes pass through
+other points) or subsets of a coarse grid (many tied distances).  Labels
+are shuffled against the coordinates, and KNN also runs with copied
+points, which tie whole distance rows, so its tie-break by node id is
+exercised.
 """
 
 import math
@@ -64,13 +65,14 @@ def _circle(rng, n, even, radius):
 
 
 @st.composite
-def clouds(draw):
-    """(kind, points): a random, clustered, near-co-circular, lattice or
-    coarse-grid cloud near Ireland."""
+def clouds(draw, kinds):
+    """(kind, points): a cloud near Ireland of one of ``kinds``: random (up to
+    40 points), large (random, 41 to 150 points), clustered, near-co-circular,
+    lattice or coarse grid."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "clustered", "circle", "lattice", "grid"]))
-    if kind == "random":
-        n = draw(st.integers(3, 150))
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("random", "large"):
+        n = draw(st.integers(3, 40) if kind == "random" else st.integers(41, 150))
         coords = np.column_stack([53.0 + 2.0 * rng.uniform(-1, 1, n),
                                   -8.0 + 2.0 * rng.uniform(-1, 1, n)]).tolist()
     elif kind == "clustered":
@@ -95,10 +97,7 @@ def clouds(draw):
     return kind, [GeoPoint(name, lat, lon) for name, (lat, lon) in zip(names, coords)]
 
 
-@PROPERTY
-@given(cloud=clouds(), data=st.data())
-def test_constructions_match_loop_oracles(cloud, data):
-    kind, points = cloud
+def _check_constructions(kind, points, data):
     n = len(points)
     ids = [p.node_id for p in points]
 
@@ -130,6 +129,18 @@ def test_constructions_match_loop_oracles(cloud, data):
     assert derive_gabriel(points).edges == gabriel_bruteforce(xy, delaunay)
     assert derive_soi(points).edges == soi_bruteforce(xy, delaunay)
     assert derive_relative(points).edges == relative_bruteforce(xy, delaunay)
+
+
+@PROPERTY
+@given(cloud=clouds(["random", "lattice", "grid"]), data=st.data())
+def test_constructions_match_loop_oracles(cloud, data):
+    _check_constructions(*cloud, data)
+
+
+@PROPERTY
+@given(cloud=clouds(["large", "clustered", "circle"]), data=st.data())
+def test_constructions_match_loop_oracles_on_large_clustered_and_circle_clouds(cloud, data):
+    _check_constructions(*cloud, data)
 
 
 @pytest.mark.parametrize("seed", range(24))
