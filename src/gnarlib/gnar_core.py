@@ -359,26 +359,19 @@ def _var_blocks(alpha_np: np.ndarray, beta: Sequence[np.ndarray],
 def _stage_planes(values: np.ndarray, weights: WeightSet, r_max: int) -> np.ndarray:
     """Regressor planes shared by every order with stages up to ``r_max``:
     a (r_max + 1, T, N) stack of the panel (plane 0) and the stage-r sums
-    W_r X, where a missing stage member poisons only the sums touching it."""
+    W_r X, NaN exactly where a missing value meets the support of W_r."""
     if np.isinf(values).any():
         raise InvalidInputError("panel holds infinite values; NaN marks a missing cell")
     n, T = values.shape
     planes = np.empty((r_max + 1, T, n))
     planes[0] = values.T
-    for r in range(1, r_max + 1):
-        w = weights.stack[r - 1]
-        planes[r] = _poisoned_sums(w, (w != 0).astype(float), values).T
-    return planes
-
-
-def _poisoned_sums(w: np.ndarray, support: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sums ``w @ values``, NaN exactly where a missing value meets the 0/1
-    pattern ``support``, which covers every entry of ``w`` that may be nonzero."""
     missing = np.isnan(values)
-    sums = w @ np.where(missing, 0.0, values)
-    if missing.any():
-        sums[(support @ missing.astype(float)) > 0] = np.nan
-    return sums
+    filled, holes = np.where(missing, 0.0, values), missing.astype(float)
+    for r, w in enumerate(weights.stack[:r_max], 1):
+        planes[r] = (w @ filled).T
+        if missing.any():
+            planes[r][(((w != 0).astype(float) @ holes) > 0).T] = np.nan
+    return planes
 
 
 @dataclass(frozen=True)
@@ -626,20 +619,23 @@ def _least_squares(design: np.ndarray | NodeDesign, response: np.ndarray,
                    names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """gamma and diag((D'D)^-1): the all-columns case of :func:`_subset_solve`
     on a stack of one, or :func:`_qr_solve` on the wide design when that
-    finds the rank not clear or a node has fewer than p rows."""
+    finds the rank not clear.  A node with k_i < p rows gives its own-lag
+    columns rank k_i at most, so that design is refused at once as singular."""
     if not isinstance(design, NodeDesign):
         p, r = 0, _dense_r(design, response)[None]
     else:
         own, other, nodes, n = design.own, design.beta, design.nodes, design.n
-        p = own.shape[1]
+        p, counts = own.shape[1], np.bincount(nodes, minlength=n)
+        if counts.min() < p:       # names[i] is alpha1[<label of node i>]
+            i = int(np.argmin(counts))
+            raise SingularDesignError(f"node {names[i].partition('[')[2][:-1]!r} has "
+                                      f"{counts[i]} rows for {p} own lags")
         # a node occurs at most once in each run of increasing node ids (one date
         # of the t-major rows), so the run number is the row's slot in its block
         slot = np.concatenate([[0], np.cumsum(nodes[1:] <= nodes[:-1])])
         blocks = np.zeros((1, n, slot[-1] + 1, p + other.shape[1] + 1))
         blocks[0, nodes, slot] = np.column_stack([own, other, response])
         _require_finite(blocks)
-        if np.bincount(nodes, minlength=n).min() < p:
-            return _qr_solve(_wide(design), response, names)
         r = np.linalg.qr(blocks, mode="r")     # one batched QR over nodes
     use = np.ones((1, r.shape[-1] - 1), dtype=bool)
     solved = _subset_solve(r, p, np.zeros(1, dtype=int), use, np.array([len(response)]))[0]
@@ -786,10 +782,11 @@ def fit_ols(design: np.ndarray | NodeDesign, response: np.ndarray, spec: GnarSpe
     design, per-node block elimination for a :class:`NodeDesign`
     (node-specific alpha in compact form, as :func:`fit` and
     ``select_model`` pass it).  It gives gamma, the standard errors and a
-    rank bound; when a node has fewer than p rows or the smallest singular
-    value comes within a safety factor of the pivoted QR's tolerance, the
-    wide design goes through that pivoted QR instead, which raises
-    SingularDesignError naming the dependent columns.
+    rank bound; when the smallest singular value comes within a safety
+    factor of the pivoted QR's tolerance, the wide design goes through that
+    pivoted QR instead, which raises SingularDesignError naming the
+    dependent columns.  A node with fewer than p rows is SingularDesignError
+    at once, naming the node and its row count.
     ``row_index`` (node, column) pairs may be a list or an (n_rows, 2) array.
     """
     design, response = _checked_system(design, response, spec, n)
@@ -995,14 +992,24 @@ def _alpha_matrix(alpha: np.ndarray, n: int, p: int) -> np.ndarray:
 
 
 def _lag_operator(alpha: np.ndarray, beta: Sequence[np.ndarray], weights: WeightSet,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The VAR blocks as one N x pN operator [B_p ... B_1] on the lag window
-    [X_{t-p}; ...; X_{t-1}], and its support: own lags and weighted stage
-    members, so missing values poison predictions whatever the coefficients."""
-    p = len(beta)
-    blocks = _var_blocks(_alpha_matrix(alpha, n, p), beta, weights.stack)
-    support = [np.eye(n) + (weights.stack[:len(bj)] != 0).sum(axis=0) for bj in beta]
-    return np.hstack(blocks[::-1]), np.hstack(support[::-1])
+                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The VAR blocks [B_p ... B_1] on the lag window [X_{t-p}; ...; X_{t-1}]
+    as the nonzeros of their support, row after row (CSR): a prediction is
+    ``np.add.reduceat(coef * window[cols], starts)``.  Row i holds its own lag
+    j with alpha[i, j] and each q with W_r[i, q] != 0, r <= s_j, with
+    beta[j, r] * W_r[i, q].  Entries are kept when their coefficient is 0, so
+    a missing value they reach poisons the prediction whatever the
+    coefficients."""
+    p, nodes = len(beta), np.arange(n)
+    a = _alpha_matrix(alpha, n, p)
+    parts = [(nodes, (p - 1 - j) * n + nodes, a[:, j]) for j in range(p)]
+    for r, w in enumerate(weights.stack[:max(map(len, beta))]):
+        nz = np.flatnonzero(w.ravel() != 0)     # far faster than a 2-D np.nonzero
+        i, q, w = nz // n, nz % n, w.ravel()[nz]
+        parts += [(i, (p - 1 - j) * n + q, bj[r] * w) for j, bj in enumerate(beta) if r < len(bj)]
+    rows, cols, coef = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    return cols[order], coef[order], np.searchsorted(rows[order], nodes)
 
 
 def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
@@ -1020,7 +1027,10 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
     sigma=0 (or -0.0) gives the deterministic recursion.  alpha, beta, sigma,
     init_mean and init_values must be finite, and a run that overflows to
     +-inf (an explosive recursion, or initial draws past the float range)
-    raises InvalidInputError naming the first such step.
+    raises InvalidInputError naming the first such step.  Each step sums over
+    the support of the VAR blocks (own lags and weighted stage members, kept
+    where a coefficient is 0), so the support entries, not the coefficients,
+    decide which nodes a non-finite value reaches.
     """
     order = spec.order
     p = order.p
@@ -1041,7 +1051,7 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
 
     weights = _weight_stack(g, order.max_stage, spec.scheme)
     _validate_stages(order, weights, g.labels)
-    lag_op, support = _lag_operator(alpha, beta, weights, n)
+    cols, coef, starts = _lag_operator(alpha, beta, weights, n)
 
     rng = np.random.default_rng(seed)
     total = T + burn_in
@@ -1053,11 +1063,13 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
         Xt[:p] = init.T
     else:
         Xt[:p] = rng.normal(init_mean, sigma, size=(n, p)).T
+    Xt[p:] = rng.normal(0.0, sigma, size=(total - p, n)) if sigma > 0 else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(p, total):
-            mean = _poisoned_sums(lag_op, support, Xt[t - p:t].ravel())
-            Xt[t] = mean + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)
-    overflow = np.flatnonzero(np.isinf(Xt).any(axis=1))    # the initial draws too
+        for t in range(p, total):     # the innovations, drawn above, plus the mean
+            Xt[t] += np.add.reduceat(coef * Xt[t - p:t].ravel()[cols], starts)
+    # the initial draws too; a step whose products overflow to +inf and -inf
+    # sums them to NaN, with no inf in it
+    overflow = np.flatnonzero(~np.isfinite(Xt).all(axis=1))
     if overflow.size:
         raise InvalidInputError(
             f"the simulation overflows to +-inf at step {overflow[0] + 1} of {total} "
@@ -1079,21 +1091,23 @@ def forecast(fit: GnarFit, panel: TimeSeriesPanel, horizon: int,
     evaluation convention).  recursive predicts ``horizon`` new columns
     after the end of ``panel``, feeding its own predictions forward.  Both
     agree at horizon 1 when the rolling panel extends the recursive one by
-    the single evaluated column.  Returns an N x horizon array; predictions
-    with missing operands are NaN.  An infinite panel value is an error
-    naming its node.
+    the single evaluated column.  Returns an N x horizon array.  A
+    prediction is NaN when a value on its support is missing: its own lags,
+    or a weighted member of a stage its lags use.  The support entries, not
+    the coefficients, decide this: a coefficient of 0 does not hide a
+    missing value.  An infinite panel value is an error naming its node.
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     if tuple(panel.labels) != tuple(fit.labels):
         raise InvalidInputError("panel labels do not match the fitted model")
-    _reject_infinite(zip(panel.labels, panel.values))
+    if np.isinf(panel.values).any():     # one pass; the per-node loop only names the node
+        _reject_infinite(zip(panel.labels, panel.values))
     if fit.weight_set is None:
         raise InvalidInputError("fit carries no weights; refit via fit()/fit_ols "
                                 "with weight_set to enable forecasting")
-    p = fit.spec.order.p
-    n = panel.n_nodes
-    lag_op, support = _lag_operator(fit.alpha, fit.beta, fit.weight_set, n)
+    p, n = fit.spec.order.p, panel.n_nodes
+    cols, coef, starts = _lag_operator(fit.alpha, fit.beta, fit.weight_set, n)
     if mode == "rolling_one_step":
         if panel.n_times < p + horizon:
             raise InvalidInputError(
@@ -1109,7 +1123,7 @@ def forecast(fit: GnarFit, panel: TimeSeriesPanel, horizon: int,
             f"unknown mode {mode!r}; expected 'rolling_one_step' or 'recursive'")
     preds = np.empty((n, horizon))
     for h, t in enumerate(range(start, start + horizon)):
-        preds[:, h] = _poisoned_sums(lag_op, support, Xt[t - p:t].ravel())
+        preds[:, h] = np.add.reduceat(coef * Xt[t - p:t].ravel()[cols], starts)
         if mode == "recursive":
             Xt[t] = preds[:, h]   # feed the prediction forward
     return preds

@@ -756,6 +756,14 @@ def test_simulate_explosive_model_names_the_overflowing_step():
                      sigma=0.0, init_mean=1.0, burn_in=20)
 
 
+def test_simulate_names_a_step_whose_overflows_cancel_to_nan():
+    # 10 * 1e308 - 10 * 1e308 is inf - inf: the step holds NaN and no inf
+    g = build_complete(["a", "b"])
+    with pytest.raises(InvalidInputError, match=r"overflows to \+-inf at step 2 of 5 "):
+        simulate(spec_for(1, [1]), np.array([10.0]), [np.array([-10.0])], g, T=5, sigma=0.0,
+                 init_values=np.full((2, 1), 1e308))
+
+
 def test_simulate_initial_draws_that_overflow_are_refused():
     # N(1.5e308, 1e308) draws overflow to +-inf, and inf - inf is NaN after them
     with pytest.raises(InvalidInputError, match=r"overflows to \+-inf at step 1 of 30 "):

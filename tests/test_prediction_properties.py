@@ -4,15 +4,20 @@ VAR-form simulation and forecasts.
 Random graphs may be disconnected and may have isolated nodes; an order
 whose stages are empty somewhere must be rejected, every other case is
 checked against the loop oracles in ``oracles.py``, with random missing
-values in the forecast history.
+values in the forecast history.  Some coefficients are exactly 0.0 or -0.0:
+the support of the VAR blocks, not the coefficients, decides which
+predictions a missing value poisons.  The gather operator that simulation
+and forecasting share must scatter back to the dense VAR blocks exactly.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import weekly_dates
+from conftest import random_points, weekly_dates
 from oracles import (
     bfs_spl,
     gnar_one_step_bruteforce,
@@ -21,12 +26,14 @@ from oracles import (
 )
 
 from gnarlib.errors import ModelInadmissibleError
-from gnarlib.geo_graph import Graph, shortest_path_lengths, stage_neighbourhoods
+from gnarlib.geo_graph import Graph, build_delaunay, shortest_path_lengths, stage_neighbourhoods
 from gnarlib.gnar_core import (
     GnarFit,
     GnarOrder,
     GnarSpec,
     WeightScheme,
+    _lag_operator,
+    _var_blocks,
     compute_weights,
     forecast,
     simulate,
@@ -58,7 +65,8 @@ def graphs(draw, max_n=9):
 
 @st.composite
 def models(draw):
-    """A graph, a weight scheme, an order and small random coefficients."""
+    """A graph, a weight scheme, an order and small random coefficients, of
+    which about half may be exactly 0.0 or -0.0."""
     g = draw(graphs())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = draw(st.integers(1, 3))
@@ -72,6 +80,10 @@ def models(draw):
     scale = 0.9 / (p * (1 + max(s)))
     alpha = rng.uniform(-scale, scale, size=p if spec.global_alpha else (g.n, p))
     beta = [rng.uniform(-scale, scale, size=sj) for sj in s]
+    zeros = draw(st.sampled_from([0.0, 0.5]))
+    for c in [alpha, *beta]:
+        hit = rng.uniform(size=c.shape) < zeros
+        c[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
     return g, spec, alpha, beta, rng
 
 
@@ -133,6 +145,7 @@ def test_simulate_equals_bruteforce_recursion(model, sigma, seed):
             innov[:, t] = draws.normal(0.0, sigma, size=g.n)
     oracle = simulate_gnar_bruteforce(_alpha_np(alpha, g.n), beta, sets, wdicts, init, T,
                                       innov)
+    np.testing.assert_array_equal(np.isnan(panel.values), np.isnan(oracle))
     np.testing.assert_allclose(panel.values, oracle, rtol=0, atol=1e-12)
 
 
@@ -166,3 +179,48 @@ def test_forecasts_equal_loop_one_step_oracle(model, missing_rate, horizon):
         ext[:, t] = gnar_one_step_bruteforce(ext, t, alpha_np, beta, sets, wdicts)
     np.testing.assert_array_equal(np.isnan(recursed), np.isnan(ext[:, T:]))
     np.testing.assert_allclose(recursed, ext[:, T:], rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(models())
+def test_gather_operator_scatters_to_the_var_blocks(model):
+    # every row lists its own lags and the weighted members of the stages its
+    # lags use, each once, zero coefficients included; scattered back, the
+    # coefficients are the dense [B_p ... B_1] bit for bit
+    g, spec, alpha, beta, _ = model
+    _, _, weights = _oracle_stages(g, spec)
+    cols, coef, starts = _lag_operator(alpha, beta, weights, g.n)
+    rows = np.repeat(np.arange(g.n), np.diff(np.append(starts, len(cols))))
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(cols)
+    dense, support = np.zeros((2, g.n, spec.order.p * g.n))
+    dense[rows, cols], support[rows, cols] = coef, 1.0
+    blocks = _var_blocks(_alpha_np(alpha, g.n), beta, weights.stack)
+    np.testing.assert_array_equal(dense, np.hstack(blocks[::-1]))
+    stages = [np.eye(g.n) + (weights.stack[:len(bj)] != 0).sum(axis=0) for bj in beta]
+    np.testing.assert_array_equal(support, np.hstack(stages[::-1]))
+
+
+def test_prediction_forms_no_n_by_n_array():
+    # the dense N x pN operator alone was 64 MB at n = 2000 and p = 2; the
+    # gather form holds about 27 entries a row
+    pts = random_points(2000, np.random.default_rng(6))
+    g = build_delaunay(pts)
+    spec = GnarSpec(GnarOrder(2, (2, 1)), scheme=WeightScheme("uniform"))
+    weights = compute_weights(g, stage_neighbourhoods(g, 2), spec.scheme)
+    fitted = GnarFit(spec=spec, labels=g.labels, gamma=np.empty(0), gamma_se=np.empty(0),
+                     column_names=(), alpha=np.array([0.2, 0.1]),
+                     beta=(np.array([0.2, 0.1]), np.array([0.1])), sigma2=1.0,
+                     residuals=None, n_obs=0, M=0, loglik=0.0, bic=0.0, aic=0.0,
+                     weight_set=weights)
+    rng = np.random.default_rng(7)
+    panel = TimeSeriesPanel(labels=g.labels, dates=weekly_dates(10),
+                            values=rng.normal(size=(g.n, 10)))
+    forecast(fitted, panel, 5, mode="recursive")        # first-call set-up
+    tracemalloc.start()
+    try:
+        preds = forecast(fitted, panel, 5, mode="recursive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"the forecast peaked at {peak / 2**20:.1f} MiB"
+    assert np.isfinite(preds).all()

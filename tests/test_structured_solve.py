@@ -5,7 +5,8 @@ compact, by per-node block elimination; a design whose rank is in doubt goes
 to the pivoted QR.  Random graphs with random missing cells, unequal per-node
 row counts, nodes with no rows and nodes with fewer rows than lags are
 checked against the normal-equations oracle and against the pivoted QR's
-rank decision and message.
+rank decision and message; a node with fewer rows than lags is refused
+before any QR, with a message that names it.
 """
 
 import numpy as np
@@ -87,14 +88,20 @@ def test_structured_solve_matches_oracle_and_pivoted_qr(case):
         with pytest.raises(InsufficientDataError):
             fit(panel, g, spec)
         return
+    counts = np.bincount([i for i, _ in rows], minlength=panel.n_nodes)
+    short = not spec.global_alpha and counts.min() < spec.order.p
     try:
         pivoted, _ = _qr_solve(D, y, coefficient_names(spec, panel.labels))
     except SingularDesignError as exc:
-        # the rank decision and the named columns are the pivoted QR's
+        # the rank decision is the pivoted QR's, and so are the named columns,
+        # unless a node has fewer rows than own lags: that node is named
         with pytest.raises(SingularDesignError) as info:
             fit(panel, g, spec)
-        assert str(info.value) == str(exc)
+        i = int(np.argmin(counts))
+        assert str(info.value) == (f"node {panel.labels[i]!r} has {counts[i]} rows for "
+                                   f"{spec.order.p} own lags" if short else str(exc))
         return
+    assert not short
     f = fit(panel, g, spec)
     cond = np.linalg.cond(D)
     scale = max(1.0, float(np.max(np.abs(pivoted))))
@@ -151,8 +158,9 @@ def _thin_panel(g, rows_of_last_node, seed):
 
 @pytest.mark.parametrize("rows_of_last_node", [0, 1, 2, 9])
 def test_compact_and_wide_designs_agree(rows_of_last_node):
-    # a node with no rows or fewer rows than lags is singular in both forms,
-    # with the pivoted QR's message; otherwise both solves agree
+    # a node with no rows or fewer rows than lags is singular in both forms:
+    # the wide design's pivoted QR names its columns, and the compact form
+    # names the node before any QR; otherwise both solves agree
     g = random_connected_graph(6, np.random.default_rng(4))
     panel = _thin_panel(g, rows_of_last_node, seed=rows_of_last_node)
     spec = GnarSpec(GnarOrder(2, (1, 0)), global_alpha=False)
@@ -165,7 +173,8 @@ def test_compact_and_wide_designs_agree(rows_of_last_node):
             fit_ols(D, *args, row_index=rows, labels=g.labels)
         with pytest.raises(SingularDesignError) as compact_err:
             fit_ols(compact, *args, row_index=rows, labels=g.labels)
-        assert str(compact_err.value) == str(wide_err.value)
+        assert str(compact_err.value) == (
+            f"node {g.labels[-1]!r} has {rows_of_last_node} rows for 2 own lags")
         assert f"[{g.labels[-1]}]" in str(wide_err.value)
         return
     wide_fit = fit_ols(D, *args, row_index=rows, labels=g.labels)
@@ -176,6 +185,31 @@ def test_compact_and_wide_designs_agree(rows_of_last_node):
     np.testing.assert_allclose(compact_fit.gamma_se, wide_fit.gamma_se, rtol=1e-12)
     np.testing.assert_allclose(compact_fit.residuals, wide_fit.residuals, rtol=0, atol=1e-12)
     assert compact_fit.bic == pytest.approx(wide_fit.bic, rel=1e-12)
+
+
+@pytest.mark.parametrize("rows_of_last_node", [0, 1])
+def test_a_node_with_fewer_rows_than_lags_is_refused_before_any_qr(monkeypatch,
+                                                                   rows_of_last_node):
+    # its own-lag columns have rank at most its row count, so the design is
+    # singular for certain: no QR, no wide design; a search records the
+    # candidate as singular with the same reason
+    def refuse(*args, **kwargs):
+        raise AssertionError("a QR or a wide design for a short node")
+
+    g = random_connected_graph(6, np.random.default_rng(4))
+    panel = _thin_panel(g, rows_of_last_node, seed=rows_of_last_node)
+    spec = GnarSpec(GnarOrder(2, (1, 0)), global_alpha=False)
+    reason = f"node {g.labels[-1]!r} has {rows_of_last_node} rows for 2 own lags"
+    monkeypatch.setattr(gnar_core, "_qr_solve", refuse)
+    monkeypatch.setattr(NodeDesign, "wide", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "qr", refuse)
+        with pytest.raises(SingularDesignError) as info:
+            fit(panel, g, spec)
+    assert str(info.value) == reason
+    report = select_model(panel, g, WeightScheme("spl"), order_grid(2, 1), global_alpha=False)
+    short = {c.order.name(): (c.status, c.reason) for c in report.candidates}
+    assert short["GNAR(2,[1,0])"] == ("singular", reason)
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +237,19 @@ def _with_cavan(base, g, row):
 def test_queen_singular_messages_are_unchanged(queen_panel, row, message):
     # recorded from the pivoted-QR solver that every fit used before: an
     # all-missing Cavan empties its own and its five neighbours' blocks, a
-    # constant Cavan makes its two own lags equal
+    # constant Cavan makes its two own lags equal.  A node with fewer rows
+    # than lags is now refused before any QR, so for the empty blocks the
+    # record is the pivoted QR's on the wide design, and the fit names Cavan
     g, base = queen_panel
     spec = GnarSpec(GnarOrder(2, (1, 0)), global_alpha=False)
+    panel = _with_cavan(base, g, row)
     with pytest.raises(SingularDesignError) as info:
-        fit(_with_cavan(base, g, row), g, spec)
+        fit(panel, g, spec)
+    if np.isnan(row):
+        assert str(info.value) == "node 'Cavan' has 0 rows for 2 own lags"
+        D, y, _ = _wide_design(g, panel, spec)
+        with pytest.raises(SingularDesignError) as info:
+            _qr_solve(D, y, coefficient_names(spec, g.labels))
     assert str(info.value) == message
 
 
