@@ -121,7 +121,7 @@ def mase(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray,
     if len(labels) != n:
         raise InvalidInputError(f"{len(labels)} labels for {n} rows")
     for values in (actual, predicted, history):
-        _reject_infinite(zip(labels, values))
+        _reject_infinite(labels, values)
 
     def row_mean(a):    # nanmean's arithmetic by row, NaN for a row with no value
         seen = ~np.isnan(a)
@@ -212,7 +212,7 @@ def moran_permutation_test(panel: TimeSeriesPanel, g: geo_graph.Graph, R: int = 
     _check_seed(seed)
     if tuple(panel.labels) != tuple(g.labels):
         raise InvalidInputError("panel and graph label order differ")
-    _reject_infinite(zip(panel.labels, panel.values))
+    _reject_infinite(panel.labels, panel.values)
     T = panel.n_times
     observed = np.full(T, np.nan)
     lower = np.full(T, np.nan)
@@ -485,7 +485,7 @@ def _per_node(test: Callable[[np.ndarray], TestResult], residuals
     if isinstance(residuals, TimeSeriesPanel):
         residuals = dict(zip(residuals.labels, residuals.values))
     series = {str(k): np.asarray(v, dtype=float) for k, v in residuals.items()}
-    _reject_infinite(series.items())
+    _reject_infinite(series, series.values())
     out: dict[str, TestResult] = {}
     for label, x in series.items():
         try:

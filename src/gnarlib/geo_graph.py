@@ -38,8 +38,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, InvalidInputError, _check_seed, _read_csv,
-                     _read_json, _write_json)
+from .errors import (DegenerateGeometryError, InvalidInputError, _by_row, _check_seed,
+                     _read_csv, _read_json, _write_json)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -749,18 +749,18 @@ def read_points_csv(stream) -> list[GeoPoint]:
                         lon_deg=float(row[col["lon"]]),
                         population=float(pop) if pop else None)
 
-    _, points = _read_csv(stream, "header node,lat,lon[,population]",
-                          lambda header: {"node", "lat", "lon"}.issubset(header), point)
-    points.sort(key=lambda p: p.node_id)
+    _, blocks = _read_csv(stream, "header node,lat,lon[,population]",
+                          lambda header: {"node", "lat", "lon"}.issubset(header), _by_row(point))
+    points = sorted(itertools.chain.from_iterable(blocks), key=lambda p: p.node_id)
     _check_points(points)
     return points
 
 
 def read_edgelist_csv(stream) -> list[tuple[str, str]]:
     """Read undirected edges from CSV with header ``from,to``."""
-    return _read_csv(stream, "header from,to",
-                     lambda header: {"from", "to"}.issubset(header),
-                     lambda row, col: (row[col["from"]], row[col["to"]]))[1]
+    _, blocks = _read_csv(stream, "header from,to", lambda header: {"from", "to"}.issubset(header),
+                          _by_row(lambda row, col: (row[col["from"]], row[col["to"]])))
+    return list(itertools.chain.from_iterable(blocks))
 
 
 def write_graph_json(g: Graph, path, meta: Optional[dict] = None) -> None:

@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import (
     FeasibilityError,
+    GnarError,
     InsufficientDataError,
     InvalidInputError,
     ModelInadmissibleError,
@@ -642,15 +643,17 @@ def _least_squares(design: np.ndarray | NodeDesign, response: np.ndarray,
     return solved[:2] if solved is not None else _qr_solve(_wide(design), response, names)
 
 
-def _search_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
-                  ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int]]:
+def _search_solve(planes: np.ndarray, specs: Sequence[GnarSpec], labels: Sequence[str]
+                  ) -> dict[GnarOrder, tuple[np.ndarray, float, int, int] | GnarError]:
     """Least squares for the admissible orders of one model search, in one
     alpha mode.  One gather cuts every column an order uses, (plane r, lag j),
     from the planes; it has the same value at row (i, t) for every order that
     uses it, and its NaN pattern gives each order's kept rows: t >= p, with
     the response and every column observed.  An order with no more rows than
     parameters, or, for node-specific alpha, with a node that has fewer rows
-    than p, is not served: the standalone fit decides it.  The rest are
+    than p, is refused with the error the standalone fit would raise, in its
+    order of checks: T <= p, no usable row, n rows <= M parameters, then the
+    node (of ``labels``) with the fewest rows.  The rest are
     grouped by lag order and kept rows.  Stage sets are prefixes, so the
     union of a group's columns is the design of its elementwise-largest stage
     vector, and each order is a column subset of it.  One QR of the rows
@@ -660,7 +663,8 @@ def _search_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
     widened to a common layout by unit columns (own lags beyond the group's p
     among them), and one :func:`_subset_solve` serves every grouped order.
     Returns {order: (gamma, rss, n_obs, M)} for the served orders whose rank
-    is clear; the rest take the standalone fit."""
+    is clear and {order: error} for the refused ones; the rest take the
+    standalone fit."""
     _, T, n = planes.shape
     node = not specs[0].global_alpha
     lags = np.array([spec.order.p for spec in specs])
@@ -679,13 +683,15 @@ def _search_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
     missing = np.isnan(lagged).reshape(len(layout), -1).astype(float)
     keep = (use @ missing == 0).reshape(len(specs), -1, n) & (times[:, None] >= lags[:, None, None])
     per_node = keep.sum(axis=1)
-    n_obs = per_node.sum(axis=1)
-    enough = (n_obs > [s.n_params(n) for s in specs]) & ~(node & (per_node < lags[:, None]).any(1))
+    n_obs, params = per_node.sum(axis=1), [s.n_params(n) for s in specs]
+    enough = (n_obs > params) & ~(node & (per_node < lags[:, None]).any(1))
+    refused = {specs[k].order: _refusal(T, lags[k], params[k], per_node[k], labels)
+               for k in np.flatnonzero(~enough)}
     groups: dict[tuple[int, bytes], list[int]] = {}
     for k, mask in zip(np.flatnonzero(enough), np.packbits(keep[enough], axis=-1)):
         groups.setdefault((lags[k], mask.tobytes()), []).append(k)
     if not groups:
-        return {}
+        return refused
     sizes = [len(g) for g in groups.values()]
     served = [k for g in groups.values() for k in g]
     group = np.repeat(np.arange(len(groups)), sizes)
@@ -733,8 +739,23 @@ def _search_solve(planes: np.ndarray, specs: Sequence[GnarSpec]
     r = np.concatenate([factor(lo, lo + step) for lo in range(0, blocks, step)], axis=1)
     solved = _subset_solve(r if node else r[:, 0], big if node else 0, group,
                            use[:, :-1], n_obs[served])
-    return {specs[k].order: (s[0], s[2], int(n_obs[k]), len(s[0]))
-            for k, s in zip(served, solved) if s is not None}
+    return refused | {specs[k].order: (s[0], s[2], int(n_obs[k]), len(s[0]))
+                      for k, s in zip(served, solved) if s is not None}
+
+
+def _refusal(T: int, p: int, M: int, per_node: np.ndarray, labels: Sequence[str]) -> GnarError:
+    """The error with which the standalone fit refuses an order of lag p and
+    M parameters that keeps ``per_node`` rows of each node, in the order of
+    its checks; the last is node-specific alpha's node with fewest rows."""
+    n_obs = int(per_node.sum())
+    if T <= p:
+        return InsufficientDataError(f"panel length {T} <= lag order {p}")
+    if n_obs == 0:
+        return InsufficientDataError("no usable stacked rows (too much missing data)")
+    if n_obs <= M:
+        return InsufficientDataError(f"{n_obs} rows <= {M} parameters")
+    i = int(np.argmin(per_node))
+    return SingularDesignError(f"node {labels[i]!r} has {per_node[i]} rows for {p} own lags")
 
 
 _OVERFLOW = "the residual sum of squares overflows; rescale the data"
@@ -921,16 +942,22 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
     _require_finite(response)
 
     nodes, times = np.asarray(row_index, dtype=np.intp).reshape(-1, 2).T
-    order = np.lexsort((nodes, times))
-    bounds = np.flatnonzero(np.diff(times[order])) + 1
-    by_present: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for block in np.split(order, bounds):
-        by_present.setdefault(tuple(nodes[block].tolist()), []).append(block)
+    order = np.lexsort((nodes, times))      # time-major, nodes ascending
+    first = np.append(True, np.diff(times[order]) != 0)
+    starts = np.flatnonzero(first)          # each time point's first row in ``order``
+    mask = np.zeros((len(starts), n), dtype=bool)
+    mask[np.cumsum(first) - 1, nodes[order]] = True
+    if np.count_nonzero(mask) != len(order):
+        raise InvalidInputError("row_index repeats a (node, column) pair")
+    by_present: dict[bytes, list[int]] = {}     # present-node set -> its time points
+    for k, key in enumerate(np.packbits(mask, axis=1)):
+        by_present.setdefault(key.tobytes(), []).append(k)
 
     M = design.shape[1]
     white_design, white_response = np.empty((len(response), M)), np.empty(len(response))
     start = 0
-    for present, blocks in by_present.items():
+    for group in by_present.values():
+        present = np.flatnonzero(mask[group[0]])
         try:
             L = np.linalg.cholesky(sigma[np.ix_(present, present)])
         except np.linalg.LinAlgError as exc:
@@ -938,7 +965,7 @@ def fit_egls(design: np.ndarray, response: np.ndarray, spec: GnarSpec,
                 "sigma is not positive definite; regularise it (e.g. keep only "
                 "the diagonal) before EGLS") from exc
         L_inv = np.linalg.inv(L)
-        rows = np.stack(blocks)                       # (time points, present nodes)
+        rows = order[starts[group][:, None] + np.arange(len(present))]   # (time points, nodes)
         stop = start + rows.size
         np.matmul(L_inv, design[rows], out=white_design[start:stop].reshape(rows.shape + (M,)))
         white_response[start:stop] = (L_inv @ response[rows].T).T.ravel()
@@ -1101,8 +1128,7 @@ def forecast(fit: GnarFit, panel: TimeSeriesPanel, horizon: int,
         raise InvalidInputError("horizon must be >= 1")
     if tuple(panel.labels) != tuple(fit.labels):
         raise InvalidInputError("panel labels do not match the fitted model")
-    if np.isinf(panel.values).any():     # one pass; the per-node loop only names the node
-        _reject_infinite(zip(panel.labels, panel.values))
+    _reject_infinite(panel.labels, panel.values)
     if fit.weight_set is None:
         raise InvalidInputError("fit carries no weights; refit via fit()/fit_ols "
                                 "with weight_set to enable forecasting")

@@ -16,7 +16,9 @@ propagate (no operation invents a number where an input was missing).
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -24,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (DataIntegrityError, InvalidInputError, UndefinedStatisticError,
-                     _read_csv, _read_json, _write_csv)
+                     _read_csv, _read_json, _RowError, _write_csv)
 
 
 class DataCorrectionWarning(UserWarning):
@@ -141,36 +143,112 @@ class BoxCoxProfile:
 def ingest_long_csv(stream) -> TimeSeriesPanel:
     """Pivot a long ``date,node,value`` CSV into a panel.
 
-    Nodes are sorted lexicographically; absent (date, node) cells become
-    missing.  A duplicate (date, node) pair with a conflicting value raises
-    a data-integrity error naming the cell; exact duplicates are tolerated.
-    Empty value fields are treated as missing; an infinite value is
-    rejected with an error naming the data row.
+    Nodes are sorted lexicographically and dates ascending; absent (date,
+    node) cells become missing.  Extra columns are ignored, and two
+    spellings of one date (``20200106``, ``2020-01-06``) are one date.  An
+    empty value field is missing; an infinite value or a bad date is an
+    error naming the data row.  A duplicate (date, node) cell must equal the
+    one before it (NaN equals NaN, 0.0 equals -0.0), and the last one is
+    kept; a conflicting one raises a data-integrity error naming the cell.
+    The rows are read by column, a block at a time: each distinct date and
+    label is parsed once into an integer code, and the values of a block are
+    converted by one ``float`` map.  A stable sort of the block's integer
+    (date, node) keys puts the rows of each cell together in file order,
+    each is compared with the one before it (the first with the cell's last
+    value from earlier blocks), and the last is kept in a grid of codes that
+    grows as codes appear; the panel is cut from it at the end.  The
+    errors are those of a loop over the rows: the first bad row in file
+    order, its date before its value.
     """
-    cells: dict[tuple[datetime.date, str], float] = {}
+    # label -> code and date -> code, in order of first sight; date text -> code
+    # of its date, -1 if bad; the last value of each (date code, label code)
+    # cell so far, and which cells have one (grown as codes appear)
+    labels, found, days = {}, {}, {}
+    grid, seen = np.empty((0, 0)), np.empty((0, 0), dtype=bool)
 
-    def fold(row, col) -> None:
-        d, node = _iso_date(row[col["date"]]), row[col["node"]]
-        value = _cell_value(row[col["value"]])
-        old = cells.get((d, node))
-        if old is not None and not (old == value or (math.isnan(old) and math.isnan(value))):
+    def fold(rows, at, col) -> None:
+        nonlocal grid, seen
+        texts, nodes, cells = (list(map(operator.itemgetter(col[name]), rows))
+                               for name in ("date", "node", "value"))
+        day, values = _codes(texts, days, found, _iso_date), _floats(cells)
+        bad = np.flatnonzero((day < 0) | np.isinf(values))
+        i = bad[0] if bad.size else len(rows)
+        node = _codes(nodes[:i], labels, labels)
+        if len(found) > grid.shape[0] or len(labels) > grid.shape[1]:
+            # a quarter past the codes: little slack for a sparse panel, few copies
+            pad = [(0, n + n // 4 - m if n > m else 0)
+                   for n, m in zip((len(found), len(labels)), grid.shape)]
+            grid, seen = np.pad(grid, pad, constant_values=np.nan), np.pad(seen, pad)
+        key = day[:i] * grid.shape[1] + node
+        order = np.argsort(key, kind="stable")  # a cell's rows in file order
+        key, new = key[order], values[:i][order]
+        first = np.diff(key, prepend=-1) != 0   # a cell's first row in the block
+        old = np.where(first, grid.flat[key], np.append(np.nan, new)[:-1])
+        clash = np.flatnonzero((~first | seen.flat[key]) & (old != new)
+                               & ~(np.isnan(old) & np.isnan(new)))
+        if clash.size:      # the clash whose row comes first
+            j = clash[np.argmin(order[clash])]
+            d, n = divmod(int(key[j]), grid.shape[1])
             raise DataIntegrityError(
-                f"conflicting duplicate for node {node!r} on {d.isoformat()}: "
-                f"{old!r} vs {value!r}")
-        cells[d, node] = value
+                f"conflicting duplicate for node {list(labels)[n]!r} on "
+                f"{list(found)[d].isoformat()}: {float(old[j])!r} vs {float(new[j])!r}")
+        last = np.diff(key, append=key[-1:] + 1) != 0     # a cell's last row: kept
+        grid.flat[key[last]], seen.flat[key[last]] = new[last], True
+        if bad.size:
+            _row_error(at[i], texts[i], cells[i])
 
     _read_csv(stream, "header date,node,value",
               lambda header: {"date", "node", "value"}.issubset(header), fold)
-    if not cells:
+    if not labels:
         raise InvalidInputError("no data rows in long CSV")
-    dates = tuple(sorted({d for d, _ in cells}))
-    labels = tuple(sorted({node for _, node in cells}))
-    values = np.full((len(labels), len(dates)), np.nan)
-    date_ix = {d: j for j, d in enumerate(dates)}
-    node_ix = {n: i for i, n in enumerate(labels)}
-    for (d, node), v in cells.items():
-        values[node_ix[node], date_ix[d]] = v
-    return TimeSeriesPanel(labels=labels, dates=dates, values=values)
+    nodes, dates = sorted(labels), sorted(found)
+    values = grid[np.ix_([found[d] for d in dates], [labels[k] for k in nodes])].T
+    grid = seen = None      # freed before the panel copies the values
+    return TimeSeriesPanel(labels=tuple(nodes), dates=tuple(dates), values=values)
+
+
+def _codes(texts: Sequence[str], memo: dict, found: dict, key=None) -> np.ndarray:
+    """An int64 code per text.  Each new distinct text is keyed once, by
+    ``key`` (the text itself when None), and ``found`` maps each distinct
+    key to its code, in order of first sight (it may be ``memo`` itself);
+    ``memo`` maps each text to its key's code, -1 where ``key`` raised
+    ValueError."""
+    for text in dict.fromkeys(texts):
+        if text not in memo:
+            try:
+                memo[text] = found.setdefault(key(text) if key else text, len(found))
+            except ValueError:
+                memo[text] = -1
+    return np.fromiter(map(memo.__getitem__, texts), np.int64, len(texts))
+
+
+def _floats(cells: Sequence[str]) -> np.ndarray:
+    """Every cell by one ``float`` map; where that fails, each cell alone,
+    an empty one as NaN and one that is not a number as inf, so that
+    ``np.isinf`` marks every bad cell either way."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.fromiter(map(_float_or_inf, cells), float, len(cells))
+
+
+def _float_or_inf(text: str) -> float:
+    try:
+        return float(text or "nan")
+    except ValueError:
+        return math.inf
+
+
+def _row_error(k, date: str, *cells: str) -> None:
+    """Raise ``_RowError(k)`` from the first error of a row: its date, then
+    its values in order (an empty cell is missing, an infinite one bad)."""
+    try:
+        _iso_date(date)
+        for text in cells:
+            if math.isinf(float(text or "nan")):
+                raise ValueError(f"non-finite value {text!r}")
+    except ValueError as exc:
+        raise _RowError(k) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +494,39 @@ def write_wide_csv(panel: TimeSeriesPanel, path,
 
 
 def read_wide_csv(stream) -> TimeSeriesPanel:
-    """Read a wide CSV written by :func:`write_wide_csv`; empty cells are
-    missing and an infinite value is an error naming the data row."""
-    header, rows = _read_csv(
-        stream, "header date,<node>,...",
-        lambda header: header[:1] == ["date"] and len(header) > 1,
-        lambda row, col: (_iso_date(row[0]), [_cell_value(cell) for cell in row[1:]]))
-    labels = tuple(header[1:])
-    dates = tuple(d for d, _ in rows)
-    values = (np.asarray([v for _, v in rows], dtype=float).T if rows
-              else np.empty((len(labels), 0)))
-    return TimeSeriesPanel(labels=labels, dates=dates, values=values)
+    """Read a wide CSV written by :func:`write_wide_csv`.
+
+    The header is ``date`` and then one column per node; the dates must be
+    strictly increasing.  An empty cell is missing; an infinite value or a
+    bad date is an error naming the data row.  As in
+    :func:`ingest_long_csv`, the rows are read a block at a time: each
+    distinct date is parsed once and the block's values are converted by
+    one ``float`` map, with the errors of a loop over the rows.
+    """
+    days, found = {}, {}    # as in ingest_long_csv
+
+    def block(rows, at, col) -> tuple[list[int], np.ndarray]:
+        cells = list(itertools.chain.from_iterable(rows))
+        texts = cells[::len(rows[0])]
+        cells[::len(rows[0])] = ["0"] * len(rows)     # the dates are parsed apart
+        day = _codes(texts, days, found, _iso_date)
+        values = _floats(cells).reshape(len(rows), -1)[:, 1:]
+        bad = np.flatnonzero((day < 0) | np.isinf(values).any(axis=1))
+        if bad.size:
+            _row_error(at[bad[0]], *rows[bad[0]])
+        return day.tolist(), values
+
+    header, blocks = _read_csv(stream, "header date,<node>,...",
+                               lambda header: header[:1] == ["date"] and len(header) > 1, block)
+    when = list(found)
+    dates = tuple(when[c] for day, _ in blocks for c in day)
+    values = np.concatenate([np.empty((0, len(header) - 1)), *(v for _, v in blocks)]).T
+    return TimeSeriesPanel(labels=tuple(header[1:]), dates=dates, values=values)
 
 
 def read_phase_spec_json(path) -> PhaseSpec:
     return _read_json(path, PhaseSpec.from_json,
                       "a phase spec JSON with 'name' and 'intervals'")
-
-
-def _cell_value(text) -> float:
-    """A panel cell: empty is missing, anything else a finite number."""
-    if text in (None, ""):
-        return math.nan
-    value = float(text)
-    if math.isinf(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
 
 
 def _iso_date(text) -> datetime.date:
@@ -451,9 +536,12 @@ def _iso_date(text) -> datetime.date:
         raise ValueError(f"bad ISO date {text!r}") from None
 
 
-def _reject_infinite(series) -> None:
-    """Raise on the first (label, values) pair that holds +-inf."""
-    for label, x in series:
+def _reject_infinite(labels, values) -> None:
+    """Raise on the first node whose row of ``values`` holds +-inf.  A 2-D
+    array is checked in one pass, and its rows only to name the node."""
+    if isinstance(values, np.ndarray) and not np.isinf(values).any():
+        return
+    for label, x in zip(labels, values):
         if np.isinf(x).any():
             raise InvalidInputError(
                 f"node {label!r} holds infinite values; NaN marks a missing cell")

@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    GnarError,
     InsufficientDataError,
     InvalidInputError,
     ModelInadmissibleError,
@@ -222,13 +223,14 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
     kept rows, and serves every group at once: one gather of every column
     the candidates use, one QR of the rows all groups keep, one batched QR
     that adds each group's other rows, and one batched subset QR that gives
-    each candidate's RSS.  A candidate it does not serve (rank in doubt, no
-    more rows than parameters, or a node with fewer rows than lags under
-    node-specific alpha) takes the standalone fit, which names the dependent
-    columns of a singular design and skips a saturated one as insufficient
-    (its RSS is rounding noise and its BIC would rank first); its criteria
-    and ``fit`` come from that fit.  A served candidate's ``fit`` is built
-    when first read.  A non-finite panel value that reaches a design raises
+    each candidate's RSS.  It refuses a candidate with no more rows than
+    parameters as insufficient (a saturated fit's RSS is rounding noise and
+    its BIC would rank first), and under node-specific alpha one with a node
+    that has fewer rows than lags as singular, each with the standalone
+    fit's message, and cuts no design for them.  A candidate whose rank is
+    in doubt takes the standalone fit, which names the dependent columns of
+    a singular design; its criteria and ``fit`` come from that fit.  A
+    served candidate's ``fit`` is built when first read.  A non-finite panel value that reaches a design raises
     InvalidInputError instead of skipping the candidate.
     """
     if criterion not in ("bic", "aic"):
@@ -258,10 +260,13 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
                 results[order] = skipped(order, exc)
                 continue
         specs.append(GnarSpec(order, global_alpha, scheme))
-    solved = _search_solve(planes, specs) if specs else {}
+    solved = _search_solve(planes, specs, panel.labels) if specs else {}
     for spec in specs:
         order = spec.order
         build = functools.partial(_fit_planes, planes, spec, panel.labels, weights)
+        if isinstance(solved.get(order), GnarError):
+            results[order] = skipped(order, solved[order])
+            continue
         if order in solved:
             _, rss, n_obs, M = solved[order]
             _, loglik, bic, aic = _gaussian_criteria(rss, n_obs, M)
@@ -331,7 +336,7 @@ def fit_ar_baseline(panel: TimeSeriesPanel, p_max: int) -> dict[str, ArNodeResul
     """
     if p_max < 1:
         raise InvalidInputError("p_max must be >= 1")
-    _reject_infinite(zip(panel.labels, panel.values))
+    _reject_infinite(panel.labels, panel.values)
     usable = [i for i, x in enumerate(panel.values)
               if np.count_nonzero(~np.isnan(x)) > p_max + 1 and np.nanmax(x) != np.nanmin(x)]
     planes = panel.values[usable].T[None]

@@ -468,7 +468,7 @@ def ar_baseline_loop(panel, p_max: int):
 
     if p_max < 1:
         raise InvalidInputError("p_max must be >= 1")
-    _reject_infinite(zip(panel.labels, panel.values))
+    _reject_infinite(panel.labels, list(panel.values))    # the per-node loop
     out: dict[str, ArNodeResult] = {}
     for i, label in enumerate(panel.labels):
         x = panel.values[i]
@@ -558,3 +558,98 @@ def mase_loop(actual: np.ndarray, predicted: np.ndarray, history: np.ndarray):
     defined = ~np.isnan(per_mean)
     overall = float(np.mean(per_mean[defined])) if defined.any() else math.nan
     return entries, per_mean, per_std, overall, undefined
+
+
+def _cell_value(text) -> float:
+    """A panel cell: empty is missing, anything else a finite number."""
+    if text in (None, ""):
+        return math.nan
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _read_csv_loop(source, layout: str, header_ok, parse):
+    """The CSV row loop: ``parse(row, col)`` on each non-blank data row in
+    turn, with the messages of ``gnarlib.errors._read_csv``."""
+    import csv
+
+    from gnarlib.errors import DataIntegrityError, InvalidInputError
+
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, newline="") as fh:
+            return _read_csv_loop(fh, layout, header_ok, parse)
+    rows = csv.reader(itertools.dropwhile(lambda line: line.lstrip().startswith("#"), source))
+    k, out = -1, []
+    try:
+        header = next(rows, [])
+        if not header_ok(header):
+            raise ValueError(f"expected {layout}")
+        col = {name: i for i, name in enumerate(header)}
+        k = 0
+        for row in rows:
+            if row:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
+                parsed = parse(row, col)
+                if parsed is not None:
+                    out.append(parsed)
+            k += 1
+    except DataIntegrityError:
+        raise
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            at = "undecodable text"
+        else:
+            at = f"data row {k + 1}: malformed field" if k >= 0 else "bad header"
+        raise InvalidInputError(
+            f"{getattr(source, 'name', 'CSV input')}: {at} ({exc})") from exc
+    return header, out
+
+
+def ingest_long_csv_loop(stream):
+    """A long ``date,node,value`` CSV pivoted by folding one row at a time
+    into a dict keyed by (date, node)."""
+    from gnarlib.errors import DataIntegrityError, InvalidInputError
+    from gnarlib.panel import TimeSeriesPanel, _iso_date
+
+    cells = {}
+
+    def fold(row, col):
+        d, node = _iso_date(row[col["date"]]), row[col["node"]]
+        value = _cell_value(row[col["value"]])
+        old = cells.get((d, node))
+        if old is not None and not (old == value or (math.isnan(old) and math.isnan(value))):
+            raise DataIntegrityError(
+                f"conflicting duplicate for node {node!r} on {d.isoformat()}: "
+                f"{old!r} vs {value!r}")
+        cells[d, node] = value
+
+    _read_csv_loop(stream, "header date,node,value",
+                   lambda header: {"date", "node", "value"}.issubset(header), fold)
+    if not cells:
+        raise InvalidInputError("no data rows in long CSV")
+    dates = tuple(sorted({d for d, _ in cells}))
+    labels = tuple(sorted({node for _, node in cells}))
+    values = np.full((len(labels), len(dates)), np.nan)
+    date_ix = {d: j for j, d in enumerate(dates)}
+    node_ix = {n: i for i, n in enumerate(labels)}
+    for (d, node), v in cells.items():
+        values[node_ix[node], date_ix[d]] = v
+    return TimeSeriesPanel(labels=labels, dates=dates, values=values)
+
+
+def read_wide_csv_loop(stream):
+    """A wide ``date,<node>,...`` CSV read one row and one cell at a time."""
+    from gnarlib.panel import TimeSeriesPanel, _iso_date
+
+    header, rows = _read_csv_loop(
+        stream, "header date,<node>,...",
+        lambda header: header[:1] == ["date"] and len(header) > 1,
+        lambda row, col: (_iso_date(row[0]), [_cell_value(cell) for cell in row[1:]]))
+    labels = tuple(header[1:])
+    dates = tuple(d for d, _ in rows)
+    values = (np.asarray([v for _, v in rows], dtype=float).T if rows
+              else np.empty((len(labels), 0)))
+    return TimeSeriesPanel(labels=labels, dates=dates, values=values)

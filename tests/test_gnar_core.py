@@ -636,6 +636,20 @@ def test_egls_checks_its_arguments_as_ols_does(case):
     assert str(egls_error.value) == str(ols_error.value)
 
 
+def test_egls_refuses_a_row_index_that_repeats_a_pair():
+    # each time point's rows are its present nodes, taken by their count: a
+    # repeated (node, column) pair would misalign them, so it is refused
+    rng = np.random.default_rng(53)
+    g = ring_graph(5)
+    panel = make_panel(rng.normal(size=(5, 40)), labels=g.labels)
+    stages = stage_neighbourhoods(g, 1)
+    w = compute_weights(g, stages, WeightScheme("spl"))
+    D, y, rows = build_design(panel, spec_for(1, [1]), w, stages)
+    rows = [rows[1]] + list(rows[1:])
+    with pytest.raises(InvalidInputError, match=r"row_index repeats a \(node, column\) pair"):
+        fit_egls(D, y, spec_for(1, [1]), 5, 40, np.eye(5), rows)
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from gnarlib.panel import (
     weekly_from_cumulative,
     write_wide_csv,
 )
+from gnarlib.panel import _reject_infinite
 
 
 def daily_panel(values, labels=("a",), start=EPOCH):
@@ -48,6 +49,19 @@ def test_readers_reject_infinite_values(cell):
     long = io.StringIO(f"date,node,value\n2020-01-06,a,1\n2020-01-13,a,{cell}\n")
     with pytest.raises(InvalidInputError, match="data row 2: malformed field"):
         ingest_long_csv(long)
+
+
+def test_reject_infinite_checks_a_clean_array_in_one_pass(monkeypatch):
+    # one np.isinf over a 2-D array; the per-node loop runs only to name the node
+    calls, isinf = [], np.isinf
+    monkeypatch.setattr(np, "isinf", lambda x: calls.append(np.shape(x)) or isinf(x))
+    labels, values = [f"n{i:03d}" for i in range(300)], np.zeros((300, 200))
+    _reject_infinite(labels, values)
+    assert calls == [(300, 200)]
+    values[7, 3] = -np.inf
+    with pytest.raises(InvalidInputError, match="node 'n007' holds infinite values"):
+        _reject_infinite(labels, values)
+    assert calls == [(300, 200)] * 2 + [(200,)] * 8
 
 
 def test_ingest_dense():

@@ -193,13 +193,14 @@ def test_saturated_candidate_is_skipped_as_insufficient():
 
 def spy_search(monkeypatch):
     """Record each call of the search solve (the orders passed and the ones
-    it served) and each order the standalone fit runs for."""
+    it served, not refused) and each order the standalone fit runs for."""
     searches, fits = [], []
 
-    def search_solve(planes, specs):
-        solved = gnar_core._search_solve(planes, specs)
+    def search_solve(planes, specs, labels):
+        solved = gnar_core._search_solve(planes, specs, labels)
         orders = [spec.order for spec in specs]
-        searches.append((orders, set(solved) & set(orders)))
+        served = {order for order, s in solved.items() if not isinstance(s, Exception)}
+        searches.append((orders, served & set(orders)))
         return solved
 
     def fit_planes(planes, spec, *args):
@@ -226,14 +227,15 @@ def test_every_candidate_with_enough_rows_is_solved_in_its_group(monkeypatch, gl
     best = report.best.fit
     assert fits == [report.best.order] and best.bic == pytest.approx(report.best.bic, rel=1e-14)
 
-    # on the saturated-fit reproducer, only the insufficient candidates take the standalone fit
+    # on the saturated-fit reproducer, the search refuses the insufficient
+    # candidates itself: none takes the standalone fit
     searches.clear()
     fits.clear()
     panel = make_panel(np.random.default_rng(0).normal(size=(4, 4)), labels=ring_graph(4).labels)
     report = select_model(panel, ring_graph(4), WeightScheme("uniform"), order_grid(3, 1),
                           global_alpha=global_alpha)
     insufficient = [c.order for c in report.candidates if c.status == "insufficient"]
-    assert insufficient and fits == insufficient
+    assert insufficient and fits == []
     assert {c.order for c in report.ranked()} <= set().union(*(o for _, o in searches))
 
 
@@ -291,23 +293,26 @@ def test_candidates_whose_grouped_rank_is_in_doubt_keep_their_standalone_fit(mon
 
 
 def refusal_case(kind):
-    """The saturated-fit reproducer, or a ring panel with one node observed
-    in runs of three dates (fewer rows than p = 3, enough for p = 1 and 2)."""
-    if kind == "saturated":
+    """The saturated-fit reproducer, a panel of three dates (no longer than
+    p = 3), or a ring panel with one node observed in runs of three dates
+    (fewer rows than p = 3, enough for p = 1 and 2)."""
+    if kind in ("saturated", "three_dates"):
         g = ring_graph(4)
-        return g, make_panel(np.random.default_rng(0).normal(size=(4, 4)), labels=g.labels)
+        T = 4 if kind == "saturated" else 3
+        return g, make_panel(np.random.default_rng(0).normal(size=(4, T)), labels=g.labels)
     g = ring_graph(5)
     values = np.random.default_rng(11).normal(size=(5, 30))
     values[2, np.arange(30) % 5 >= 3] = np.nan
     return g, make_panel(values, labels=g.labels)
 
 
-@pytest.mark.parametrize("kind", ["saturated", "short"])
+@pytest.mark.parametrize("kind", ["saturated", "three_dates", "short"])
 @pytest.mark.parametrize("global_alpha", [True, False])
 def test_the_search_solve_refuses_short_candidates_up_front(monkeypatch, kind, global_alpha):
     # the orders the search solve leaves unserved are exactly those with no more
     # rows than parameters and, for node-specific alpha, those in which a node has
-    # fewer rows than p; each takes the standalone fit once and keeps its verdict
+    # fewer rows than p; the search refuses each with the standalone fit's
+    # verdict, and no standalone fit runs for them
     g, panel = refusal_case(kind)
     scheme = WeightScheme("uniform")
     stages = geo_graph.stage_neighbourhoods(g, 1)
@@ -318,12 +323,16 @@ def test_the_search_solve_refuses_short_candidates_up_front(monkeypatch, kind, g
     refused = []
     for order in passed:
         spec = GnarSpec(order, global_alpha, scheme)
-        design, _, rows = gnar_core.build_design(panel, spec, weights, stages)
+        try:
+            design, _, rows = gnar_core.build_design(panel, spec, weights, stages)
+        except InsufficientDataError:       # T <= p
+            refused.append(order)
+            continue
         per_node = np.bincount([i for i, _ in rows], minlength=g.n)
         if len(rows) <= design.shape[1] or (not global_alpha and per_node.min() < order.p):
             refused.append(order)
     assert set(passed) - served == set(refused)
-    assert fits == refused and (refused or (kind, global_alpha) == ("short", True))
+    assert fits == [] and (refused or (kind, global_alpha) == ("short", True))
     for c in report.candidates:
         if c.order in refused:
             try:
