@@ -106,8 +106,7 @@ def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
     read before a bad row or a read error are parsed first, so the first
     error in file order wins, as in a loop over the rows.  An undecodable
     byte, a bad header or row, or an error from ``parse`` raises one
-    InvalidInputError naming the source and the data row; a
-    DataIntegrityError (rows that contradict each other) passes unchanged.
+    InvalidInputError naming the source and the data row.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
@@ -136,8 +135,6 @@ def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
                 k += cut
                 if cut < len(block):    # a ragged row
                     raise ValueError(f"{width[cut]} fields, but the header has {len(header)}")
-    except DataIntegrityError:
-        raise
     except (_RowError, csv.Error, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, _RowError):
             k, exc = int(exc.args[0]) - 1, exc.__cause__

@@ -425,13 +425,13 @@ def _design_from_planes(planes: np.ndarray, spec: GnarSpec
     p = spec.order.p
     _, T, n = planes.shape
     if T <= p:
-        raise InsufficientDataError(f"panel length {T} <= lag order {p}")
+        raise _short_panel(T, p)
     lagged = np.stack([planes[r, p - j:T - j] for r, j in _lag_columns(spec.order)])
     response = planes[0, p:]
     keep = ~np.isnan(response) & ~np.isnan(lagged).any(axis=0)
     t_off, nodes = np.nonzero(keep)
     if nodes.size == 0:
-        raise InsufficientDataError("no usable stacked rows (too much missing data)")
+        raise _no_rows()
     regressors = lagged[:, keep].T
     design = (regressors if spec.global_alpha
               else NodeDesign(regressors[:, :p], regressors[:, p:], nodes, n))
@@ -628,9 +628,7 @@ def _least_squares(design: np.ndarray | NodeDesign, response: np.ndarray,
         own, other, nodes, n = design.own, design.beta, design.nodes, design.n
         p, counts = own.shape[1], np.bincount(nodes, minlength=n)
         if counts.min() < p:       # names[i] is alpha1[<label of node i>]
-            i = int(np.argmin(counts))
-            raise SingularDesignError(f"node {names[i].partition('[')[2][:-1]!r} has "
-                                      f"{counts[i]} rows for {p} own lags")
+            raise _short_node([name.partition("[")[2][:-1] for name in names[:n]], counts, p)
         # a node occurs at most once in each run of increasing node ids (one date
         # of the t-major rows), so the run number is the row's slot in its block
         slot = np.concatenate([[0], np.cumsum(nodes[1:] <= nodes[:-1])])
@@ -749,13 +747,34 @@ def _refusal(T: int, p: int, M: int, per_node: np.ndarray, labels: Sequence[str]
     its checks; the last is node-specific alpha's node with fewest rows."""
     n_obs = int(per_node.sum())
     if T <= p:
-        return InsufficientDataError(f"panel length {T} <= lag order {p}")
+        return _short_panel(T, p)
     if n_obs == 0:
-        return InsufficientDataError("no usable stacked rows (too much missing data)")
+        return _no_rows()
     if n_obs <= M:
-        return InsufficientDataError(f"{n_obs} rows <= {M} parameters")
-    i = int(np.argmin(per_node))
-    return SingularDesignError(f"node {labels[i]!r} has {per_node[i]} rows for {p} own lags")
+        return _saturated(n_obs, M)
+    return _short_node(labels, per_node, p)
+
+
+# The standalone fit's refusals, each written once: _design_from_planes,
+# _checked_system and _least_squares raise them, and _refusal hands the search
+# the same error for an order it refuses up front.
+
+def _short_panel(T: int, p: int) -> InsufficientDataError:
+    return InsufficientDataError(f"panel length {T} <= lag order {p}")
+
+
+def _no_rows() -> InsufficientDataError:
+    return InsufficientDataError("no usable stacked rows (too much missing data)")
+
+
+def _saturated(n_obs: int, M: int) -> InsufficientDataError:
+    return InsufficientDataError(f"{n_obs} rows <= {M} parameters")
+
+
+def _short_node(labels: Sequence[str], counts: np.ndarray, p: int) -> SingularDesignError:
+    """Node-specific alpha: the node of fewest ``counts`` rows has fewer than p."""
+    i = int(np.argmin(counts))
+    return SingularDesignError(f"node {labels[i]!r} has {counts[i]} rows for {p} own lags")
 
 
 _OVERFLOW = "the residual sum of squares overflows; rescale the data"
@@ -841,7 +860,7 @@ def _checked_system(design, response, spec: GnarSpec, n: int):
         raise InvalidInputError(
             f"design has {M} columns but spec implies {spec.n_params(n)}")
     if n_obs <= M:
-        raise InsufficientDataError(f"{n_obs} rows <= {M} parameters")
+        raise _saturated(n_obs, M)
     return design, response
 
 

@@ -152,59 +152,63 @@ def ingest_long_csv(stream) -> TimeSeriesPanel:
     kept; a conflicting one raises a data-integrity error naming the cell.
     The rows are read by column, a block at a time: each distinct date and
     label is parsed once into an integer code, and the values of a block are
-    converted by one ``float`` map.  A stable sort of the block's integer
-    (date, node) keys puts the rows of each cell together in file order,
-    each is compared with the one before it (the first with the cell's last
-    value from earlier blocks), and the last is kept in a grid of codes that
-    grows as codes appear; the panel is cut from it at the end.  The
-    errors are those of a loop over the rows: the first bad row in file
-    order, its date before its value.
+    converted by one ``float`` map.  One stable sort of the integer (date,
+    node) keys of all rows puts the rows of each cell together in file
+    order; each is compared with the one before it, and the last is
+    scattered into the panel.  The errors are those of a loop over the rows:
+    the first bad row in file order, its date before its value.
     """
     # label -> code and date -> code, in order of first sight; date text -> code
-    # of its date, -1 if bad; the last value of each (date code, label code)
-    # cell so far, and which cells have one (grown as codes appear)
-    labels, found, days = {}, {}, {}
-    grid, seen = np.empty((0, 0)), np.empty((0, 0), dtype=bool)
+    # of its date, -1 if bad; the (date code << 32 | label code) keys and the
+    # values of each block
+    labels, found, days, blocks = {}, {}, {}, []
 
     def fold(rows, at, col) -> None:
-        nonlocal grid, seen
         texts, nodes, cells = (list(map(operator.itemgetter(col[name]), rows))
                                for name in ("date", "node", "value"))
         day, values = _codes(texts, days, found, _iso_date), _floats(cells)
         bad = np.flatnonzero((day < 0) | np.isinf(values))
         i = bad[0] if bad.size else len(rows)
-        node = _codes(nodes[:i], labels, labels)
-        if len(found) > grid.shape[0] or len(labels) > grid.shape[1]:
-            # a quarter past the codes: little slack for a sparse panel, few copies
-            pad = [(0, n + n // 4 - m if n > m else 0)
-                   for n, m in zip((len(found), len(labels)), grid.shape)]
-            grid, seen = np.pad(grid, pad, constant_values=np.nan), np.pad(seen, pad)
-        key = day[:i] * grid.shape[1] + node
-        order = np.argsort(key, kind="stable")  # a cell's rows in file order
-        key, new = key[order], values[:i][order]
-        first = np.diff(key, prepend=-1) != 0   # a cell's first row in the block
-        old = np.where(first, grid.flat[key], np.append(np.nan, new)[:-1])
-        clash = np.flatnonzero((~first | seen.flat[key]) & (old != new)
-                               & ~(np.isnan(old) & np.isnan(new)))
-        if clash.size:      # the clash whose row comes first
-            j = clash[np.argmin(order[clash])]
-            d, n = divmod(int(key[j]), grid.shape[1])
-            raise DataIntegrityError(
-                f"conflicting duplicate for node {list(labels)[n]!r} on "
-                f"{list(found)[d].isoformat()}: {float(old[j])!r} vs {float(new[j])!r}")
-        last = np.diff(key, append=key[-1:] + 1) != 0     # a cell's last row: kept
-        grid.flat[key[last]], seen.flat[key[last]] = new[last], True
+        blocks.append((day[:i] << 32 | _codes(nodes[:i], labels, labels), values[:i]))
         if bad.size:
             _row_error(at[i], texts[i], cells[i])
 
-    _read_csv(stream, "header date,node,value",
-              lambda header: {"date", "node", "value"}.issubset(header), fold)
+    def by_cell() -> tuple[np.ndarray, np.ndarray]:
+        """The rows' keys and values, sorted by key and, within a cell, in
+        file order; a conflict raises at its first row in file order."""
+        key, values = (np.concatenate(c) for c in zip(*blocks))
+        blocks.clear()
+        order = np.argsort(key, kind="stable")
+        key, values = key[order], values[order]
+        old, new = values[:-1], values[1:]
+        clash = np.flatnonzero((key[1:] == key[:-1]) & (old != new)
+                               & ~(np.isnan(old) & np.isnan(new)))
+        if clash.size:
+            j = clash[np.argmin(order[clash + 1])]
+            d, n = divmod(int(key[j]), 1 << 32)
+            raise DataIntegrityError(
+                f"conflicting duplicate for node {list(labels)[n]!r} on "
+                f"{list(found)[d].isoformat()}: {float(old[j])!r} vs {float(new[j])!r}")
+        return key, values
+
+    try:
+        _read_csv(stream, "header date,node,value",
+                  lambda header: {"date", "node", "value"}.issubset(header), fold)
+    except InvalidInputError:
+        if labels:      # a conflict before the bad row comes first
+            by_cell()
+        raise
     if not labels:
         raise InvalidInputError("no data rows in long CSV")
+    key, values = by_cell()
+    last = np.append(key[1:] != key[:-1], True)     # a cell's last row is kept
+    day, node = np.divmod(key[last], 1 << 32)
     nodes, dates = sorted(labels), sorted(found)
-    values = grid[np.ix_([found[d] for d in dates], [labels[k] for k in nodes])].T
-    grid = seen = None      # freed before the panel copies the values
-    return TimeSeriesPanel(labels=tuple(nodes), dates=tuple(dates), values=values)
+    panel = np.full((len(nodes), len(dates)), np.nan)
+    # argsort of the codes in sorted order maps each code to its position
+    panel[np.argsort([labels[k] for k in nodes])[node],
+          np.argsort([found[d] for d in dates])[day]] = values[last]
+    return TimeSeriesPanel(labels=tuple(nodes), dates=tuple(dates), values=panel)
 
 
 def _codes(texts: Sequence[str], memo: dict, found: dict, key=None) -> np.ndarray:
@@ -223,11 +227,11 @@ def _codes(texts: Sequence[str], memo: dict, found: dict, key=None) -> np.ndarra
 
 
 def _floats(cells: Sequence[str]) -> np.ndarray:
-    """Every cell by one ``float`` map; where that fails, each cell alone,
-    an empty one as NaN and one that is not a number as inf, so that
+    """Every cell by one ``float`` map, an empty one as NaN; where that
+    fails, each cell alone, one that is not a number as inf, so that
     ``np.isinf`` marks every bad cell either way."""
     try:
-        return np.fromiter(map(float, cells), float, len(cells))
+        return np.fromiter(map(float, [text or "nan" for text in cells]), float, len(cells))
     except ValueError:
         return np.fromiter(map(_float_or_inf, cells), float, len(cells))
 

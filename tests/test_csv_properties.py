@@ -201,9 +201,9 @@ def test_a_long_feed_is_read_in_bounded_memory(tmp_path):
 
 def test_a_sparse_feed_peaks_under_three_panels(tmp_path):
     # 50,000 cells of a 2,000 x 2,000 panel in a seeded random order: the
-    # grid of last values grows with the codes, so its slack must stay small
-    # (the row loop peaked at 2.4 panels, a grid doubled in both directions
-    # at 4.4)
+    # pivot keeps the rows by column and scatters them into the panel once,
+    # so it must hold little more than the panel (the row loop peaked at 2.4
+    # panels)
     rng = np.random.default_rng(29)
     path = tmp_path / "sparse.csv"
     with open(path, "w") as fh:
