@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedStatisticError, _check_seed
+from .errors import InvalidInputError, UndefinedStatisticError, _check_finite, _check_seed
 from . import geo_graph
 from .panel import TimeSeriesPanel, _reject_infinite
 
@@ -172,6 +172,7 @@ def morans_i(values: np.ndarray, weights: np.ndarray) -> float:
         raise InvalidInputError(f"weights shape {w.shape} does not match n={n}")
     if np.isnan(x).any():
         raise InvalidInputError("values contain missing entries")
+    _check_finite(values=x)
     xc = x - x.mean()
     denom_var = float(xc @ xc) / n
     if denom_var == 0.0:
@@ -420,6 +421,7 @@ def ks_normality_single(residuals: np.ndarray) -> TestResult:
     x = x[~np.isnan(x)]
     if x.size < 8:
         raise InvalidInputError(f"need >= 8 residuals, got {x.size}")
+    _check_finite(residuals=x)
     mu = float(x.mean())
     sd = float(x.std(ddof=1))
     if sd == 0.0:
@@ -455,6 +457,7 @@ def ljung_box(series: np.ndarray, max_lag: Optional[int] = None) -> TestResult:
         raise InvalidInputError("max_lag must be >= 1")
     if n <= max_lag + 1:
         raise InvalidInputError(f"series length {n} too short for max_lag {max_lag}")
+    _check_finite(series=x)
     xc = x - x.mean()
     denom = float(xc @ xc)
     if denom == 0.0:

@@ -72,6 +72,11 @@ def _check_seed(seed) -> None:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_finite(**params) -> None:
     """Reject a parameter (a number or an array of them) that holds a NaN
     or an infinity, naming the parameter and its first such value."""
@@ -88,29 +93,28 @@ def _check_finite(**params) -> None:
 _CSV_BLOCK = 1024
 
 
-class _RowError(Exception):
-    """A block parser's error at data row ``args[0]``, raised from its cause."""
-
-
-def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
-    """Read a CSV path or text stream into ``(header, [parse(rows, at, col), ...])``.
+def _read_csv(source, layout: str, header_ok, parse, check) -> tuple[list[str], list]:
+    """Read a CSV path or text stream into ``(header, [parse(rows, col), ...])``.
 
     Lines starting with ``#`` before the header (metadata) and blank rows
     are skipped; after the header such a line is data.  ``header_ok(header)``
     must hold (``layout`` describes the header it expects), every data row
     must have as many fields as the header, and ``col`` maps each header name
     to its field index.  ``parse`` takes the non-blank rows, tuples of str,
-    in blocks of at most ``_CSV_BLOCK`` rows, with ``at``, the array of
-    their data-row numbers (blank rows counted), and raises
-    ``_RowError(k) from exc`` for an error ``exc`` at data row k.  The rows
-    read before a bad row or a read error are parsed first, so the first
-    error in file order wins, as in a loop over the rows.  An undecodable
-    byte, a bad header or row, or an error from ``parse`` raises one
-    InvalidInputError naming the source and the data row.
+    in blocks of at most ``_CSV_BLOCK`` rows, and only converts: it raises
+    on a bad cell without working out which row holds it.  Only the row
+    rule ``check(row, col)`` names a bad row: when ``parse`` raises, it is
+    run over that block's rows in order, ``parse`` takes the rows before
+    the first row it rejects, and that row's error is raised.  The rows
+    read before a ragged row or a read error are parsed first too, so the
+    first error in file order wins, as in a loop over the rows.  An
+    undecodable byte, a bad header or row, or a rejected row raises one
+    InvalidInputError naming the source and the data row (blank rows
+    counted).
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
-            return _read_csv(fh, layout, header_ok, parse)
+            return _read_csv(fh, layout, header_ok, parse, check)
     rows = csv.reader(itertools.dropwhile(lambda line: line.lstrip().startswith("#"), source))
     k, out = -1, []  # k: data rows read so far, -1 while reading the header
     try:
@@ -118,6 +122,11 @@ def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
         if not header_ok(header):
             raise ValueError(f"expected {layout}")
         col = {name: i for i, name in enumerate(header)}
+
+        def convert(block) -> None:
+            if any(block):
+                out.append(parse(list(filter(None, block)), col))
+
         k, block = 0, [None] * _CSV_BLOCK
         while len(block) == _CSV_BLOCK:     # until a short block: the end of the file
             block = []
@@ -129,15 +138,22 @@ def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
             finally:    # ... and they are parsed before it is raised
                 width = np.fromiter(map(len, block), np.intp, len(block))
                 cut = int(np.argmax(np.append((width != len(header)) & (width > 0), True)))
-                if width[:cut].any():
-                    out.append(parse(list(filter(None, block[:cut])),
-                                     np.flatnonzero(width[:cut]) + k + 1, col))
+                try:
+                    convert(block[:cut])
+                except (KeyError, TypeError, ValueError):
+                    for i, row in enumerate(block[:cut]):   # the row rule names the row
+                        try:
+                            if row:
+                                check(row, col)
+                        except (KeyError, TypeError, ValueError):
+                            convert(block[:i])
+                            k += i
+                            raise
+                    raise   # the rule passed every row: the parser's own error
                 k += cut
                 if cut < len(block):    # a ragged row
                     raise ValueError(f"{width[cut]} fields, but the header has {len(header)}")
-    except (_RowError, csv.Error, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, _RowError):
-            k, exc = int(exc.args[0]) - 1, exc.__cause__
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, UnicodeDecodeError):  # decoded a block at a time: no row
             at = "undecodable text"
         else:
@@ -145,20 +161,6 @@ def _read_csv(source, layout: str, header_ok, parse) -> tuple[list[str], list]:
         raise InvalidInputError(
             f"{getattr(source, 'name', 'CSV input')}: {at} ({exc})") from exc
     return header, out
-
-
-def _by_row(parse):
-    """A block parser for :func:`_read_csv` that returns ``[parse(row, col), ...]``
-    for the rows of a block, one row at a time."""
-    def block(rows, at, col):
-        out = []
-        for k, row in zip(at.tolist(), rows):
-            try:
-                out.append(parse(row, col))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _RowError(k) from exc
-        return out
-    return block
 
 
 def _read_json(path, build, what: str):

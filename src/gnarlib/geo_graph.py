@@ -32,13 +32,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, InvalidInputError, _by_row, _check_seed,
+from .errors import (DegenerateGeometryError, InvalidInputError, _check_integer, _check_seed,
                      _read_csv, _read_json, _write_json)
 
 EARTH_RADIUS_KM = 6371.0
@@ -282,11 +281,6 @@ def _pair_distances(points: Sequence[GeoPoint], i: np.ndarray, j: np.ndarray,
     return radius_km * libm(math.acos, np.clip(c, -1.0, 1.0))
 
 
-def _check_integer(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_points(points: Sequence[GeoPoint]) -> None:
     ids = [p.node_id for p in points]
     if len(set(ids)) != len(ids):
@@ -387,7 +381,7 @@ def _delaunay_subgraph(points: Sequence[GeoPoint], name: str,
     labels = [p.node_id for p in points]
     xy = _project(points)
     try:
-        tri = Delaunay(xy)
+        tri = Delaunay(xy - xy.mean(axis=0))    # centred: qhull rounds to the spacing
     except QhullError as exc:
         raise DegenerateGeometryError(
             f"no triangulation exists for this point set: {exc}") from exc
@@ -750,7 +744,8 @@ def read_points_csv(stream) -> list[GeoPoint]:
                         population=float(pop) if pop else None)
 
     _, blocks = _read_csv(stream, "header node,lat,lon[,population]",
-                          lambda header: {"node", "lat", "lon"}.issubset(header), _by_row(point))
+                          lambda header: {"node", "lat", "lon"}.issubset(header),
+                          lambda rows, col: [point(row, col) for row in rows], point)
     points = sorted(itertools.chain.from_iterable(blocks), key=lambda p: p.node_id)
     _check_points(points)
     return points
@@ -758,8 +753,11 @@ def read_points_csv(stream) -> list[GeoPoint]:
 
 def read_edgelist_csv(stream) -> list[tuple[str, str]]:
     """Read undirected edges from CSV with header ``from,to``."""
+    def edge(row, col):
+        return row[col["from"]], row[col["to"]]
+
     _, blocks = _read_csv(stream, "header from,to", lambda header: {"from", "to"}.issubset(header),
-                          _by_row(lambda row, col: (row[col["from"]], row[col["to"]])))
+                          lambda rows, col: [edge(row, col) for row in rows], edge)
     return list(itertools.chain.from_iterable(blocks))
 
 

@@ -66,6 +66,7 @@ from .errors import (
     SingularDesignError,
     WEIGHT_KINDS,
     _check_finite,
+    _check_integer,
     _check_seed,
 )
 from . import geo_graph
@@ -88,9 +89,13 @@ class GnarOrder:
     s: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_integer("lag order p", self.p)
         if self.p < 1:
             raise InvalidInputError("lag order p must be >= 1")
-        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
+        s = tuple(self.s)
+        for j, v in enumerate(s):
+            _check_integer(f"stage order s[{j}]", v)
+        object.__setattr__(self, "s", tuple(map(int, s)))
         if len(self.s) != self.p:
             raise InvalidInputError(f"s has length {len(self.s)}, expected p={self.p}")
         if any(v < 0 for v in self.s):

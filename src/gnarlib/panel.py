@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (DataIntegrityError, InvalidInputError, UndefinedStatisticError,
-                     _read_csv, _read_json, _RowError, _write_csv)
+                     _check_finite, _read_csv, _read_json, _write_csv)
 
 
 class DataCorrectionWarning(UserWarning):
@@ -155,23 +155,23 @@ def ingest_long_csv(stream) -> TimeSeriesPanel:
     converted by one ``float`` map.  One stable sort of the integer (date,
     node) keys of all rows puts the rows of each cell together in file
     order; each is compared with the one before it, and the last is
-    scattered into the panel.  The errors are those of a loop over the rows:
-    the first bad row in file order, its date before its value.
+    scattered into the panel.  The block parser only converts; a bad row is
+    named by the row rule alone (:func:`_check_row`, run by ``_read_csv``
+    on the block that failed), so the errors are those of a loop over the
+    rows: the first bad row in file order, its date before its value.
     """
     # label -> code and date -> code, in order of first sight; date text -> code
-    # of its date, -1 if bad; the (date code << 32 | label code) keys and the
-    # values of each block
+    # of its date; the (date code << 32 | label code) keys and the values of
+    # each block
     labels, found, days, blocks = {}, {}, {}, []
 
-    def fold(rows, at, col) -> None:
+    def fold(rows, col) -> None:
         texts, nodes, cells = (list(map(operator.itemgetter(col[name]), rows))
                                for name in ("date", "node", "value"))
         day, values = _codes(texts, days, found, _iso_date), _floats(cells)
-        bad = np.flatnonzero((day < 0) | np.isinf(values))
-        i = bad[0] if bad.size else len(rows)
-        blocks.append((day[:i] << 32 | _codes(nodes[:i], labels, labels), values[:i]))
-        if bad.size:
-            _row_error(at[i], texts[i], cells[i])
+        if np.isinf(values).any():
+            raise ValueError("an infinite value")
+        blocks.append((day << 32 | _codes(nodes, labels, labels), values))
 
     def by_cell() -> tuple[np.ndarray, np.ndarray]:
         """The rows' keys and values, sorted by key and, within a cell, in
@@ -193,9 +193,10 @@ def ingest_long_csv(stream) -> TimeSeriesPanel:
 
     try:
         _read_csv(stream, "header date,node,value",
-                  lambda header: {"date", "node", "value"}.issubset(header), fold)
+                  lambda header: {"date", "node", "value"}.issubset(header), fold,
+                  lambda row, col: _check_row(row[col["date"]], row[col["value"]]))
     except InvalidInputError:
-        if labels:      # a conflict before the bad row comes first
+        if blocks:      # a conflict before the bad row comes first
             by_cell()
         raise
     if not labels:
@@ -215,44 +216,27 @@ def _codes(texts: Sequence[str], memo: dict, found: dict, key=None) -> np.ndarra
     """An int64 code per text.  Each new distinct text is keyed once, by
     ``key`` (the text itself when None), and ``found`` maps each distinct
     key to its code, in order of first sight (it may be ``memo`` itself);
-    ``memo`` maps each text to its key's code, -1 where ``key`` raised
-    ValueError."""
+    ``memo`` maps each text to its key's code.  An error of ``key`` is
+    raised."""
     for text in dict.fromkeys(texts):
         if text not in memo:
-            try:
-                memo[text] = found.setdefault(key(text) if key else text, len(found))
-            except ValueError:
-                memo[text] = -1
+            memo[text] = found.setdefault(key(text) if key else text, len(found))
     return np.fromiter(map(memo.__getitem__, texts), np.int64, len(texts))
 
 
 def _floats(cells: Sequence[str]) -> np.ndarray:
-    """Every cell by one ``float`` map, an empty one as NaN; where that
-    fails, each cell alone, one that is not a number as inf, so that
-    ``np.isinf`` marks every bad cell either way."""
-    try:
-        return np.fromiter(map(float, [text or "nan" for text in cells]), float, len(cells))
-    except ValueError:
-        return np.fromiter(map(_float_or_inf, cells), float, len(cells))
+    """Every cell by one ``float`` map, an empty one as NaN."""
+    return np.fromiter(map(float, [text or "nan" for text in cells]), float, len(cells))
 
 
-def _float_or_inf(text: str) -> float:
-    try:
-        return float(text or "nan")
-    except ValueError:
-        return math.inf
-
-
-def _row_error(k, date: str, *cells: str) -> None:
-    """Raise ``_RowError(k)`` from the first error of a row: its date, then
-    its values in order (an empty cell is missing, an infinite one bad)."""
-    try:
-        _iso_date(date)
-        for text in cells:
-            if math.isinf(float(text or "nan")):
-                raise ValueError(f"non-finite value {text!r}")
-    except ValueError as exc:
-        raise _RowError(k) from exc
+def _check_row(date: str, *cells: str) -> None:
+    """The row rule of the panel CSVs, a loop's check of one row: raise
+    ValueError at its first bad field, its date, then its values in order
+    (an empty cell is missing, an infinite one bad)."""
+    _iso_date(date)
+    for text in cells:
+        if math.isinf(float(text or "nan")):
+            raise ValueError(f"non-finite value {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +377,7 @@ def boxcox_profile(series: Sequence[float],
     x = x[~np.isnan(x)]
     if x.size < 3:
         raise InvalidInputError("need at least 3 observed values to profile")
+    _check_finite(series=x)
     if lambda_grid is None:
         lambda_grid = np.linspace(-2.0, 3.0, 101)
     grid = tuple(float(v) for v in lambda_grid)
@@ -504,26 +489,23 @@ def read_wide_csv(stream) -> TimeSeriesPanel:
     strictly increasing.  An empty cell is missing; an infinite value or a
     bad date is an error naming the data row.  As in
     :func:`ingest_long_csv`, the rows are read a block at a time: each
-    distinct date is parsed once and the block's values are converted by
-    one ``float`` map, with the errors of a loop over the rows.
+    row's date is parsed and the block's values are converted by one
+    ``float`` map.  The block parser only converts; the row rule alone
+    names a bad row, so the errors are those of a loop over the rows.
     """
-    days, found = {}, {}    # as in ingest_long_csv
-
-    def block(rows, at, col) -> tuple[list[int], np.ndarray]:
+    def block(rows, col) -> tuple[list[datetime.date], np.ndarray]:
         cells = list(itertools.chain.from_iterable(rows))
-        texts = cells[::len(rows[0])]
+        days = list(map(_iso_date, cells[::len(rows[0])]))
         cells[::len(rows[0])] = ["0"] * len(rows)     # the dates are parsed apart
-        day = _codes(texts, days, found, _iso_date)
         values = _floats(cells).reshape(len(rows), -1)[:, 1:]
-        bad = np.flatnonzero((day < 0) | np.isinf(values).any(axis=1))
-        if bad.size:
-            _row_error(at[bad[0]], *rows[bad[0]])
-        return day.tolist(), values
+        if np.isinf(values).any():
+            raise ValueError("an infinite value")
+        return days, values
 
     header, blocks = _read_csv(stream, "header date,<node>,...",
-                               lambda header: header[:1] == ["date"] and len(header) > 1, block)
-    when = list(found)
-    dates = tuple(when[c] for day, _ in blocks for c in day)
+                               lambda header: header[:1] == ["date"] and len(header) > 1, block,
+                               lambda row, col: _check_row(*row))
+    dates = tuple(itertools.chain.from_iterable(days for days, _ in blocks))
     values = np.concatenate([np.empty((0, len(header) - 1)), *(v for _, v in blocks)]).T
     return TimeSeriesPanel(labels=tuple(header[1:]), dates=dates, values=values)
 

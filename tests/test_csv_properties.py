@@ -7,7 +7,9 @@ a stable sort of integer (date, node) keys.  On hostile random CSVs they
 must return the panel of the loops in ``tests/oracles.py`` bit for bit
 (signed zeros and NaN included), or raise the same exception type with the
 same message.  The properties run again with blocks of three rows, so that
-errors and duplicates fall across block edges.
+errors and duplicates fall across block edges.  The block parsers only
+convert; the row rule alone names a bad row, and it runs on no row of a
+clean file and only on the failed block's rows up to the bad one.
 """
 
 import csv
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from conftest import EPOCH
 from oracles import ingest_long_csv_loop, read_wide_csv_loop
 
-from gnarlib import errors
+from gnarlib import errors, panel
 from gnarlib.panel import ingest_long_csv, read_wide_csv
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -175,6 +177,67 @@ def test_wide_csv_reads_match_the_loop_oracle(block_rows, text):
 ])
 def test_first_error_in_file_order_across_block_edges(block_rows, text):
     assert same_outcome(ingest_long_csv, ingest_long_csv_loop, text, block_rows)
+
+
+def spy_on_the_row_rule(monkeypatch, block_rows: int) -> list:
+    """The fields of each row the row rule is called on, in call order."""
+    calls, rule = [], panel._check_row
+    monkeypatch.setattr(errors, "_CSV_BLOCK", block_rows)
+    monkeypatch.setattr(panel, "_check_row", lambda *fields: calls.append(fields) or rule(*fields))
+    return calls
+
+
+def county_rows(n_days: int, seed: int) -> list[list[str]]:
+    """Long rows of 26 counties over ``n_days`` days, the counties of each
+    day in a seeded order."""
+    rng = np.random.default_rng(seed)
+    return [[(EPOCH + datetime.timedelta(days=k)).isoformat(), f"county{i:02d}",
+             repr(float(rng.integers(0, 500)))]
+            for k in range(n_days) for i in rng.permutation(26).tolist()]
+
+
+def wide_rows(n_dates: int, seed: int) -> list[list[str]]:
+    """Wide rows of 26 nodes, a seeded value or an empty cell each."""
+    rng = np.random.default_rng(seed)
+    return [[(EPOCH + datetime.timedelta(days=7 * k)).isoformat(),
+             *(repr(v) if v >= 0 else "" for v in rng.normal(10.0, 5.0, 26).round(2).tolist())]
+            for k in range(n_dates)]
+
+
+@BLOCKS
+def test_the_row_rule_runs_on_no_row_of_clean_files(block_rows, monkeypatch):
+    calls = spy_on_the_row_rule(monkeypatch, block_rows)
+    # the size of the paper-protocol feed: 26 counties over 519 days
+    long = ingest_long_csv(io.StringIO(render([], ["date", "node", "value"], county_rows(519, 41))))
+    wide = read_wide_csv(io.StringIO(render([], ["date", *map(str, range(26))], wide_rows(100, 42))))
+    assert long.values.shape == (26, 519) and wide.values.shape == (26, 100)
+    assert calls == []
+
+
+@BLOCKS
+@pytest.mark.parametrize("field, bad, error", [
+    (0, "x", "bad ISO date 'x'"),
+    (2, "inf", "non-finite value 'inf'"),
+    (2, "abc", "could not convert string to float: 'abc'"),
+])
+def test_the_row_rule_runs_only_on_the_failed_block_up_to_its_bad_row(
+        block_rows, field, bad, error, monkeypatch):
+    calls = spy_on_the_row_rule(monkeypatch, block_rows)
+    k = block_rows + 1     # the second row of the second block
+    rows = county_rows(3 * block_rows // 26 + 1, 43)
+    rows[k][field] = bad
+    with pytest.raises(errors.InvalidInputError,
+                       match=rf"data row {k + 1}: malformed field \({error}\)"):
+        ingest_long_csv(io.StringIO(render([], ["date", "node", "value"], rows)))
+    assert calls == [(date, value) for date, _, value in rows[block_rows:k + 1]]
+
+    calls.clear()
+    rows = wide_rows(3 * block_rows, 44)
+    rows[k][field] = bad
+    with pytest.raises(errors.InvalidInputError,
+                       match=rf"data row {k + 1}: malformed field \({error}\)"):
+        read_wide_csv(io.StringIO(render([], ["date", *map(str, range(26))], rows)))
+    assert calls == list(map(tuple, rows[block_rows:k + 1]))
 
 
 def test_a_long_feed_is_read_in_bounded_memory(tmp_path):

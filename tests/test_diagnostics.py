@@ -409,6 +409,22 @@ def test_residual_tests_reject_infinite_values(test, value):
         test({"a": x[0], "b": x[1]})
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda x: morans_i(x[:5], np.ones((5, 5)) - np.eye(5)), "values"),
+    (ljung_box, "series"),
+    (ks_normality_single, "residuals"),
+])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_single_series_statistics_refuse_an_infinite_value(call, name, value):
+    # each returned NaN behind a numpy RuntimeWarning
+    x = np.random.default_rng(4).normal(size=40)
+    x[2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite, got {value}"):
+            call(x)
+
+
 # ---------------------------------------------------------------------------
 # Ljung-Box
 # ---------------------------------------------------------------------------

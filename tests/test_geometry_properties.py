@@ -143,6 +143,22 @@ def test_constructions_match_loop_oracles_on_large_clustered_and_circle_clouds(c
     _check_constructions(*cloud, data)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_metre_wide_clusters_build_and_match_the_loop_oracles(seed):
+    # three clusters of five points, 1e-5 degrees (about a metre) in spread:
+    # qhull triangulates centred coordinates, so its rounding scales with the
+    # spacing of the points, and no point is taken for a copy of another
+    rng = np.random.default_rng(seed)
+    centres = np.column_stack([rng.uniform(51.5, 55.0, 3), rng.uniform(-10.0, -6.0, 3)])
+    coords = np.repeat(centres, 5, axis=0) + rng.normal(0.0, 1e-5, (15, 2))
+    points = [GeoPoint(f"q{v:02d}", lat, lon) for v, (lat, lon) in enumerate(coords.tolist())]
+    xy = _project(points)
+    delaunay = build_delaunay(points).edges
+    assert derive_gabriel(points).edges == gabriel_bruteforce(xy, delaunay)
+    assert derive_soi(points).edges == soi_bruteforce(xy, delaunay)
+    assert derive_relative(points).edges == relative_bruteforce(xy, delaunay)
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_gabriel_near_a_right_angle_equals_the_loop_oracle(seed):
     # an even count of evenly spaced points has diameters; qhull may join

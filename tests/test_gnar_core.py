@@ -144,6 +144,25 @@ def test_weights_normalisation_all_schemes():
                         assert all(v >= 0 for v in sw.values())
 
 
+@pytest.mark.parametrize("p, s, message", [
+    (1, (1.7,), r"stage order s\[0\] must be an integer, got 1\.7"),
+    (2, (1, 0.0), r"stage order s\[1\] must be an integer, got 0\.0"),
+    (2.0, (1, 0), r"lag order p must be an integer, got 2\.0"),
+    (1.5, (1,), r"lag order p must be an integer, got 1\.5"),
+])
+def test_order_refuses_a_fractional_or_float_lag_or_stage(p, s, message):
+    # GnarOrder(1, (1.7,)) was GNAR(1, [1]), and a float p failed in fit
+    # with a bare TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=message):
+            GnarOrder(p, s)
+
+
+def test_order_keeps_integer_stages_of_any_integer_type():
+    assert GnarOrder(np.int64(2), [np.int64(1), 0]).s == (1, 0)
+
+
 def test_weights_missing_inputs_rejected():
     with pytest.raises(InvalidInputError):
         WeightScheme("idw")

@@ -406,6 +406,16 @@ def test_boxcox_shift_reported_for_nonpositive_data():
     assert prof.shift == 3.0
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_boxcox_refuses_an_infinite_value(value):
+    # it returned a profile with no finite value, behind a numpy warning
+    x = np.array([1.0, 2.0, np.nan, value, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"series must be finite, got {value}"):
+            boxcox_profile(x)
+
+
 def test_boxcox_argmax_invariant():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.5, 2.0, size=100)
