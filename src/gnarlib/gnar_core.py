@@ -39,9 +39,12 @@ estimate, one Cholesky factor per set of present nodes.  That estimate is
 the R22' R22 / T' of one numpy QR of the unrestricted VAR(p) lag window and
 responses, under the same rank rule (a rank-deficient lag window raises
 FeasibilityError naming its dependent columns), so no ``lstsq`` is used.
-Simulation and both forecast modes apply [B_p ... B_1] to the stacked lag
-window, one matrix-vector product per step, and the same blocks give the
-exact companion spectral radius beside the sufficient stationarity margin.
+The VAR blocks [B_p ... B_1] are built in one place, as the nonzeros of
+their support in gather form.  Simulation and both forecast modes gather
+the stacked lag window at those entries and sum each row's products, and
+the companion matrix (whose spectral radius decides stationarity, beside
+the sufficient stationarity margin) and the restriction matrix are both
+scattered from the same entries.
 
 Estimation assumes i.i.d. Gaussian errors with a single profiled variance;
 information criteria are reported under that convention (BIC =
@@ -341,38 +344,31 @@ def restriction_matrix(spec: GnarSpec, weights: WeightSet, n: int,
     Unstacking R gamma into p column-major N x N blocks yields, for block j,
     diag entries equal to the alpha coordinates of gamma and entry (l, m)
     equal to beta[j, r] * w[l, m] whenever m lies in stage r of l.  Column
-    c is the vectorised VAR blocks of the unit coefficient vector e_c.
+    c is the vectorised VAR blocks of the unit coefficient vector e_c: the
+    entries of :func:`_lag_operator` for e_c, scattered into that column.
     """
     labels = _labels(labels, n)
     _validate_stages(spec.order, weights, labels)
     names = coefficient_names(spec, labels)
-    R = np.empty((spec.order.p * n * n, len(names)))
+    R = np.zeros((spec.order.p * n * n, len(names)))
     for c, unit in enumerate(np.eye(len(names))):
-        alpha, beta = _unstack_gamma(unit, spec, n)
-        R[:, c] = _var_blocks(_alpha_matrix(alpha, n, spec.order.p), beta,
-                              weights.stack).transpose(0, 2, 1).ravel()
+        rows, cols, coef, _ = _lag_operator(*_unstack_gamma(unit, spec, n), weights, n)
+        # column-major [B_1 ... B_p]: entry (i, c) sits at c * N + i
+        R[_companion_column(cols, n, spec.order.p) * n + rows, c] = coef
     return RestrictionMatrix(matrix=R, column_names=names)
 
 
-def _var_blocks(alpha_np: np.ndarray, beta: Sequence[np.ndarray],
-                w_stack: np.ndarray) -> np.ndarray:
-    """VAR blocks B_j = diag(alpha_j) + sum_r beta[j, r] W_r, shape (p, N, N)."""
-    return np.array([np.diag(alpha_np[:, j])
-                     + np.tensordot(np.asarray(bj, dtype=float), w_stack[:len(bj)], axes=1)
-                     for j, bj in enumerate(beta)])
-
-
-def _stage_planes(values: np.ndarray, weights: WeightSet, r_max: int) -> np.ndarray:
+def _stage_planes(panel: TimeSeriesPanel, weights: WeightSet, r_max: int) -> np.ndarray:
     """Regressor planes shared by every order with stages up to ``r_max``:
     a (r_max + 1, T, N) stack of the panel (plane 0) and the stage-r sums
-    W_r X, NaN exactly where a missing value meets the support of W_r."""
-    if np.isinf(values).any():
-        raise InvalidInputError("panel holds infinite values; NaN marks a missing cell")
-    n, T = values.shape
+    W_r X, NaN exactly where a missing value meets the support of W_r.  An
+    infinite panel value is an error naming its node."""
+    _reject_infinite(panel.labels, panel.values)
+    n, T = panel.values.shape
     planes = np.empty((r_max + 1, T, n))
-    planes[0] = values.T
-    missing = np.isnan(values)
-    filled, holes = np.where(missing, 0.0, values), missing.astype(float)
+    planes[0] = panel.values.T
+    missing = np.isnan(panel.values)
+    filled, holes = np.where(missing, 0.0, panel.values), missing.astype(float)
     for r, w in enumerate(weights.stack[:r_max], 1):
         planes[r] = (w @ filled).T
         if missing.any():
@@ -461,7 +457,7 @@ def build_design(panel: TimeSeriesPanel, spec: GnarSpec, weights: WeightSet,
     lists (node, column) pairs into the panel, t-major and node-minor.
     """
     _validate_stages(spec.order, weights, panel.labels)
-    planes = _stage_planes(panel.values, weights, spec.order.max_stage)
+    planes = _stage_planes(panel, weights, spec.order.max_stage)
     design, response, rows = _design_from_planes(planes, spec)
     return _wide(design), response, list(zip(*rows.T.tolist()))
 
@@ -1019,7 +1015,7 @@ def fit(panel: TimeSeriesPanel, g: geo_graph.Graph, spec: GnarSpec,
             "panel and graph label order differ; align them before fitting")
     weights = _weight_stack(g, spec.order.max_stage, spec.scheme)
     _validate_stages(spec.order, weights, panel.labels)
-    planes = _stage_planes(panel.values, weights, spec.order.max_stage)
+    planes = _stage_planes(panel, weights, spec.order.max_stage)
     if method == "ols":
         return _fit_planes(planes, spec, panel.labels, weights)
     sigma = estimate_sigma(panel, spec.order.p)
@@ -1043,24 +1039,33 @@ def _alpha_matrix(alpha: np.ndarray, n: int, p: int) -> np.ndarray:
 
 
 def _lag_operator(alpha: np.ndarray, beta: Sequence[np.ndarray], weights: WeightSet,
-                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The VAR blocks [B_p ... B_1] on the lag window [X_{t-p}; ...; X_{t-1}]
-    as the nonzeros of their support, row after row (CSR): a prediction is
+    as the nonzeros of their support, row after row (CSR): each entry's row,
+    column and coefficient, and each row's first entry.  A prediction is
     ``np.add.reduceat(coef * window[cols], starts)``.  Row i holds its own lag
     j with alpha[i, j] and each q with W_r[i, q] != 0, r <= s_j, with
-    beta[j, r] * W_r[i, q].  Entries are kept when their coefficient is 0, so
-    a missing value they reach poisons the prediction whatever the
-    coefficients."""
+    beta[j, r] * W_r[i, q], each (row, column) once.  Entries are kept when
+    their coefficient is 0, so a missing value they reach poisons the
+    prediction whatever the coefficients.  It is the one builder of the
+    blocks: :func:`spectral_radius` and :func:`restriction_matrix` scatter
+    its entries."""
     p, nodes = len(beta), np.arange(n)
     a = _alpha_matrix(alpha, n, p)
     parts = [(nodes, (p - 1 - j) * n + nodes, a[:, j]) for j in range(p)]
-    for r, w in enumerate(weights.stack[:max(map(len, beta))]):
+    # matrix() refuses a stage that the stack does not hold
+    for r, w in enumerate(weights.matrix(k, n) for k in range(1, max(map(len, beta)) + 1)):
         nz = np.flatnonzero(w.ravel() != 0)     # far faster than a 2-D np.nonzero
         i, q, w = nz // n, nz % n, w.ravel()[nz]
         parts += [(i, (p - 1 - j) * n + q, bj[r] * w) for j, bj in enumerate(beta) if r < len(bj)]
     rows, cols, coef = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(rows, kind="stable")
-    return cols[order], coef[order], np.searchsorted(rows[order], nodes)
+    return rows[order], cols[order], coef[order], np.searchsorted(rows[order], nodes)
+
+
+def _companion_column(cols: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Column of [B_1 ... B_p] for a column of the gather's [B_p ... B_1]."""
+    return (p - 1 - cols // n) * n + cols % n
 
 
 def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
@@ -1102,7 +1107,7 @@ def simulate(spec: GnarSpec, alpha: np.ndarray, beta: Sequence[np.ndarray],
 
     weights = _weight_stack(g, order.max_stage, spec.scheme)
     _validate_stages(order, weights, g.labels)
-    cols, coef, starts = _lag_operator(alpha, beta, weights, n)
+    _, cols, coef, starts = _lag_operator(alpha, beta, weights, n)
 
     rng = np.random.default_rng(seed)
     total = T + burn_in
@@ -1157,7 +1162,7 @@ def forecast(fit: GnarFit, panel: TimeSeriesPanel, horizon: int,
         raise InvalidInputError("fit carries no weights; refit via fit()/fit_ols "
                                 "with weight_set to enable forecasting")
     p, n = fit.spec.order.p, panel.n_nodes
-    cols, coef, starts = _lag_operator(fit.alpha, fit.beta, fit.weight_set, n)
+    _, cols, coef, starts = _lag_operator(fit.alpha, fit.beta, fit.weight_set, n)
     if mode == "rolling_one_step":
         if panel.n_times < p + horizon:
             raise InvalidInputError(
@@ -1198,9 +1203,12 @@ def stationarity_margin(alpha: np.ndarray, beta: Sequence[np.ndarray]) -> float:
 def spectral_radius(alpha: np.ndarray, beta: Sequence[np.ndarray],
                     weights: WeightSet, n: int) -> float:
     """Largest eigenvalue modulus of the VAR companion matrix built from the
-    blocks B_j; the recursion is stationary exactly when it is below 1."""
+    blocks B_j; the recursion is stationary exactly when it is below 1.  The
+    entries of :func:`_lag_operator` are added into its zero top rows, so a
+    -0.0 coefficient enters as 0.0, as in the sum diag(alpha_j) + sum_r
+    beta[j, r] W_r."""
     p = len(beta)
-    blocks = _var_blocks(_alpha_matrix(alpha, n, p), beta, weights.stack)
+    rows, cols, coef, _ = _lag_operator(alpha, beta, weights, n)
     companion = np.eye(n * p, k=-n)
-    companion[:n] = np.hstack(blocks)
+    companion[rows, _companion_column(cols, n, p)] += coef
     return float(np.max(np.abs(np.linalg.eigvals(companion))))

@@ -241,7 +241,7 @@ def select_model(panel: TimeSeriesPanel, g: geo_graph.Graph, scheme: WeightSchem
         raise InvalidInputError("panel and graph label order differ")
 
     weights = _weight_stack(g, max(c.max_stage for c in grid), scheme)
-    planes = _stage_planes(panel.values, weights, weights.r_max)
+    planes = _stage_planes(panel, weights, weights.r_max)
 
     def skipped(order, exc):
         status = next(v for k, v in _SKIP_STATUS.items() if isinstance(exc, k))

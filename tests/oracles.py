@@ -311,6 +311,17 @@ def simulate_gnar_bruteforce(alpha_np: np.ndarray, beta, stage_sets,
     return X
 
 
+def var_blocks(alpha_np: np.ndarray, beta, w_stack: np.ndarray) -> np.ndarray:
+    """VAR blocks B_j = diag(alpha_j) + sum_r beta[j, r] W_r, shape (p, N, N),
+    each a dense sum over whole N x N matrices.  This was the library's own
+    builder of the blocks; it stays as the reference that the gather form,
+    and the companion and restriction matrices scattered from it, must equal
+    bit for bit."""
+    return np.array([np.diag(alpha_np[:, j])
+                     + np.tensordot(np.asarray(bj, dtype=float), w_stack[:len(bj)], axes=1)
+                     for j, bj in enumerate(beta)])
+
+
 def gnar_one_step_bruteforce(X: np.ndarray, t: int, alpha_np: np.ndarray, beta,
                              stage_sets, stage_weights) -> np.ndarray:
     """Model prediction of column t from columns t-1..t-p, loops only.

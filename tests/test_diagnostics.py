@@ -467,3 +467,31 @@ def test_ljung_box_panel_rejects_bad_max_lag_once(max_lag):
     panel = make_panel(np.random.default_rng(2).normal(size=(3, 40)))
     with pytest.raises(InvalidInputError, match="max_lag"):
         ljung_box_panel(panel, max_lag=max_lag)
+
+
+_RING = Graph(labels=("a", "b", "c", "d"), edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mase(np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 5))),
+     "actual and predicted shapes differ"),
+    (lambda: mase(np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 5))),
+     "history row count differs from actual"),
+    (lambda: mase(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 1))),
+     "history needs at least 2 observations"),
+    (lambda: morans_i(np.arange(4.0), np.ones((3, 3))), "weights shape (3, 3) does not match n=4"),
+    (lambda: morans_i(np.array([1.0, np.nan, 2.0, 3.0]), moran_weights(_RING)),
+     "values contain missing entries"),
+    (lambda: moran_permutation_test(
+        make_panel(np.random.default_rng(5).normal(size=(4, 6)), labels=("d", "c", "b", "a")),
+        _RING),
+     "panel and graph label order differ"),
+    (lambda: ljung_box(np.random.default_rng(6).normal(size=40), max_lag=0),
+     "max_lag must be >= 1"),
+], ids=["mase-shapes", "mase-history-rows", "mase-history-columns", "moran-weights-shape",
+        "moran-nan", "permutation-labels", "ljung-box-max-lag"])
+def test_input_checks_raise_their_exact_errors(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert type(info.value) is InvalidInputError
+    assert str(info.value) == message

@@ -1,5 +1,6 @@
 """Weights, restriction matrix, design, estimation, simulation, forecasting."""
 
+import dataclasses
 import datetime
 import math
 import os
@@ -28,6 +29,7 @@ from oracles import (
 import gnarlib
 from gnarlib.errors import (
     FeasibilityError,
+    GnarError,
     InsufficientDataError,
     InvalidInputError,
     ModelInadmissibleError,
@@ -47,6 +49,7 @@ from gnarlib.gnar_core import (
     forecast,
     restriction_matrix,
     simulate,
+    spectral_radius,
     stationarity_margin,
 )
 from gnarlib.panel import TimeSeriesPanel
@@ -924,3 +927,100 @@ def test_margin_vertex_specific_uses_max():
     alpha = np.array([[0.1, 0.0], [0.5, -0.2]])
     beta = [np.array([0.1]), np.array([])]
     assert stationarity_margin(alpha, beta) == pytest.approx(1 - (0.5 + 0.1 + 0.2))
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+def _checked_world():
+    """A 4-node ring, a 12-week panel on it, its stage-1 weights and design,
+    and GNAR(1, [1]) and GNAR(2, [1, 0]) fits."""
+    g = ring_graph(4)
+    panel = make_panel(np.random.default_rng(3).normal(size=(4, 12)), labels=g.labels)
+    stages = stage_neighbourhoods(g, 1)
+    weights = compute_weights(g, stages, WeightScheme("spl"))
+    spec = spec_for(1, [1])
+    design, response, rows = build_design(panel, spec, weights, stages)
+    return dict(g=g, panel=panel, stages=stages, weights=weights, spec=spec, design=design,
+                response=response, rows=rows, fitted=fit(panel, g, spec),
+                fitted2=fit(panel, g, spec_for(2, [1, 0])))
+
+
+def _relabelled(panel, labels):
+    return TimeSeriesPanel(labels=labels, dates=panel.dates, values=panel.values)
+
+
+def _head(panel, T):
+    return make_panel(panel.values[:, :T], labels=panel.labels)
+
+
+_DIST = np.ones((4, 4)) - np.eye(4)
+_GAP = _DIST.copy()
+_GAP[0, 1] = _GAP[1, 0] = 0.0      # nodes 0 and 1 are ring neighbours: stage 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda w: compute_weights(w["g"], w["stages"], WeightScheme("idw", dist_km=np.ones((3, 3)))),
+     InvalidInputError, "dist_km shape (3, 3) does not match n=4"),
+    (lambda w: compute_weights(w["g"], w["stages"],
+                               WeightScheme("pb", dist_km=_DIST, populations=np.ones(3))),
+     InvalidInputError, "populations shape (3,) does not match n=4"),
+    (lambda w: compute_weights(w["g"], w["stages"], WeightScheme(
+        "pb", dist_km=_DIST, populations=np.array([1.0, np.nan, 1.0, 1.0]))),
+     InvalidInputError, "populations must be finite and positive"),
+    (lambda w: compute_weights(w["g"], w["stages"], WeightScheme(
+        "pb", dist_km=_DIST, populations=np.array([1.0, 0.0, 1.0, 1.0]))),
+     InvalidInputError, "populations must be finite and positive"),
+    (lambda w: compute_weights(w["g"], w["stages"], WeightScheme("idw", dist_km=_GAP)),
+     InvalidInputError, "nonpositive distance between nodes 'n00' and 'n01'"),
+    (lambda w: WeightScheme("gravity"),
+     InvalidInputError, "unknown weight kind 'gravity'; expected one of "
+                        "('spl', 'uniform', 'idw', 'pb')"),
+    (lambda w: restriction_matrix(spec_for(1, [2]), w["weights"], 4),
+     InvalidInputError, "order uses stage 2 but only 1 computed"),
+    (lambda w: build_design(w["panel"], spec_for(2, [0, 2]), w["weights"], w["stages"]),
+     InvalidInputError, "order uses stage 2 but only 1 computed"),
+    (lambda w: spectral_radius(np.array([0.2]), [np.array([0.1, 0.1])], w["weights"], 4),
+     InvalidInputError, "stage 2 outside computed range 1..1"),
+    (lambda w: fit_ols(np.ones(12), np.ones(12), w["spec"], 4, 12),
+     InvalidInputError, "design must be a 2-D array"),
+    (lambda w: fit_egls(w["design"], w["response"], w["spec"], 4, 12, np.eye(3), w["rows"]),
+     InvalidInputError, "sigma shape (3, 3) does not match n=4"),
+    (lambda w: fit_egls(w["design"], w["response"], w["spec"], 4, 12, np.eye(4), None),
+     InvalidInputError, "fit_egls needs a row_index aligned with the design"),
+    (lambda w: fit_egls(w["design"], w["response"], w["spec"], 4, 12, np.eye(4),
+                        w["rows"][:-1]),
+     InvalidInputError, "fit_egls needs a row_index aligned with the design"),
+    (lambda w: fit(_relabelled(w["panel"], w["g"].labels[::-1]), w["g"], w["spec"]),
+     InvalidInputError, "panel and graph label order differ; align them before fitting"),
+    (lambda w: estimate_sigma(w["panel"], 0), InvalidInputError, "p must be >= 1"),
+    (lambda w: simulate(w["spec"], np.array([0.2]), [np.array([0.1])], w["g"], T=10,
+                        sigma=1.0, init_values=np.zeros((4, 2))),
+     InvalidInputError, "init_values shape (4, 2) != (4, 1)"),
+    (lambda w: simulate(w["spec"], np.array([0.2, 0.1]), [np.array([0.1])], w["g"], T=10,
+                        sigma=1.0),
+     InvalidInputError, "alpha shape (2,) fits neither (p,) nor (N, p)"),
+    (lambda w: forecast(w["fitted"], w["panel"], 0), InvalidInputError, "horizon must be >= 1"),
+    (lambda w: forecast(w["fitted"], _relabelled(w["panel"], ("a", "b", "c", "d")), 1),
+     InvalidInputError, "panel labels do not match the fitted model"),
+    (lambda w: forecast(dataclasses.replace(w["fitted"], weight_set=None), w["panel"], 1),
+     InvalidInputError, "fit carries no weights; refit via fit()/fit_ols with weight_set "
+                        "to enable forecasting"),
+    (lambda w: forecast(w["fitted"], _head(w["panel"], 3), 3),
+     InvalidInputError, "panel has 3 columns; need >= p + horizon = 4"),
+    (lambda w: forecast(w["fitted2"], _head(w["panel"], 1), 1, mode="recursive"),
+     InvalidInputError, "panel shorter than lag order 2"),
+    (lambda w: forecast(w["fitted"], w["panel"], 1, mode="direct"),
+     InvalidInputError, "unknown mode 'direct'; expected 'rolling_one_step' or 'recursive'"),
+], ids=["dist-shape", "population-shape", "population-nan", "population-zero",
+        "zero-distance", "unknown-kind", "stage-range-restriction", "stage-range-design",
+        "stage-range-radius", "design-1d", "egls-sigma-shape", "egls-no-rows",
+        "egls-short-rows", "fit-labels", "sigma-p", "init-shape", "alpha-shape", "horizon",
+        "forecast-labels", "forecast-no-weights", "rolling-short", "recursive-short",
+        "forecast-mode"])
+def test_input_checks_raise_their_exact_errors(call, error, message):
+    with pytest.raises(GnarError) as info:
+        call(_checked_world())
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -7,10 +7,13 @@ checked against the loop oracles in ``oracles.py``, with random missing
 values in the forecast history.  Some coefficients are exactly 0.0 or -0.0:
 the support of the VAR blocks, not the coefficients, decides which
 predictions a missing value poisons.  The gather operator that simulation
-and forecasting share must scatter back to the dense VAR blocks exactly.
+and forecasting share must scatter back to the dense VAR blocks exactly,
+and so must the companion and restriction matrices scattered from it.
 """
 
+import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from oracles import (
     gnar_one_step_bruteforce,
     hops_bruteforce,
     simulate_gnar_bruteforce,
+    var_blocks,
 )
 
 from gnarlib.errors import ModelInadmissibleError
@@ -33,10 +37,11 @@ from gnarlib.gnar_core import (
     GnarSpec,
     WeightScheme,
     _lag_operator,
-    _var_blocks,
     compute_weights,
     forecast,
+    restriction_matrix,
     simulate,
+    spectral_radius,
 )
 from gnarlib.panel import TimeSeriesPanel
 
@@ -189,15 +194,50 @@ def test_gather_operator_scatters_to_the_var_blocks(model):
     # coefficients are the dense [B_p ... B_1] bit for bit
     g, spec, alpha, beta, _ = model
     _, _, weights = _oracle_stages(g, spec)
-    cols, coef, starts = _lag_operator(alpha, beta, weights, g.n)
-    rows = np.repeat(np.arange(g.n), np.diff(np.append(starts, len(cols))))
+    rows, cols, coef, starts = _lag_operator(alpha, beta, weights, g.n)
+    np.testing.assert_array_equal(
+        rows, np.repeat(np.arange(g.n), np.diff(np.append(starts, len(cols)))))
     assert len(set(zip(rows.tolist(), cols.tolist()))) == len(cols)
     dense, support = np.zeros((2, g.n, spec.order.p * g.n))
     dense[rows, cols], support[rows, cols] = coef, 1.0
-    blocks = _var_blocks(_alpha_np(alpha, g.n), beta, weights.stack)
+    blocks = var_blocks(_alpha_np(alpha, g.n), beta, weights.stack)
     np.testing.assert_array_equal(dense, np.hstack(blocks[::-1]))
     stages = [np.eye(g.n) + (weights.stack[:len(bj)] != 0).sum(axis=0) for bj in beta]
     np.testing.assert_array_equal(support, np.hstack(stages[::-1]))
+
+
+@PROPERTY
+@given(models(), st.sampled_from(["spl", "uniform", "idw", "pb"]))
+def test_companion_and_restriction_matrix_equal_the_dense_var_blocks(model, kind):
+    # both are scattered from the gather form; the companion must be the one
+    # stacked from the dense blocks byte for byte (signed zeros included), so
+    # its spectral radius is that of the dense companion exactly, and each
+    # restriction column must be the dense blocks of its unit vector
+    g, spec, alpha, beta, rng = model
+    n, p = g.n, spec.order.p
+    d = rng.uniform(10.0, 500.0, size=(n, n))
+    spec = dataclasses.replace(spec, scheme=WeightScheme(
+        kind, dist_km=(d + d.T) / 2.0, populations=rng.uniform(1e3, 1e6, size=n)))
+    sets, _, weights = _oracle_stages(g, spec)
+    companion = np.eye(n * p, k=-n)
+    companion[:n] = np.hstack(var_blocks(_alpha_np(alpha, n), beta, weights.stack))
+    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
+        radius = spectral_radius(alpha, beta, weights, n)
+    assert eigvals.call_args.args[0].tobytes() == companion.tobytes()
+    assert radius == float(np.max(np.abs(np.linalg.eigvals(companion))))
+
+    if not _admissible(sets, spec.order):
+        with pytest.raises(ModelInadmissibleError):
+            restriction_matrix(spec, weights, n)
+        return
+    R = restriction_matrix(spec, weights, n).matrix
+    k = p if spec.global_alpha else p * n
+    columns = []
+    for unit in np.eye(spec.n_params(n)):
+        a = unit[:k] if spec.global_alpha else unit[:k].reshape(p, n).T
+        b = np.split(unit[k:], np.cumsum(spec.order.s)[:-1])
+        columns.append(var_blocks(_alpha_np(a, n), b, weights.stack).transpose(0, 2, 1).ravel())
+    assert np.array_equal(R, np.column_stack(columns))
 
 
 def test_prediction_forms_no_n_by_n_array():

@@ -12,6 +12,7 @@ from oracles import ar_baseline_loop
 
 from gnarlib import geo_graph, gnar_core, selection
 from gnarlib.errors import (
+    GnarError,
     InsufficientDataError,
     InvalidInputError,
     SelectionFailedError,
@@ -535,3 +536,32 @@ def test_gnar_beats_ar_when_network_effect_exists():
     mse_gnar = float(np.mean((actual - g_preds) ** 2))
     mse_ar = float(np.mean((actual - a_preds) ** 2))
     assert mse_gnar < mse_ar
+
+
+def _ring_search(grid=None, labels=None, **options):
+    """select_model on a 30-week panel over a 4-node ring."""
+    g = ring_graph(4)
+    panel = make_panel(np.random.default_rng(4).normal(size=(4, 30)), labels=labels or g.labels)
+    return select_model(panel, g, WeightScheme("spl"),
+                        order_grid(1, 1) if grid is None else grid, **options)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _ring_search(criterion="hqic"),
+     InvalidInputError, "criterion must be 'bic' or 'aic'"),
+    (lambda: _ring_search(OrderGrid((), 1, 1)), InvalidInputError, "empty candidate grid"),
+    (lambda: _ring_search(labels=("n03", "n02", "n01", "n00")),
+     InvalidInputError, "panel and graph label order differ"),
+    (lambda: selection.SelectionReport(candidates=(), criterion="bic").best,
+     SelectionFailedError, "no candidate was successfully fitted"),
+    (lambda: ar_rolling_forecast(selection.ArNodeResult("n01", "degenerate"), np.ones(10), 1),
+     InvalidInputError, "node 'n01' has no usable AR fit"),
+    (lambda: ar_rolling_forecast(selection.ArNodeResult("n01", "ok", 2, (0.3, 0.1)),
+                                 np.ones(4), 3),
+     InvalidInputError, "history too short for the requested horizon"),
+], ids=["criterion", "empty-grid", "labels", "best-of-none", "ar-no-fit", "ar-short-history"])
+def test_input_checks_raise_their_exact_errors(call, error, message):
+    with pytest.raises(GnarError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -298,8 +298,12 @@ def test_infinite_panel_value_fails_fit_and_selection(global_alpha):
     g, values, spec = _small_case(global_alpha)
     values[2, 6] = np.inf
     panel = make_panel(values, labels=g.labels)
-    with pytest.raises(InvalidInputError, match="infinite"):
+    # the message names the node, as forecast's and the diagnostics' do
+    message = f"node {g.labels[2]!r} holds infinite values; NaN marks a missing cell"
+    with pytest.raises(InvalidInputError, match=message):
         fit(panel, g, spec)
-    with pytest.raises(InvalidInputError, match="infinite"):
+    with pytest.raises(InvalidInputError, match=message):
+        _wide_design(g, panel, spec)
+    with pytest.raises(InvalidInputError, match=message):
         select_model(panel, g, WeightScheme("spl"), order_grid(2, 1),
                      global_alpha=global_alpha)
